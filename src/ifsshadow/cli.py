@@ -40,7 +40,11 @@ CONTRACT_ERRORS = (ShadowingConvergenceError, NotContractingError,
 def _default_threads() -> int:
     env = os.environ.get("IFSSHADOW_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(
+                f"IFSSHADOW_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -425,13 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    try:
-        return args.func(args)
     except CONTRACT_ERRORS as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return 1

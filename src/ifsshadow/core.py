@@ -97,21 +97,32 @@ class SymbolSequence:
             return self.window[i % n]
         return int(self.extension.split(":", 1)[1])
 
-    def symbols(self, k_from: int, k_to: int) -> list[int]:
-        """Symbols for k in [k_from, k_to)."""
-        return [self.lookup(k) for k in range(k_from, k_to)]
+    def symbols(self, k_from: int, k_to: int) -> np.ndarray:
+        """Symbols for k in [k_from, k_to), as an integer array."""
+        window = np.array(self.window, dtype=np.intp)
+        i = np.arange(k_from - self.k_min, k_to - self.k_min)
+        if self.extension == "periodic":
+            return window[i % window.size]
+        out = np.full(i.size, int(self.extension.split(":", 1)[1]), dtype=np.intp)
+        inside = (i >= 0) & (i < window.size)
+        out[inside] = window[i[inside]]
+        return out
 
     def shift(self, offset: int) -> "SymbolSequence":
         """Sequence s' with s'(k) = s(k + offset)."""
         return SymbolSequence(self.window, self.extension, self.k_min - offset)
 
     def to_dict(self) -> dict:
-        return {"window": list(self.window), "extension": self.extension}
+        d = {"window": list(self.window), "extension": self.extension}
+        if self.k_min:
+            d["k_min"] = self.k_min
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "SymbolSequence":
         return cls(window=tuple(int(s) for s in d["window"]),
-                   extension=d.get("extension", "periodic"))
+                   extension=d.get("extension", "periodic"),
+                   k_min=int(d.get("k_min", 0)))
 
 
 CHAIN_KINDS = ("exact-chain", "delta-chain", "shadow-candidate")
@@ -179,7 +190,7 @@ def link_residuals(F: IFS, chain: ChainRecord) -> np.ndarray:
     m = chain.n_links
     if m == 0:
         return np.zeros(0)
-    syms = np.array(chain.sigma.symbols(0, m))
+    syms = chain.sigma.symbols(0, m)
     images = np.empty_like(pts[:-1])
     for s in np.unique(syms):
         idx = np.nonzero(syms == s)[0]
@@ -248,8 +259,8 @@ def gen_pseudo_orbit(
         errs = np.zeros((steps, d))
     fwds = [m.fwd for m in F.maps]
     periodic = space.periodic
-    for k in range(steps):
-        y = np.asarray(fwds[sigma.lookup(k)](pts[k]), dtype=float)
+    for k, s in enumerate(sigma.symbols(0, steps).tolist()):
+        y = np.asarray(fwds[s](pts[k]), dtype=float)
         if periodic:
             y = y - np.floor(y)
         if kind == "round":

@@ -74,10 +74,6 @@ def read_chain(path, delta: float = 0.0, kind: str = "delta-chain") -> ChainReco
     return ChainRecord(points=pts, sigma=sigma, delta=delta, kind=kind)
 
 
-def sigma_to_dict(sigma: SymbolSequence) -> dict:
-    return sigma.to_dict()
-
-
 def read_sigma(path) -> SymbolSequence:
     with open(path) as f:
         return SymbolSequence.from_dict(json.load(f))

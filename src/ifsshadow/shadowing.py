@@ -12,8 +12,9 @@ Three solvers cover the systems in the catalog:
   exact chain of minimal total correction.
 * ``shadow_newton`` - Gauss-Newton on the stacked link residuals
   lift(y_{k+1} - f_{sigma(k)}(y_k)) with minimal-norm steps.  The chain
-  Jacobian is block bidiagonal, so each sweep is one block-tridiagonal solve
-  (O(window length)).
+  Jacobian is block bidiagonal, so its normal matrix is symmetric
+  positive-definite and banded (bandwidth 2d - 1), and each sweep is one
+  banded Cholesky solve (O(window length)).
 
 On linear systems the Newton and closed-form solvers converge to the same
 minimal-correction chain.
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg.lapack import dpbsv
 from scipy.signal import lfilter
 
 from .core import ChainRecord, IFS, SymbolSequence, validate_chain
@@ -103,9 +105,8 @@ def shadow_contraction(F: IFS, chain: ChainRecord, seed: int = 0) -> ShadowResul
     y[0] = pts[0]
     fwds = [m.fwd for m in F.maps]
     periodic = F.space.periodic
-    sigma = chain.sigma
-    for k in range(chain.n_links):
-        img = np.asarray(fwds[sigma.lookup(k)](y[k]), dtype=float)
+    for k, s in enumerate(chain.sigma.symbols(0, chain.n_links).tolist()):
+        img = np.asarray(fwds[s](y[k]), dtype=float)
         y[k + 1] = img - np.floor(img) if periodic else img
     return _finish(F, chain, y, "contraction", 0)
 
@@ -194,24 +195,29 @@ def shadow_linear_hyperbolic(A: SmoothMap, chain: ChainRecord) -> ShadowResult:
     return _finish(F, chain, y, "linear-hyperbolic", 1)
 
 
-def _block_tridiag_solve(D: np.ndarray, A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the block-tridiagonal system with diagonal blocks D_k,
-    sub-diagonal -A_{k+1} and super-diagonal -A_{k+1}^T (k-th row coupling)."""
-    m, d, _ = D.shape
-    C = np.empty_like(D)
-    G = np.empty_like(rhs)
-    C[0] = D[0]
-    G[0] = rhs[0]
-    for k in range(1, m):
-        X = np.linalg.solve(C[k - 1], np.column_stack([A[k].T, G[k - 1]]))
-        CinvAT, CinvG = X[:, :d], X[:, d]
-        C[k] = D[k] - A[k] @ CinvAT
-        G[k] = rhs[k] + A[k] @ CinvG
-    u = np.empty_like(rhs)
-    u[m - 1] = np.linalg.solve(C[m - 1], G[m - 1])
-    for k in range(m - 2, -1, -1):
-        u[k] = np.linalg.solve(C[k], G[k] + A[k + 1].T @ u[k + 1])
-    return u
+def _normal_solve(jacs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (J J^T) u = rhs for the chain Jacobian J with link blocks A_k.
+
+    Row k of J is [-A_k at y_k, I at y_{k+1}], so J J^T is block tridiagonal
+    with diagonal blocks I + A_k A_k^T and super-diagonal blocks -A_{k+1}^T.
+    It is assembled in upper-banded storage, ab[p + i - j, j] = (J J^T)[i, j]
+    with p = 2d - 1 super-diagonals, and factored by one banded Cholesky
+    (LAPACK pbsv).  pbsv is called directly: scipy's solveh_banded hands
+    two-row storage (d = 1) to ptsv instead, which rejects a 1 x 1 system.
+    """
+    m, d, _ = jacs.shape
+    p = 2 * d - 1
+    ab = np.zeros((p + 1, m * d))
+    a, b = np.triu_indices(d)
+    D = np.eye(d) + jacs @ np.swapaxes(jacs, 1, 2)
+    ab[p + a - b, np.arange(m)[:, None] * d + b] = D[:, a, b]
+    if m > 1:
+        a, b = np.indices((d, d)).reshape(2, -1)
+        ab[d - 1 + a - b, np.arange(1, m)[:, None] * d + b] = -jacs[1:, b, a]
+    _, u, info = dpbsv(ab, rhs.reshape(-1, 1), overwrite_ab=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"banded Cholesky failed (LAPACK info {info})")
+    return u.reshape(m, d)
 
 
 def shadow_newton(
@@ -221,19 +227,25 @@ def shadow_newton(
     max_iter: int = 20,
     initial_points: np.ndarray | None = None,
 ) -> ShadowResult:
-    """Gauss-Newton chain-residual minimization with minimal-norm steps."""
+    """Gauss-Newton chain-residual minimization with minimal-norm steps.
+
+    Each sweep linearises the link residuals R around the iterate, takes the
+    minimal-norm step J^T u with (J J^T) u = -R (one banded Cholesky solve),
+    and stops once the largest link residual is at most `tol`.  Raises
+    ShadowingConvergenceError after `max_iter` sweeps, or at once when the
+    residual is not finite.
+    """
     for m_ in F.maps:
         if m_.jac is None:
             raise ValueError(f"shadow_newton needs Jacobians (map {m_.label!r})")
     space = F.space
-    sigma = chain.sigma
     m = chain.n_links
     y = np.array(initial_points if initial_points is not None else chain.points,
                  dtype=float)
     y = space.normalize(y)
     if m == 0:
         return _finish(F, chain, y, "newton", 0)
-    syms = np.array(sigma.symbols(0, m))
+    syms = chain.sigma.symbols(0, m)
     best_y, best_res = y, np.inf
     for it in range(max_iter + 1):
         images = np.empty_like(y[:-1])
@@ -244,14 +256,19 @@ def shadow_newton(
             jacs[idx] = F.maps[int(s)].jacobian(y[idx])
         R = space.displacement(images, y[1:])
         res = float(np.max(np.sqrt(np.sum(R * R, axis=-1))))
+        if not np.isfinite(res):
+            raise ShadowingConvergenceError(
+                f"Gauss-Newton residual is not finite at sweep {it} "
+                f"(best {best_res:.3e})",
+                best_points=best_y, residual=best_res, iterations=it,
+            )
         if res < best_res:
             best_y, best_res = y.copy(), res
         if res <= tol:
             return _finish(F, chain, y, "newton", it)
         if it == max_iter:
             break
-        D = np.eye(space.dim)[None, :, :] + jacs @ np.swapaxes(jacs, 1, 2)
-        u = _block_tridiag_solve(D, jacs, -R)
+        u = _normal_solve(jacs, -R)
         delta = np.zeros_like(y)
         delta[0] = -jacs[0].T @ u[0]
         if m > 1:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ifsshadow import (ChainRecord, MetricGrid, Space, SymbolSequence, dist_D0,
                        dist_D1, gen_pseudo_orbit, identity_map, iterate_chain,
@@ -42,6 +44,23 @@ def test_sigma_random_is_seeded():
 def test_sigma_roundtrip_dict():
     s = SymbolSequence.periodic([1, 0])
     assert SymbolSequence.from_dict(s.to_dict()) == s
+    assert "k_min" not in s.to_dict()   # unshifted schedules keep their JSON
+    shifted = SymbolSequence.periodic([0, 1, 1]).shift(1)
+    back = SymbolSequence.from_dict(shifted.to_dict())
+    assert back == shifted
+    assert back.symbols(0, 6).tolist() == [1, 1, 0, 1, 1, 0]
+
+
+@given(window=st.lists(st.integers(0, 5), min_size=1, max_size=8),
+       constant=st.one_of(st.none(), st.integers(0, 5)),
+       k_min=st.integers(-20, 20),
+       a=st.integers(-30, 30), length=st.integers(0, 40))
+def test_sigma_symbols_match_lookup(window, constant, k_min, a, length):
+    ext = "periodic" if constant is None else f"constant:{constant}"
+    s = SymbolSequence(tuple(window), ext, k_min)
+    syms = s.symbols(a, a + length)
+    assert syms.dtype.kind == "i"
+    assert syms.tolist() == [s.lookup(k) for k in range(a, a + length)]
 
 
 # --- orbit map ----------------------------------------------------------

@@ -213,6 +213,14 @@ def test_cli_exit_codes(tmp_path):
                    "contraction") == 1
 
 
+def test_cli_bad_thread_setting_is_config_error(monkeypatch, capsys):
+    monkeypatch.setenv("IFSSHADOW_THREADS", "abc")
+    assert run_cli("metrics", "--f", "rotation:0.1", "--g", "rotation:0.12",
+                   "--metric", "rho0", "--grid", "16") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "IFSSHADOW_THREADS" in err
+
+
 def test_cli_determinism_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

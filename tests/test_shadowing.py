@@ -8,6 +8,7 @@ from ifsshadow import (ChainRecord, NotContractingError, NotHyperbolicError,
                        shadow_auto, shadow_contraction, shadow_linear_hyperbolic,
                        shadow_newton, split_error, validate_chain,
                        verify_shadowing)
+from ifsshadow.shadowing import _normal_solve
 from ifsshadow.systems import (CAT_MATRIX, build_cat_ifs, build_contraction_ifs,
                                build_identity_ifs, build_rotation_ifs,
                                build_torus_example)
@@ -179,6 +180,36 @@ def test_newton_nonconvergence_carries_best():
         shadow_newton(CAT, chain, tol=1e-12, max_iter=0)
     assert exc.value.best_points is not None
     assert exc.value.residual > 0
+
+
+def test_newton_stops_at_nonfinite_residual():
+    chain = gen_pseudo_orbit(CAT, SIG0, [0.2, 0.7], 1e-3, 20, seed=1)
+    init = chain.points.copy()
+    init[5, 0] = np.nan
+    with pytest.raises(ShadowingConvergenceError, match="not finite") as exc:
+        shadow_newton(CAT, chain, max_iter=20, initial_points=init)
+    assert exc.value.iterations == 0
+    # the probes keep recording such a failure instead of raising
+    rep = finite_shadow_probe(
+        CAT, [chain], eps=1.0,
+        solver=lambda F, c: shadow_newton(F, c, initial_points=init))
+    assert not rep.all_passed and "not finite" in rep.windows[0].error
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 50])
+def test_normal_solve_matches_dense(d, m):
+    rng = np.random.default_rng(10 * d + m)
+    jacs = rng.normal(size=(m, d, d))
+    rhs = rng.normal(size=(m, d))
+    # chain Jacobian: row block k is [-A_k at y_k, I at y_{k+1}]
+    J = np.zeros((m * d, (m + 1) * d))
+    for k in range(m):
+        J[k * d:(k + 1) * d, k * d:(k + 1) * d] = -jacs[k]
+        J[k * d:(k + 1) * d, (k + 1) * d:(k + 2) * d] = np.eye(d)
+    dense = np.linalg.solve(J @ J.T, rhs.ravel()).reshape(m, d)
+    u = _normal_solve(jacs, rhs)
+    assert np.max(np.abs(u - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 def test_newton_requires_jacobians():
