@@ -9,13 +9,12 @@ at most delta.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .maps import AffineFormula, SmoothMap
+from .maps import SmoothMap
 from .space import MetricGrid, Space, _as_points
 
 
@@ -222,53 +221,6 @@ def _parse_noise(noise: str) -> tuple[str, int]:
     raise ValueError(f"unknown noise model {noise!r}")
 
 
-def _step_points(F: IFS, syms: np.ndarray, x0: np.ndarray,
-                 errs: np.ndarray | None = None,
-                 decimals: int | None = None) -> np.ndarray:
-    """Points y_0 = x0, y_{k+1} = f_{syms[k]}(y_k), stepped one link at a time.
-
-    Each image is wrapped into the fundamental domain, rounded to `decimals`
-    (as np.round does) when given, then shifted by errs[k] and wrapped again
-    when `errs` is given.  One-dimensional affine families run the same
-    recurrence on Python floats, which skips the array overhead of a
-    one-point map call per link.
-    """
-    space = F.space
-    periodic = space.periodic
-    fwds = [m.fwd for m in F.maps]
-    if (space.dim == 1 and decimals is None
-            and all(isinstance(f, AffineFormula) for f in fwds)):
-        lin = np.array([f.A[0, 0] for f in fwds])[syms].tolist()
-        off = np.array([f.b[0] for f in fwds])[syms].tolist()
-        shifts = errs[:, 0].tolist() if errs is not None else None
-        y = float(np.reshape(x0, (1,))[0])
-        out = [y]
-        for k, (a, c) in enumerate(zip(lin, off)):
-            y = a * y + c
-            if periodic:
-                y -= math.floor(y)
-            if shifts is not None:
-                y += shifts[k]
-                if periodic:
-                    y -= math.floor(y)
-            out.append(y)
-        return np.array(out).reshape(-1, 1)
-    pts = np.empty((syms.size + 1, space.dim))
-    pts[0] = x0
-    for k, s in enumerate(syms.tolist()):
-        y = np.asarray(fwds[s](pts[k]), dtype=float)
-        if periodic:
-            y = y - np.floor(y)
-        if decimals is not None:
-            y = np.round(y, decimals)
-        if errs is not None:
-            y = y + errs[k]
-            if periodic:
-                y = y - np.floor(y)
-        pts[k + 1] = y
-    return pts
-
-
 def gen_pseudo_orbit(
     F: IFS,
     sigma: SymbolSequence,
@@ -292,8 +244,10 @@ def gen_pseudo_orbit(
     space = F.space
     d = space.dim
     x = space.normalize(_as_points(space, x0))
+    pts = np.empty((steps + 1, d))
     if kind == "round":
         x = space.normalize(np.round(x, decimals))
+    pts[0] = x
     if kind == "uniform-ball" and delta > 0:
         rng = np.random.default_rng(seed)
         dirs = rng.standard_normal((steps, d))
@@ -303,8 +257,18 @@ def gen_pseudo_orbit(
         errs = dirs / norms * radii
     else:
         errs = np.zeros((steps, d))
-    pts = _step_points(F, sigma.symbols(0, steps), x, errs,
-                       decimals if kind == "round" else None)
+    fwds = [m.fwd for m in F.maps]
+    periodic = space.periodic
+    for k, s in enumerate(sigma.symbols(0, steps).tolist()):
+        y = np.asarray(fwds[s](pts[k]), dtype=float)
+        if periodic:
+            y = y - np.floor(y)
+        if kind == "round":
+            y = np.round(y, decimals)
+        y = y + errs[k]
+        if periodic:
+            y = y - np.floor(y)
+        pts[k + 1] = y
     if kind == "round":
         bound = 0.5 * 10.0 ** (-decimals) * np.sqrt(d)
     else:

@@ -139,24 +139,6 @@ def identity_map(space: Space) -> SmoothMap:
     )
 
 
-class AffineFormula:
-    """The raw formula x -> A x + b, vectorized over leading axes.
-
-    Steppers that iterate one point at a time read ``A`` and ``b`` to skip
-    the per-call array overhead; a map whose ``fwd`` is wrapped or replaced
-    is no longer recognised as affine.
-    """
-
-    __slots__ = ("A", "b")
-
-    def __init__(self, A: np.ndarray, b: np.ndarray):
-        self.A = A
-        self.b = b
-
-    def __call__(self, x):
-        return x @ self.A.T + self.b
-
-
 def affine_map(space: Space, A, b, label: str = "affine") -> SmoothMap:
     """x -> A x + b.  On the torus A must be an integer matrix to be well defined."""
     A = np.asarray(A, dtype=float)
@@ -176,7 +158,7 @@ def affine_map(space: Space, A, b, label: str = "affine") -> SmoothMap:
     return SmoothMap(
         label=label,
         space=space,
-        fwd=AffineFormula(A, b),
+        fwd=lambda x: x @ A.T + b,
         inv=inv,
         jac=lambda x: np.broadcast_to(A, x.shape + (space.dim,)),
         matrix=np.round(A).astype(int) if (space.periodic and integral) else None,

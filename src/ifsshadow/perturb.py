@@ -139,16 +139,9 @@ def move_points_diffeo(
         if k == 0:
             return np.zeros_like(x)
         v = space.displacement(P, x[..., None, :])      # from centers to x
-        dist = np.sqrt(np.einsum("...i,...i->...", v, v))
+        dist = np.sqrt(np.sum(v * v, axis=-1))
         w = bump_profile(dist / R)
         return np.einsum("...i,id->...d", w, D)
-
-    def owned_perturbation(x, owner):
-        # perturbation of points x of shape (n, d) that only center owner[i]
-        # can reach
-        v = space.displacement(P[owner], x)
-        dist = np.sqrt(np.einsum("...i,...i->...", v, v))
-        return bump_profile(dist / R)[:, None] * D[owner]
 
     def fwd(x):
         return x + perturbation(x)
@@ -157,30 +150,16 @@ def move_points_diffeo(
         p = np.asarray(p, dtype=float)
         flat = p.reshape(-1, space.dim)
         z = space.normalize(flat.copy())
-        if k == 0:
-            return z.reshape(p.shape)
+        active = np.arange(flat.shape[0])
         # fixed-point iteration z <- p - perturbation(z); the perturbation is a
-        # contraction.  The supports are disjoint, so |perturbation| <= maxd
-        # and every iterate stays within maxd of p: centers farther than
-        # R + maxd (plus a rounding margin) from p never act on it.  Points
-        # out of reach of every center are fixed at once, points reached by
-        # one center iterate against that center alone, the rest against all
-        # centers.
-        reach = space.dist(P, z[:, None, :]) <= R + maxd + 1e-12
-        n_reach = np.count_nonzero(reach, axis=-1)
-        owner = np.argmax(reach, axis=-1)
-        for active, single in ((np.nonzero(n_reach == 1)[0], True),
-                               (np.nonzero(n_reach > 1)[0], False)):
-            for _ in range(120):
-                if active.size == 0:
-                    break
-                za = z[active]
-                pert = (owned_perturbation(za, owner[active]) if single
-                        else perturbation(za))
-                z_next = space.normalize(flat[active] - pert)
-                step = space.dist(z_next, za)
-                z[active] = z_next
-                active = active[step > 1e-13]
+        # contraction, and points outside every support converge immediately
+        for _ in range(120):
+            z_next = space.normalize(flat[active] - perturbation(z[active]))
+            step = space.dist(z_next, z[active])
+            z[active] = z_next
+            active = active[step > 1e-13]
+            if active.size == 0:
+                break
         return z.reshape(p.shape)
 
     eye = np.eye(space.dim)

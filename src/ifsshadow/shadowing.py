@@ -29,8 +29,8 @@ import numpy as np
 from scipy.linalg.lapack import dpbsv
 from scipy.signal import lfilter
 
-from .core import ChainRecord, IFS, SymbolSequence, _step_points, validate_chain
-from .maps import AffineFormula, SmoothMap
+from .core import ChainRecord, IFS, SymbolSequence, validate_chain
+from .maps import SmoothMap
 from .space import ball_sample
 
 
@@ -71,13 +71,7 @@ def _finish(F: IFS, chain: ChainRecord, ypts: np.ndarray, solver: str,
 
 
 def lipschitz_estimate(m: SmoothMap, n_samples: int = 512, seed: int = 0) -> float:
-    """Numerical Lipschitz estimate from Jacobian norms and sampled pair ratios.
-
-    An affine formula x -> A x + b gets the exact constant, the spectral norm
-    of A (on the torus no pair ratio exceeds it, and small pairs attain it).
-    """
-    if isinstance(m.fwd, AffineFormula):
-        return float(np.linalg.norm(m.fwd.A, 2))
+    """Numerical Lipschitz estimate from Jacobian norms and sampled pair ratios."""
     rng = np.random.default_rng(seed)
     X = m.space.uniform(rng, n_samples)
     best = 0.0
@@ -106,7 +100,14 @@ def shadow_contraction(F: IFS, chain: ChainRecord, seed: int = 0) -> ShadowResul
             raise NotContractingError(
                 f"map {m.label!r} is not contracting (Lipschitz estimate {q:.4f})"
             )
-    y = _step_points(F, chain.sigma.symbols(0, chain.n_links), chain.points[0])
+    pts = chain.points
+    y = np.empty_like(pts)
+    y[0] = pts[0]
+    fwds = [m.fwd for m in F.maps]
+    periodic = F.space.periodic
+    for k, s in enumerate(chain.sigma.symbols(0, chain.n_links).tolist()):
+        img = np.asarray(fwds[s](y[k]), dtype=float)
+        y[k + 1] = img - np.floor(img) if periodic else img
     return _finish(F, chain, y, "contraction", 0)
 
 

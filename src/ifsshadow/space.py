@@ -65,15 +65,13 @@ class Space:
         q = _as_points(self, q)
         if not self.periodic:
             return q - p
-        r = q - p
-        r -= np.floor(r)
-        r -= r > 0.5
-        return r
+        r = (q - p) - np.floor(q - p)
+        return np.where(r > 0.5, r - 1.0, r)
 
     def dist(self, p, q) -> np.ndarray:
         """Metric distance between point arrays, broadcasting over leading axes."""
         v = self.displacement(p, q)
-        return np.sqrt(np.einsum("...i,...i->...", v, v))
+        return np.sqrt(np.sum(v * v, axis=-1))
 
     def geodesic_displacement(self, p, q) -> np.ndarray:
         """Displacement along the unique shortest path from p to q.

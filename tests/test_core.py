@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,7 +5,7 @@ from hypothesis import strategies as st
 
 from ifsshadow import (ChainRecord, MetricGrid, Space, SymbolSequence, dist_D0,
                        dist_D1, gen_pseudo_orbit, identity_map, iterate_chain,
-                       make_ifs, move_points_diffeo, orbit_map, rho0, rho1,
+                       move_points_diffeo, orbit_map, rho0, rho1,
                        validate_chain)
 from ifsshadow.systems import (build_cat_ifs, build_contraction_ifs,
                                build_rotation_ifs, build_torus_example)
@@ -163,25 +161,6 @@ def test_gen_deterministic_in_seed():
     c = gen_pseudo_orbit(CAT, SIG0, [0.2, 0.9], 0.01, 500, seed=78)
     assert np.array_equal(a.points, b.points)
     assert not np.array_equal(a.points, c.points)
-
-
-def opaque(F):
-    """F with every forward formula hidden behind a plain function, so chain
-    stepping cannot recognise an affine map and takes its array path."""
-    return make_ifs(dataclasses.replace(m, fwd=lambda x, f=m.fwd: f(x))
-                    for m in F.maps)
-
-
-@pytest.mark.parametrize("F", [build_contraction_ifs(0.5),
-                               build_rotation_ifs([0.3, 0.71])],
-                         ids=["interval", "circle"])
-@pytest.mark.parametrize("noise", ["uniform-ball", "round:3"])
-@pytest.mark.parametrize("delta", [0.0, 0.01])
-def test_gen_affine_float_path_matches_array_path(F, noise, delta):
-    sig = SymbolSequence.random(2, 400, seed=3)
-    a = gen_pseudo_orbit(F, sig, [0.3], delta, 400, noise=noise, seed=5)
-    b = gen_pseudo_orbit(opaque(F), sig, [0.3], delta, 400, noise=noise, seed=5)
-    assert np.array_equal(a.points, b.points)
 
 
 # --- map and family distances -------------------------------------------

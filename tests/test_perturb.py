@@ -77,20 +77,6 @@ def test_five_pairs_exact_interpolation():
     assert np.max(SP2.dist(f.invert(f(X)), X)) <= 1e-10
 
 
-def test_inverse_near_two_supports():
-    # supports of radius 0.1 around centers 0.21 apart: points in the gap lie
-    # within R + max|d| of both centers and iterate against all of them
-    c0, c1 = np.array([0.3, 0.5]), np.array([0.51, 0.5])
-    f = move_points_diffeo([(c0, c0 + [0.0, 0.02]), (c1, c1 + [-0.01, 0.015])],
-                           0.03, support_radius=0.1)
-    rng = np.random.default_rng(4)
-    gap = np.column_stack([np.linspace(0.15, 0.66, 2001),
-                           0.5 + 0.05 * rng.standard_normal(2001)])
-    X = np.concatenate([gap, SP2.uniform(rng, 5000)])
-    assert np.max(SP2.dist(f(f.invert(X)), X)) <= 1e-10
-    assert np.max(SP2.dist(f.invert(f(X)), X)) <= 1e-10
-
-
 def test_displacement_outside_supports_is_zero():
     p, q = np.array([0.5, 0.5]), np.array([0.505, 0.5])
     f = move_points_diffeo([(p, q)], 0.01)

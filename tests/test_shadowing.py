@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,7 @@ from ifsshadow import (ChainRecord, NotContractingError, NotHyperbolicError,
                        ShadowingConvergenceError, SymbolSequence,
                        check_uniqueness, finite_shadow_probe, gen_pseudo_orbit,
                        hyperbolic_splitting, iterate_chain, lipschitz_estimate,
-                       make_ifs, shadow_auto, shadow_contraction, shadow_linear_hyperbolic,
+                       shadow_auto, shadow_contraction, shadow_linear_hyperbolic,
                        shadow_newton, split_error, validate_chain,
                        verify_shadowing)
 from ifsshadow.shadowing import _normal_solve
@@ -352,25 +350,3 @@ def test_uniqueness_inconclusive_when_no_candidate_shadows():
 def test_lipschitz_estimates():
     assert lipschitz_estimate(build_contraction_ifs(0.5).maps[0]) == pytest.approx(0.5, abs=1e-9)
     assert lipschitz_estimate(CAT.maps[0]) == pytest.approx(LAM_U, rel=1e-6)
-
-
-def test_lipschitz_affine_is_operator_norm_and_bounds_samples():
-    for m in (CAT.maps[0], build_contraction_ifs(0.3).maps[1],
-              build_rotation_ifs([[0.1, 0.2]]).maps[0]):
-        exact = lipschitz_estimate(m)
-        assert exact == float(np.linalg.norm(m.fwd.A, 2))
-        sampled = lipschitz_estimate(
-            dataclasses.replace(m, fwd=lambda x, f=m.fwd: f(x)))
-        assert exact * (1 - 1e-6) <= sampled <= exact * (1 + 1e-9)
-
-
-def test_contraction_float_path_matches_array_path():
-    F = build_contraction_ifs(0.5, [0.0, 0.5])
-    opaque = make_ifs(dataclasses.replace(m, fwd=lambda x, f=m.fwd: f(x))
-                      for m in F.maps)
-    sig = SymbolSequence.random(2, 500, seed=9)
-    chain = gen_pseudo_orbit(F, sig, [0.61], 0.01, 500, seed=9)
-    a = shadow_contraction(F, chain)
-    b = shadow_contraction(opaque, chain)
-    assert np.array_equal(a.shadow.points, b.shadow.points)
-    assert a.sup_dist == b.sup_dist and a.residual <= 1e-12
