@@ -7,7 +7,8 @@ from .maps import (InversionError, SmoothMap, affine_map, compose, fd_jacobian,
                    identity_map)
 from .core import (ChainRecord, ChainVerdict, IFS, SymbolSequence, dist_D0,
                    dist_D1, gen_pseudo_orbit, iterate_chain, link_residuals,
-                   make_ifs, orbit_map, rho0, rho1, validate_chain)
+                   make_ifs, orbit_map, orbit_steps, rho0, rho1,
+                   validate_chain)
 from .shadowing import (NotContractingError, NotHyperbolicError, ProbeReport,
                         ShadowResult, ShadowingConvergenceError,
                         UniquenessVerdict, VerifyVerdict, check_uniqueness,

@@ -29,7 +29,7 @@ from .shadowing import (NotContractingError, NotHyperbolicError,
                         ShadowingConvergenceError, shadow_auto,
                         shadow_contraction, shadow_linear_hyperbolic,
                         shadow_newton, verify_shadowing)
-from .space import MetricGrid, lattice_samples
+from .space import grid_for, lattice_samples
 from .systems import CATALOG
 
 CONTRACT_ERRORS = (ShadowingConvergenceError, NotContractingError,
@@ -63,11 +63,6 @@ def _emit(args, result: dict, files: dict | None = None) -> None:
 
 def _parse_point(text: str) -> np.ndarray:
     return np.array([float(c) for c in text.split(",")])
-
-
-def _grid(F, resolution):
-    from .space import default_resolution
-    return MetricGrid(F.space, resolution or default_resolution(F.space.dim))
 
 
 def _x0(args, F):
@@ -151,7 +146,7 @@ def cmd_expansive(args) -> int:
     sigma = ifsio.parse_sigma(args.sigma)
     deltas = [float(s) for s in args.deltas.split(",")]
     rep = estimate_expansive_const(
-        F, sigma, _grid(F, args.grid), pair_tolerance=args.pair_tol,
+        F, sigma, grid_for(F.space, args.grid), pair_tolerance=args.pair_tol,
         n_cap=args.ncap, delta_grid=deltas, n_pairs=args.pairs, seed=args.seed)
     result = {"command": "expansive", "config": _config(args), **rep.to_dict()}
     _emit(args, result)
@@ -165,7 +160,8 @@ def cmd_septime(args) -> int:
                         args.eta, args.ncap)
     mu_n = None
     if args.mu is not None:
-        mu_n = estimate_N_of_mu(F, sigma, args.eta, args.mu, _grid(F, args.grid),
+        mu_n = estimate_N_of_mu(F, sigma, args.eta, args.mu,
+                                grid_for(F.space, args.grid),
                                 n_cap=args.ncap, seed=args.seed)
     result = {
         "command": "septime",
@@ -214,7 +210,7 @@ def cmd_movepoints(args) -> int:
     pairs = _parse_pairs(args.pairs)
     f = move_points_diffeo(pairs, args.delta, support_radius=args.support)
     space = f.space
-    grid = _grid_from_space(space, args.grid)
+    grid = grid_for(space, args.grid)
     interp = max(float(space.dist(f(p), q)) for p, q in
                  ((np.asarray(p), np.asarray(q)) for p, q in pairs))
     rng = np.random.default_rng(args.seed)
@@ -232,11 +228,6 @@ def cmd_movepoints(args) -> int:
     }
     _emit(args, result)
     return 0
-
-
-def _grid_from_space(space, resolution):
-    from .space import default_resolution
-    return MetricGrid(space, resolution or default_resolution(space.dim))
 
 
 def cmd_semiconj(args) -> int:
@@ -289,7 +280,7 @@ def cmd_cover(args) -> int:
 def cmd_metrics(args) -> int:
     F = ifsio.load_system(args.f)
     G = ifsio.load_system(args.g)
-    grid = _grid(F, args.grid)
+    grid = grid_for(F.space, args.grid)
     if args.metric in ("rho0", "rho1"):
         fn = rho0 if args.metric == "rho0" else rho1
         value = fn(F.maps[0], G.maps[0], grid)
@@ -315,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Systems: " + "; ".join(f"{e.name} - {e.doc}" for e in CATALOG.values()),
     )
     p.add_argument("--threads", type=int, default=_default_threads(),
-                   help="parallelism bound (default: IFSSHADOW_THREADS or cores)")
+                   help="worker threads for the cover command "
+                        "(default: IFSSHADOW_THREADS or cores)")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, out=True):

@@ -10,7 +10,7 @@ at most delta.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -41,6 +41,28 @@ class IFS:
     @property
     def invertible(self) -> bool:
         return all(m.invertible for m in self.maps)
+
+    def step(self, symbols, X) -> np.ndarray:
+        """Images f_{symbols[i]}(X[i]), one map call per distinct symbol."""
+        X = np.asarray(X, dtype=float)
+        out = np.empty_like(X)
+        for s, idx in _symbol_groups(symbols):
+            out[idx] = self.maps[s](X[idx])
+        return out
+
+    def jacobians(self, symbols, X) -> np.ndarray:
+        """Jacobians Df_{symbols[i]}(X[i]), one map call per distinct symbol."""
+        X = np.asarray(X, dtype=float)
+        out = np.empty(X.shape + X.shape[-1:])
+        for s, idx in _symbol_groups(symbols):
+            out[idx] = self.maps[s].jacobian(X[idx])
+        return out
+
+
+def _symbol_groups(symbols) -> Iterator[tuple[int, np.ndarray]]:
+    symbols = np.asarray(symbols)
+    for s in np.unique(symbols):
+        yield int(s), np.nonzero(symbols == s)[0]
 
 
 def make_ifs(maps: Iterable[SmoothMap]) -> IFS:
@@ -159,21 +181,42 @@ class ChainRecord:
         return self.points.shape[0] - 1
 
 
+def orbit_steps(F: IFS, sigma: SymbolSequence, x, k: int) -> Iterator[np.ndarray]:
+    """Lazily yield O(0)x, O(1)x, ..., O(k)x, batched over x's leading axes.
+
+    Forward steps apply f_{s(j)} and reduce mod 1 on the torus, with the
+    values of SmoothMap.__call__; a negative k steps back through the
+    inverses f_{s(-1)}^{-1}, f_{s(-2)}^{-1}, ... and raises ValueError,
+    before yielding anything, when a map is not invertible.  The schedule is
+    resolved with one ``symbols`` call.
+    """
+    if k < 0 and not F.invertible:
+        raise ValueError("negative-step orbit map needs invertible maps")
+    space = F.space
+    y = space.normalize(_as_points(space, x))
+    yield y
+    if k >= 0:
+        fwds = [m.fwd for m in F.maps]
+        periodic = space.periodic
+        for s in sigma.symbols(0, k).tolist():
+            y = np.asarray(fwds[s](y), dtype=float)
+            if periodic:
+                y = y - np.floor(y)
+            yield y
+    else:
+        for s in sigma.symbols(k, 0)[::-1].tolist():
+            y = F.maps[s].invert(y)
+            yield y
+
+
 def orbit_map(F: IFS, sigma: SymbolSequence, k: int, x) -> np.ndarray:
     """k-step orbit map O(k): O(0) = id, O(k) = f_{s(k-1)} o ... o f_{s(0)}.
 
     Negative k composes inverses: O(-1) = f_{s(-1)}^{-1} etc., so the cocycle
     O(k+1) = f_{s(k)} o O(k) holds for every integer k.
     """
-    y = F.space.normalize(_as_points(F.space, x))
-    if k >= 0:
-        for j in range(k):
-            y = F.maps[sigma.lookup(j)](y)
-    else:
-        if not F.invertible:
-            raise ValueError("negative-step orbit map needs invertible maps")
-        for j in range(-1, k - 1, -1):
-            y = F.maps[sigma.lookup(j)].invert(y)
+    for y in orbit_steps(F, sigma, x, k):
+        pass
     return y
 
 
@@ -187,14 +230,7 @@ class ChainVerdict:
 def link_residuals(F: IFS, chain: ChainRecord) -> np.ndarray:
     """Per-link residuals dist(x_{k+1}, f_{sigma(k)}(x_k)), vectorized by symbol."""
     pts = chain.points
-    m = chain.n_links
-    if m == 0:
-        return np.zeros(0)
-    syms = chain.sigma.symbols(0, m)
-    images = np.empty_like(pts[:-1])
-    for s in np.unique(syms):
-        idx = np.nonzero(syms == s)[0]
-        images[idx] = F.maps[int(s)](pts[idx])
+    images = F.step(chain.sigma.symbols(0, chain.n_links), pts[:-1])
     return F.space.dist(images, pts[1:])
 
 

@@ -9,11 +9,12 @@ can only be probed, never proved, by sampling: reports carry the verdict
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import reduce
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .core import IFS, SymbolSequence
+from .core import IFS, SymbolSequence, orbit_steps
 from .space import MetricGrid, _as_points
 
 
@@ -30,26 +31,22 @@ def separation_time(F: IFS, sigma: SymbolSequence, x, y, eta: float,
     return None if np.isinf(t) else int(t)
 
 
+def _separations(F: IFS, sigma: SymbolSequence, X, Y,
+                 n_cap: int) -> Iterator[np.ndarray]:
+    """Yield max(dist(O(n)x, O(n)y), dist(O(-n)x, O(-n)y)) per pair, n = 0..n_cap."""
+    space = F.space
+    XY = np.stack([_as_points(space, X), _as_points(space, Y)])
+    for f, b in zip(orbit_steps(F, sigma, XY, n_cap),
+                    orbit_steps(F, sigma, XY, -n_cap)):
+        yield np.maximum(space.dist(f[0], f[1]), space.dist(b[0], b[1]))
+
+
 def separation_times_batch(F: IFS, sigma: SymbolSequence, X, Y, eta: float,
                            n_cap: int) -> np.ndarray:
     """Vectorized separation times for pair arrays (inf where saturated)."""
-    space = F.space
-    X = space.normalize(_as_points(space, X))
-    Y = space.normalize(_as_points(space, Y))
-    times = np.full(X.shape[0], np.inf)
-    hit = space.dist(X, Y) > eta
-    times[hit] = 0
-    if not F.invertible:
-        raise ValueError("two-sided separation times need invertible maps")
-    fx, fy, bx, by = X.copy(), Y.copy(), X.copy(), Y.copy()
-    for n in range(1, n_cap + 1):
-        mf = F.maps[sigma.lookup(n - 1)]
-        fx, fy = mf(fx), mf(fy)
-        mb = F.maps[sigma.lookup(-n)]
-        bx, by = mb.invert(bx), mb.invert(by)
-        sep = np.maximum(space.dist(fx, fy), space.dist(bx, by))
-        hit = np.isinf(times) & (sep > eta)
-        times[hit] = n
+    times = np.full(len(X), np.inf)
+    for n, sep in enumerate(_separations(F, sigma, X, Y, n_cap)):
+        times[np.isinf(times) & (sep > eta)] = n
         if not np.any(np.isinf(times)):
             break
     return times
@@ -58,18 +55,7 @@ def separation_times_batch(F: IFS, sigma: SymbolSequence, X, Y, eta: float,
 def max_orbit_separation(F: IFS, sigma: SymbolSequence, X, Y,
                          n_cap: int) -> np.ndarray:
     """max over |n| <= n_cap of dist(O(n)x, O(n)y), per pair."""
-    space = F.space
-    X = space.normalize(_as_points(space, X))
-    Y = space.normalize(_as_points(space, Y))
-    best = space.dist(X, Y)
-    fx, fy, bx, by = X.copy(), Y.copy(), X.copy(), Y.copy()
-    for n in range(1, n_cap + 1):
-        mf = F.maps[sigma.lookup(n - 1)]
-        fx, fy = mf(fx), mf(fy)
-        mb = F.maps[sigma.lookup(-n)]
-        bx, by = mb.invert(bx), mb.invert(by)
-        best = np.maximum(best, np.maximum(space.dist(fx, fy), space.dist(bx, by)))
-    return best
+    return reduce(np.maximum, _separations(F, sigma, X, Y, n_cap))
 
 
 @dataclass(frozen=True)

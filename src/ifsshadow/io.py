@@ -50,9 +50,8 @@ def chain_to_csv_text(chain: ChainRecord) -> str:
     buf = _io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["k", "lambda"] + [f"x{i}" for i in range(d)])
-    n = len(chain)
-    for k in range(n):
-        lam = chain.sigma.lookup(k) if k < n - 1 else -1
+    lams = chain.sigma.symbols(0, chain.n_links).tolist() + [-1]
+    for k, lam in enumerate(lams):
         w.writerow([k, lam] + [repr(float(c)) for c in chain.points[k]])
     return buf.getvalue()
 

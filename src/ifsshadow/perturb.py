@@ -18,8 +18,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import (ChainRecord, IFS, SymbolSequence, link_residuals, make_ifs,
-                   rho0, validate_chain)
-from .maps import SmoothMap, compose
+                   orbit_steps, rho0, validate_chain)
+from .maps import InversionError, SmoothMap, compose
 from .shadowing import (ShadowResult, ShadowingConvergenceError, lipschitz_estimate,
                         shadow_auto)
 from .space import MetricGrid, Space, ball_sample, _as_points
@@ -159,8 +159,10 @@ def move_points_diffeo(
             z[active] = z_next
             active = active[step > 1e-13]
             if active.size == 0:
-                break
-        return z.reshape(p.shape)
+                return z.reshape(p.shape)
+        raise InversionError(
+            f"bump inverse of {label!r}: {active.size} points still moving after "
+            f"120 fixed-point steps", best=z.reshape(p.shape))
 
     eye = np.eye(space.dim)
 
@@ -319,8 +321,7 @@ def perturbed_ifs(
     N = len(F)
     space = F.space
     bumps: list[Optional[BumpDiffeo]] = []
-    for k in range(m):
-        src = F.maps[sigma.lookup(k)](ys[k])
+    for k, src in enumerate(F.step(sigma.symbols(0, m), ys[:m])):
         dst = ys[k + 1]
         if np.array_equal(space.normalize(src), space.normalize(dst)):
             bumps.append(None)
@@ -341,12 +342,12 @@ def perturbed_ifs(
     gs = make_ifs(gmaps)
 
     n_pts = len(chain)
-    ypts = np.empty((n_pts, space.dim))
-    ypts[: m + 1] = ys
-    for k in range(m, n_pts - 1):
-        ypts[k + 1] = F.maps[sigma.lookup(k)](ypts[k])
-    symbols = [k * N + sigma.lookup(k) if k < m else m * N + sigma.lookup(k)
-               for k in range(max(n_pts - 1, 1))]
+    extension = orbit_steps(F, sigma.shift(m), ys[m], n_pts - 1 - m)
+    ypts = np.concatenate([ys[:m], list(extension)])
+    # link k < m uses member (k, sigma(k)), later links the unperturbed block
+    n_sym = max(n_pts - 1, 1)
+    blocks = np.minimum(np.arange(n_sym), m)
+    symbols = (blocks * N + sigma.symbols(0, n_sym)).tolist()
     ysigma = SymbolSequence(window=tuple(symbols),
                             extension=f"constant:{symbols[-1]}")
     ychain = ChainRecord(ypts, ysigma, delta=0.0, kind="exact-chain")
@@ -386,16 +387,10 @@ def perturbed_ifs(
 def _orbit_window(G: IFS, sigma: SymbolSequence, X: np.ndarray, K: int,
                   two_sided: bool = True) -> np.ndarray:
     """Orbit points O(k)(x) for k in [-K, K] (or [0, K]), batched over samples."""
-    n, d = X.shape
-    lo = K if two_sided else 0
-    P = np.empty((lo + K + 1, n, d))
-    P[lo] = G.space.normalize(X)
-    for j in range(K):
-        P[lo + j + 1] = G.maps[sigma.lookup(j)](P[lo + j])
-    if two_sided:
-        for j in range(K):
-            P[lo - j - 1] = G.maps[sigma.lookup(-j - 1)].invert(P[lo - j])
-    return P
+    forward = list(orbit_steps(G, sigma, X, K))
+    if not two_sided:
+        return np.array(forward)
+    return np.array(list(orbit_steps(G, sigma, X, -K))[:0:-1] + forward)
 
 
 @dataclass(frozen=True)
@@ -475,7 +470,7 @@ def build_semiconj(
         chain_delta[i] = validate_chain(F, pseudo).max_residual
         try:
             r = solve(F, pseudo)
-        except (ShadowingConvergenceError, ValueError):
+        except (ShadowingConvergenceError, np.linalg.LinAlgError):
             flagged.append(i)
             continue
         images[i] = r.shadow.points[lo]

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg.lapack import dpbsv
 from scipy.signal import lfilter
 
-from .core import ChainRecord, IFS, SymbolSequence, validate_chain
+from .core import ChainRecord, IFS, SymbolSequence, orbit_steps, validate_chain
 from .maps import SmoothMap
 from .space import ball_sample
 
@@ -100,14 +100,7 @@ def shadow_contraction(F: IFS, chain: ChainRecord, seed: int = 0) -> ShadowResul
             raise NotContractingError(
                 f"map {m.label!r} is not contracting (Lipschitz estimate {q:.4f})"
             )
-    pts = chain.points
-    y = np.empty_like(pts)
-    y[0] = pts[0]
-    fwds = [m.fwd for m in F.maps]
-    periodic = F.space.periodic
-    for k, s in enumerate(chain.sigma.symbols(0, chain.n_links).tolist()):
-        img = np.asarray(fwds[s](y[k]), dtype=float)
-        y[k + 1] = img - np.floor(img) if periodic else img
+    y = np.array(list(orbit_steps(F, chain.sigma, chain.points[0], chain.n_links)))
     return _finish(F, chain, y, "contraction", 0)
 
 
@@ -248,13 +241,7 @@ def shadow_newton(
     syms = chain.sigma.symbols(0, m)
     best_y, best_res = y, np.inf
     for it in range(max_iter + 1):
-        images = np.empty_like(y[:-1])
-        jacs = np.empty((m, space.dim, space.dim))
-        for s in np.unique(syms):
-            idx = np.nonzero(syms == s)[0]
-            images[idx] = F.maps[int(s)](y[idx])
-            jacs[idx] = F.maps[int(s)].jacobian(y[idx])
-        R = space.displacement(images, y[1:])
+        R = space.displacement(F.step(syms, y[:-1]), y[1:])
         res = float(np.max(np.sqrt(np.sum(R * R, axis=-1))))
         if not np.isfinite(res):
             raise ShadowingConvergenceError(
@@ -268,6 +255,7 @@ def shadow_newton(
             return _finish(F, chain, y, "newton", it)
         if it == max_iter:
             break
+        jacs = F.jacobians(syms, y[:-1])
         u = _normal_solve(jacs, -R)
         delta = np.zeros_like(y)
         delta[0] = -jacs[0].T @ u[0]
@@ -284,17 +272,17 @@ def shadow_newton(
 
 def shadow_auto(F: IFS, chain: ChainRecord, tol: float = 1e-10,
                 max_iter: int = 20) -> ShadowResult:
-    """Dispatch to the applicable solver for the given family."""
-    if len(F) == 1 and F.maps[0].matrix is not None:
+    """First applicable solver: closed form for one hyperbolic automorphism,
+    then contraction, then Gauss-Newton."""
+    if len(F) == 1:
         try:
-            hyperbolic_splitting(F.maps[0].matrix)
             return shadow_linear_hyperbolic(F.maps[0], chain)
         except NotHyperbolicError:
             pass
-    qs = [lipschitz_estimate(m) for m in F.maps]
-    if max(qs) < 1.0:
+    try:
         return shadow_contraction(F, chain)
-    return shadow_newton(F, chain, tol=tol, max_iter=max_iter)
+    except NotContractingError:
+        return shadow_newton(F, chain, tol=tol, max_iter=max_iter)
 
 
 @dataclass(frozen=True)

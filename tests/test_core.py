@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifsshadow import (ChainRecord, MetricGrid, Space, SymbolSequence, dist_D0,
-                       dist_D1, gen_pseudo_orbit, identity_map, iterate_chain,
-                       move_points_diffeo, orbit_map, rho0, rho1,
+from ifsshadow import (ChainRecord, MetricGrid, SmoothMap, Space,
+                       SymbolSequence, dist_D0, dist_D1, gen_pseudo_orbit,
+                       identity_map, iterate_chain, make_ifs,
+                       move_points_diffeo, orbit_map, orbit_steps, rho0, rho1,
                        validate_chain)
 from ifsshadow.systems import (build_cat_ifs, build_contraction_ifs,
                                build_rotation_ifs, build_torus_example)
@@ -92,6 +93,76 @@ def test_orbit_map_negative_needs_inverses():
     m = SmoothMap("noinv", Space(2), lambda x: x)
     with pytest.raises(ValueError):
         orbit_map(make_ifs([m]), SIG0, -1, np.zeros(2))
+
+
+# --- schedule stepping: orbit_steps, IFS.step, IFS.jacobians --------------
+
+# families whose maps are exact on single rows and on batches alike, so the
+# kernel must reproduce a per-step lookup loop bit for bit
+FAMILIES = (build_torus_example(), build_contraction_ifs(0.5, [0.0, 0.5]),
+            build_rotation_ifs([[0.1, 0.3], [0.25, 0.7], [0.05, 0.9]]))
+LEADING_SHAPES = ((), (3,), (2, 3))
+
+
+@st.composite
+def family_and_schedule(draw):
+    F = draw(st.sampled_from(FAMILIES))
+    symbol = st.integers(0, len(F) - 1)
+    window = draw(st.lists(symbol, min_size=1, max_size=6))
+    constant = draw(st.one_of(st.none(), symbol))
+    ext = "periodic" if constant is None else f"constant:{constant}"
+    return F, SymbolSequence(tuple(window), ext, draw(st.integers(-8, 8)))
+
+
+@settings(deadline=None)
+@given(case=family_and_schedule(), k=st.integers(-10, 10),
+       lead=st.sampled_from(LEADING_SHAPES), seed=st.integers(0, 2**16))
+def test_orbit_steps_match_lookup_loop(case, k, lead, seed):
+    F, sigma = case
+    x = np.random.default_rng(seed).random(lead + (F.space.dim,))
+    y = F.space.normalize(x)
+    expected = [y]
+    for j in (range(k) if k >= 0 else range(-1, k - 1, -1)):
+        m = F.maps[sigma.lookup(j)]
+        y = m(y) if k >= 0 else m.invert(y)
+        expected.append(y)
+    got = list(orbit_steps(F, sigma, x, k))
+    assert len(got) == len(expected)
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+    assert np.array_equal(orbit_map(F, sigma, k, x), expected[-1])
+
+
+@settings(deadline=None)
+@given(case=family_and_schedule(), start=st.integers(-20, 20),
+       n=st.integers(0, 12), lead=st.sampled_from(LEADING_SHAPES[:2]),
+       seed=st.integers(0, 2**16))
+def test_ifs_step_and_jacobians_match_per_row_calls(case, start, n, lead, seed):
+    F, sigma = case
+    d = F.space.dim
+    X = np.random.default_rng(seed).random((n,) + lead + (d,))
+    syms = sigma.symbols(start, start + n)
+    rows = [F.maps[sigma.lookup(start + i)] for i in range(n)]
+    images = np.array([m(X[i]) for i, m in enumerate(rows)]).reshape(X.shape)
+    jacs = np.array([m.jacobian(X[i]) for i, m in enumerate(rows)])
+    assert np.array_equal(F.step(syms, X), images)
+    assert np.array_equal(F.jacobians(syms, X), jacs.reshape(X.shape + (d,)))
+
+
+def test_orbit_steps_is_lazy():
+    calls = []
+    m = CAT.maps[0]
+    counted = SmoothMap("cat", m.space, lambda x: calls.append(1) or m.fwd(x),
+                        inv=m.inv, jac=m.jac)
+    steps = orbit_steps(make_ifs([counted]), SIG0, [0.1, 0.2], 10**6)
+    assert np.array_equal(next(steps), [0.1, 0.2])
+    next(steps)
+    assert len(calls) == 1
+
+
+def test_orbit_steps_backward_needs_inverses():
+    m = SmoothMap("noinv", Space(2), lambda x: x)
+    with pytest.raises(ValueError, match="invertible"):
+        next(orbit_steps(make_ifs([m]), SIG0, np.zeros(2), -1))
 
 
 # --- chains and validation ----------------------------------------------

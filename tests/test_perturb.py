@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ifsshadow import (CoverageError, MetricGrid, Space, SupportError,
-                       SymbolSequence, adjusted_conditions, adjusted_points,
+from ifsshadow import (CoverageError, InversionError, MetricGrid, SmoothMap,
+                       Space, SupportError, SymbolSequence,
+                       adjusted_conditions, adjusted_points,
                        ball_sample, build_semiconj, bump_profile,
                        bump_profile_deriv, check_ball_cover, dist_D0,
                        gen_pseudo_orbit, identity_map, iterate_chain,
@@ -116,6 +117,20 @@ def test_bump_jacobian_consistency():
     rng = np.random.default_rng(5)
     X = SP2.uniform(rng, 500)
     assert np.max(np.abs(f.jacobian(X) - fd_jacobian(f, X))) <= 1e-4
+
+
+def test_bump_inverse_raises_when_unconverged():
+    # |d| * max|profile'| / R = 0.999: the fixed-point iteration contracts so
+    # slowly near t = 0.76 that 120 steps leave points moving
+    p, d = np.array([0.5, 0.5]), 0.01
+    R = d * MAX_ABS_PROFILE_DERIV / 0.999
+    f = move_points_diffeo([(p, p + [d, 0.0])], 0.02, support_radius=R)
+    t = np.linspace(-0.95, 0.95, 39)
+    X = p + np.stack([t * R, np.zeros_like(t)], axis=-1)
+    with pytest.raises(InversionError, match=r"\d+ points still moving"):
+        f.invert(f(X))
+    g = move_points_diffeo([(p, p + [d, 0.0])], 0.02)
+    assert np.max(SP2.dist(g.invert(g(X)), X)) <= 1e-12
 
 
 # --- adjusted points --------------------------------------------------------
@@ -255,6 +270,14 @@ def test_semiconj_coverage_error_on_sparse_samples():
     sc = build_semiconj(CAT, G, SIG0, eps=0.05, samples=sparse, K=5)
     with pytest.raises(CoverageError):
         semiconj_residual(CAT, G, SIG0, sc, K=5)
+
+
+def test_semiconj_config_error_is_not_a_flagged_sample():
+    shift = SmoothMap("shift", SP2, lambda x: x + 0.1, inv=lambda p: p - 0.1)
+    F = make_ifs([shift])
+    with pytest.raises(ValueError, match="Jacobian"):
+        build_semiconj(F, F, SIG0, eps=0.05, samples=lattice_samples(8, 2), K=2,
+                       solver=shadow_newton)
 
 
 def test_semiconj_one_sided_contraction_family():

@@ -234,6 +234,24 @@ def test_shadow_auto_dispatch():
     assert shadow_auto(T, t_chain).solver == "newton"
 
 
+def test_shadow_auto_estimates_each_lipschitz_constant_once(monkeypatch):
+    import ifsshadow.shadowing as shadowing
+    calls = []
+    estimate = shadowing.lipschitz_estimate
+    monkeypatch.setattr(shadowing, "lipschitz_estimate",
+                        lambda m, **k: calls.append(m.label) or estimate(m, **k))
+    F = build_contraction_ifs(0.5)
+    chain = gen_pseudo_orbit(F, SymbolSequence.random(2, 30, 1), [0.4], 0.01, 30)
+    assert shadow_auto(F, chain).solver == "contraction"
+    assert sorted(calls) == sorted(m.label for m in F.maps)
+    calls.clear()
+    T = build_torus_example()
+    t_chain = gen_pseudo_orbit(T, SymbolSequence.periodic([0, 1]),
+                               [0.1, 0.2, 0.3, 0.4], 1e-4, 20, seed=3)
+    assert shadow_auto(T, t_chain).solver == "newton"
+    assert len(calls) <= len(T)
+
+
 # --- verification -----------------------------------------------------------
 
 def test_verify_exact_chain_against_itself():
