@@ -8,7 +8,7 @@ normalized into the fundamental domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,6 +34,8 @@ class SmoothMap:
     jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
     # integer matrix when the map is a linear toral automorphism x -> A x
     matrix: Optional[np.ndarray] = None
+    # deterministic estimates computed from the map, keyed by their arguments
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, x) -> np.ndarray:
         x = _as_points(self.space, x)

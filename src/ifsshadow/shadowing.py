@@ -17,7 +17,11 @@ Three solvers cover the systems in the catalog:
   banded Cholesky solve (O(window length)).
 
 On linear systems the Newton and closed-form solvers converge to the same
-minimal-correction chain.
+minimal-correction chain.  ``check_uniqueness`` runs all of its multi-start
+trials as one batched Gauss-Newton solve: each sweep steps every active
+trial with one map call per symbol and solves all their normal systems with
+one banded Cholesky, and every trial gets the iterates a ``shadow_newton``
+call from its start would give.
 """
 
 from __future__ import annotations
@@ -71,7 +75,14 @@ def _finish(F: IFS, chain: ChainRecord, ypts: np.ndarray, solver: str,
 
 
 def lipschitz_estimate(m: SmoothMap, n_samples: int = 512, seed: int = 0) -> float:
-    """Numerical Lipschitz estimate from Jacobian norms and sampled pair ratios."""
+    """Numerical Lipschitz estimate from Jacobian norms and sampled pair ratios.
+
+    The estimate is deterministic in (n_samples, seed), so it is memoised on
+    the map object and computed once per map and sample set.
+    """
+    key = ("lipschitz", n_samples, seed)
+    if key in m._memo:
+        return m._memo[key]
     rng = np.random.default_rng(seed)
     X = m.space.uniform(rng, n_samples)
     best = 0.0
@@ -85,6 +96,7 @@ def lipschitz_estimate(m: SmoothMap, n_samples: int = 512, seed: int = 0) -> flo
         ratios = m.space.dist(m(X[ok]), m(Y[ok])) / dxy[ok]
         if ratios.size:
             best = max(best, float(np.max(ratios)))
+    m._memo[key] = best
     return best
 
 
@@ -189,28 +201,90 @@ def shadow_linear_hyperbolic(A: SmoothMap, chain: ChainRecord) -> ShadowResult:
 
 
 def _normal_solve(jacs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (J J^T) u = rhs for the chain Jacobian J with link blocks A_k.
+    """Solve (J_b J_b^T) u_b = rhs_b for a stack of chain Jacobians J_b.
 
-    Row k of J is [-A_k at y_k, I at y_{k+1}], so J J^T is block tridiagonal
-    with diagonal blocks I + A_k A_k^T and super-diagonal blocks -A_{k+1}^T.
-    It is assembled in upper-banded storage, ab[p + i - j, j] = (J J^T)[i, j]
-    with p = 2d - 1 super-diagonals, and factored by one banded Cholesky
-    (LAPACK pbsv).  pbsv is called directly: scipy's solveh_banded hands
-    two-row storage (d = 1) to ptsv instead, which rejects a 1 x 1 system.
+    `jacs` (B, m, d, d) holds the link blocks A_k of each chain and `rhs` is
+    (B, m, d).  Row k of J_b is [-A_k at y_k, I at y_{k+1}], so J_b J_b^T is
+    block tridiagonal with diagonal blocks I + A_k A_k^T and super-diagonal
+    blocks -A_{k+1}^T.  The chains are put one after another, with zero
+    coupling blocks at chain boundaries, in one upper-banded matrix,
+    ab[p + i - j, j] = M[i, j] with p = 2d - 1 super-diagonals, and factored
+    by one banded Cholesky (LAPACK pbsv).  For p below LAPACK's block size
+    pbsv factors column by column, so the zero couplings add exact zeros and
+    each chain's solution has the bits of a solve on its own.  pbsv is
+    called directly: scipy's solveh_banded hands two-row storage (d = 1) to
+    ptsv instead, which rejects a 1 x 1 system.
     """
-    m, d, _ = jacs.shape
+    B, m, d, _ = jacs.shape
     p = 2 * d - 1
-    ab = np.zeros((p + 1, m * d))
+    ab = np.zeros((p + 1, B * m * d))
     a, b = np.triu_indices(d)
-    D = np.eye(d) + jacs @ np.swapaxes(jacs, 1, 2)
-    ab[p + a - b, np.arange(m)[:, None] * d + b] = D[:, a, b]
+    D = np.eye(d) + jacs @ np.swapaxes(jacs, -1, -2)
+    ab[p + a - b, np.arange(B * m)[:, None] * d + b] = D.reshape(-1, d, d)[:, a, b]
     if m > 1:
         a, b = np.indices((d, d)).reshape(2, -1)
-        ab[d - 1 + a - b, np.arange(1, m)[:, None] * d + b] = -jacs[1:, b, a]
+        blocks = (np.arange(B)[:, None] * m + np.arange(1, m)).reshape(-1, 1)
+        ab[d - 1 + a - b, blocks * d + b] = -jacs[:, 1:, b, a].reshape(-1, d * d)
     _, u, info = dpbsv(ab, rhs.reshape(-1, 1), overwrite_ab=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"banded Cholesky failed (LAPACK info {info})")
-    return u.reshape(m, d)
+    return u.reshape(B, m, d)
+
+
+def _link_errors(F: IFS, symbols: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Displacements from f_{s(k)}(y_k) to y_{k+1} for a stack Y (B, m+1, d)."""
+    B, n, d = Y.shape
+    images = F.step(np.tile(symbols, B), Y[:, :-1].reshape(-1, d))
+    return F.space.displacement(images, Y[:, 1:].reshape(-1, d)).reshape(B, n - 1, d)
+
+
+def _max_residual(R: np.ndarray) -> np.ndarray:
+    """Largest link residual of each chain in a stack R (B, m, d); 0 for m = 0."""
+    return np.max(np.sqrt(np.sum(R * R, axis=-1)), axis=1, initial=0.0)
+
+
+def _gauss_newton(F: IFS, symbols: np.ndarray, Y: np.ndarray, tol: float,
+                  max_iter: int):
+    """Gauss-Newton sweeps on a stack Y (B, m+1, d) of starts on one schedule.
+
+    Each sweep makes one IFS.step call, one IFS.jacobians call and one
+    _normal_solve over all active chains.  A chain leaves the active set
+    when its largest link residual is at most `tol` or is not finite.
+    Returns, per chain, the best iterate (B, m+1, d), its residual (B,), the
+    sweep at which the chain stopped (`max_iter` if it never did) and
+    whether its last residual was finite.
+    """
+    for m_ in F.maps:
+        if m_.jac is None:
+            raise ValueError(f"shadow_newton needs Jacobians (map {m_.label!r})")
+    y = F.space.normalize(Y)
+    B, n, d = y.shape
+    m = n - 1
+    best, best_res = y.copy(), np.full(B, np.inf)
+    sweeps, finite = np.full(B, max_iter), np.ones(B, dtype=bool)
+    active = np.arange(B)
+    for it in range(max_iter + 1):
+        R = _link_errors(F, symbols, y)
+        res = _max_residual(R)
+        better = res < best_res[active]
+        best[active[better]] = y[better]
+        best_res[active[better]] = res[better]
+        stop = (res <= tol) | ~np.isfinite(res)
+        finite[active[stop]] = np.isfinite(res[stop])
+        sweeps[active[stop]] = it
+        active, y, R = active[~stop], y[~stop], R[~stop]
+        if active.size == 0 or it == max_iter or m == 0:  # m = 0: nothing to solve
+            break
+        jacs = F.jacobians(np.tile(symbols, active.size),
+                           y[:, :-1].reshape(-1, d)).reshape(-1, m, d, d)
+        u = _normal_solve(jacs, -R)
+        delta = np.zeros_like(y)
+        delta[:, 0] = -(np.swapaxes(jacs[:, 0], 1, 2) @ u[:, 0, :, None])[..., 0]
+        if m > 1:
+            delta[:, 1:m] = u[:, :-1] - np.einsum("bkji,bkj->bki", jacs[:, 1:], u[:, 1:])
+        delta[:, m] = u[:, m - 1]
+        y = F.space.normalize(y + delta)
+    return best, best_res, sweeps, finite
 
 
 def shadow_newton(
@@ -228,41 +302,19 @@ def shadow_newton(
     ShadowingConvergenceError after `max_iter` sweeps, or at once when the
     residual is not finite.
     """
-    for m_ in F.maps:
-        if m_.jac is None:
-            raise ValueError(f"shadow_newton needs Jacobians (map {m_.label!r})")
-    space = F.space
-    m = chain.n_links
     y = np.array(initial_points if initial_points is not None else chain.points,
                  dtype=float)
-    y = space.normalize(y)
-    if m == 0:
-        return _finish(F, chain, y, "newton", 0)
-    syms = chain.sigma.symbols(0, m)
-    best_y, best_res = y, np.inf
-    for it in range(max_iter + 1):
-        R = space.displacement(F.step(syms, y[:-1]), y[1:])
-        res = float(np.max(np.sqrt(np.sum(R * R, axis=-1))))
-        if not np.isfinite(res):
-            raise ShadowingConvergenceError(
-                f"Gauss-Newton residual is not finite at sweep {it} "
-                f"(best {best_res:.3e})",
-                best_points=best_y, residual=best_res, iterations=it,
-            )
-        if res < best_res:
-            best_y, best_res = y.copy(), res
-        if res <= tol:
-            return _finish(F, chain, y, "newton", it)
-        if it == max_iter:
-            break
-        jacs = F.jacobians(syms, y[:-1])
-        u = _normal_solve(jacs, -R)
-        delta = np.zeros_like(y)
-        delta[0] = -jacs[0].T @ u[0]
-        if m > 1:
-            delta[1:m] = u[:-1] - np.einsum("kji,kj->ki", jacs[1:], u[1:])
-        delta[m] = u[m - 1]
-        y = space.normalize(y + delta)
+    best, res, sweeps, finite = _gauss_newton(
+        F, chain.sigma.symbols(0, chain.n_links), y[None], tol, max_iter)
+    best_y, best_res, it = best[0], float(res[0]), int(sweeps[0])
+    if best_res <= tol:
+        return _finish(F, chain, best_y, "newton", it)
+    if not finite[0]:
+        raise ShadowingConvergenceError(
+            f"Gauss-Newton residual is not finite at sweep {it} "
+            f"(best {best_res:.3e})",
+            best_points=best_y, residual=best_res, iterations=it,
+        )
     raise ShadowingConvergenceError(
         f"Gauss-Newton did not reach residual {tol:.1e} in {max_iter} iterations "
         f"(best {best_res:.3e})",
@@ -357,6 +409,7 @@ class UniquenessVerdict:
     core_spread: float           # max pointwise gap between candidates on the core
     margin: int                  # window entries trimmed at each end
     eps: float
+    unconverged: int = 0         # trials stopped at max_iter or a non-finite residual
 
 
 def check_uniqueness(
@@ -374,11 +427,13 @@ def check_uniqueness(
 ) -> UniquenessVerdict:
     """Multi-start statistical probe of shadowing uniqueness.
 
-    Runs the Newton solver from `trials` perturbed initializations, keeps the
-    candidates that eps-shadow the chain, and compares them pointwise on the
-    window core.  The margin trims the window ends, where finite-window
-    solutions legitimately differ by decaying exact-orbit modes even when the
-    bi-infinite shadow is unique.
+    Runs the Newton solver from `trials` perturbed initializations, all in
+    one batched solve, keeps the converged candidates that eps-shadow the
+    chain (verify_shadowing's tests: exact-chain residual <= 1e-9 and sup
+    distance <= eps), and compares them pointwise on the window core.  The
+    margin trims the window ends, where finite-window solutions legitimately
+    differ by decaying exact-orbit modes even when the bi-infinite shadow is
+    unique.  Trials that stop unconverged are counted in `unconverged`.
     """
     if chain.sigma != sigma:
         chain = ChainRecord(chain.points, sigma, chain.delta, chain.kind)
@@ -389,24 +444,22 @@ def check_uniqueness(
         margin = max((n - 1) // 2, 0)
     scale = eps / 4.0 if init_scale is None else init_scale
     rng = np.random.default_rng(seed)
-    candidates = []
-    for _ in range(trials):
-        noise = ball_sample(rng, n, F.space.dim, scale)
-        init = F.space.normalize(chain.points + noise)
-        try:
-            r = shadow_newton(F, chain, tol=tol, max_iter=max_iter,
-                              initial_points=init)
-        except ShadowingConvergenceError:
-            continue
-        if verify_shadowing(F, chain, r.shadow, eps).ok:
-            candidates.append(r.shadow.points)
-    if not candidates:
-        return UniquenessVerdict("inconclusive", 0, trials, np.inf, margin, eps)
-    core = slice(margin, n - margin)
-    spread = 0.0
-    for i in range(len(candidates)):
-        for j in range(i + 1, len(candidates)):
-            gap = float(np.max(F.space.dist(candidates[i][core], candidates[j][core])))
-            spread = max(spread, gap)
+    space = F.space
+    noise = np.array([ball_sample(rng, n, space.dim, scale) for _ in range(trials)])
+    starts = space.normalize(chain.points + noise.reshape(trials, n, space.dim))
+    symbols = sigma.symbols(0, n - 1)
+    best, res, _, _ = _gauss_newton(F, symbols, starts, tol, max_iter)
+    converged = best[res <= tol]
+    ok = ((_max_residual(_link_errors(F, symbols, converged)) <= 1e-9)
+          & (np.max(space.dist(chain.points, converged), axis=1) <= eps))
+    candidates = converged[ok]
+    unconverged = trials - len(converged)
+    if not len(candidates):
+        return UniquenessVerdict("inconclusive", 0, trials, np.inf, margin, eps,
+                                 unconverged)
+    core = candidates[:, margin:n - margin]
+    spread = max((float(np.max(space.dist(core[i], core[i + 1:])))
+                  for i in range(len(core) - 1)), default=0.0)
     status = "unique" if spread <= agree_tol else "not-unique"
-    return UniquenessVerdict(status, len(candidates), trials, spread, margin, eps)
+    return UniquenessVerdict(status, len(candidates), trials, spread, margin, eps,
+                             unconverged)

@@ -61,15 +61,24 @@ def _torus_f_map(label: str, c_sign: float) -> SmoothMap:
     def fwd(p):
         x, y, u, v = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
         cf = cval(u, v) * np.sin(two_pi * x) / two_pi
-        return np.stack([2 * x - cf + y, x - cf + y, 2 * u + v, u + v], axis=-1)
+        out = np.empty(p.shape)
+        out[..., 0] = 2 * x - cf + y
+        out[..., 1] = x - cf + y
+        out[..., 2] = 2 * u + v
+        out[..., 3] = u + v
+        return out
 
     def inv(p):
         X, Y, U, V = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
         u = U - V
         v = -U + 2 * V
         x = X - Y
-        y = Y - x + cval(u, v) * np.sin(two_pi * x) / two_pi
-        return np.stack([x, y, u, v], axis=-1)
+        out = np.empty(p.shape)
+        out[..., 0] = x
+        out[..., 1] = Y - x + cval(u, v) * np.sin(two_pi * x) / two_pi
+        out[..., 2] = u
+        out[..., 3] = v
+        return out
 
     def jac(p):
         x, u, v = p[..., 0], p[..., 2], p[..., 3]

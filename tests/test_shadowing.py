@@ -1,14 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ifsshadow import (ChainRecord, NotContractingError, NotHyperbolicError,
-                       ShadowingConvergenceError, SymbolSequence,
-                       check_uniqueness, finite_shadow_probe, gen_pseudo_orbit,
+                       ShadowingConvergenceError, Space, SymbolSequence,
+                       affine_map, ball_sample, check_uniqueness,
+                       finite_shadow_probe, gen_pseudo_orbit,
                        hyperbolic_splitting, iterate_chain, lipschitz_estimate,
-                       shadow_auto, shadow_contraction, shadow_linear_hyperbolic,
-                       shadow_newton, split_error, validate_chain,
-                       verify_shadowing)
-from ifsshadow.shadowing import _normal_solve
+                       make_ifs, shadow_auto, shadow_contraction,
+                       shadow_linear_hyperbolic, shadow_newton, split_error,
+                       validate_chain, verify_shadowing)
+from ifsshadow.shadowing import _gauss_newton, _normal_solve
 from ifsshadow.systems import (CAT_MATRIX, build_cat_ifs, build_contraction_ifs,
                                build_identity_ifs, build_rotation_ifs,
                                build_torus_example)
@@ -208,8 +213,41 @@ def test_normal_solve_matches_dense(d, m):
         J[k * d:(k + 1) * d, k * d:(k + 1) * d] = -jacs[k]
         J[k * d:(k + 1) * d, (k + 1) * d:(k + 2) * d] = np.eye(d)
     dense = np.linalg.solve(J @ J.T, rhs.ravel()).reshape(m, d)
-    u = _normal_solve(jacs, rhs)
-    assert np.max(np.abs(u - dense)) <= 1e-12 * np.max(np.abs(dense))
+    u = _normal_solve(jacs[None], rhs[None])
+    assert u.shape == (1, m, d)
+    assert np.max(np.abs(u[0] - dense)) <= 1e-12 * np.max(np.abs(dense))
+    # B = 3 with this chain in the middle: every chain keeps the bits of its
+    # own one-chain solve, so a coupling leaked across a chain boundary fails
+    other = np.random.default_rng(d + 100 * m)
+    stack_j = np.stack([other.normal(size=jacs.shape), jacs, other.normal(size=jacs.shape)])
+    stack_r = np.stack([other.normal(size=rhs.shape), rhs, other.normal(size=rhs.shape)])
+    u3 = _normal_solve(stack_j, stack_r)
+    for b in range(3):
+        assert np.array_equal(u3[b], _normal_solve(stack_j[b:b + 1], stack_r[b:b + 1])[0])
+
+
+@st.composite
+def hyperbolic_sl2z(draw):
+    """Products of elementary shears [[1, k], [0, 1]] / [[1, 0], [k, 1]] with
+    |trace| > 2: integer matrices of determinant 1 with no unit eigenvalue."""
+    M = np.eye(2, dtype=int)
+    for upper, k in draw(st.lists(st.tuples(st.booleans(), st.sampled_from([-2, -1, 1, 2])),
+                                  min_size=1, max_size=4)):
+        M = M @ (np.array([[1, k], [0, 1]]) if upper else np.array([[1, 0], [k, 1]]))
+    assume(abs(int(np.trace(M))) > 2)
+    return M
+
+
+@settings(deadline=None, max_examples=30)
+@given(M=hyperbolic_sl2z(), seed=st.integers(0, 2 ** 16))
+def test_newton_matches_closed_form_on_hyperbolic_sl2z(M, seed):
+    A = affine_map(Space(2), M, np.zeros(2), "A")
+    F = make_ifs([A])
+    x0 = np.random.default_rng(seed).random(2)
+    chain = gen_pseudo_orbit(F, SIG0, x0, 1e-4, 60, seed=seed)
+    rn = shadow_newton(F, chain)
+    rh = shadow_linear_hyperbolic(A, chain)
+    assert np.max(F.space.dist(rn.shadow.points, rh.shadow.points)) <= 1e-8
 
 
 def test_newton_requires_jacobians():
@@ -250,6 +288,24 @@ def test_shadow_auto_estimates_each_lipschitz_constant_once(monkeypatch):
                                [0.1, 0.2, 0.3, 0.4], 1e-4, 20, seed=3)
     assert shadow_auto(T, t_chain).solver == "newton"
     assert len(calls) <= len(T)
+
+
+def test_shadow_contraction_estimates_lipschitz_once_per_family():
+    jac_calls = []
+
+    def counted(m):
+        def jac(x):
+            jac_calls.append(m.label)
+            return m.jac(x)
+        return dataclasses.replace(m, jac=jac)
+
+    F = make_ifs(counted(m) for m in build_contraction_ifs(0.5).maps)
+    chain = gen_pseudo_orbit(F, SymbolSequence.random(2, 40, 1), [0.4], 0.01, 40)
+    first = shadow_contraction(F, chain)
+    assert sorted(jac_calls) == sorted(m.label for m in F.maps)
+    second = shadow_contraction(F, chain)
+    assert len(jac_calls) == len(F)
+    assert np.array_equal(first.shadow.points, second.shadow.points)
 
 
 # --- verification -----------------------------------------------------------
@@ -363,6 +419,53 @@ def test_uniqueness_inconclusive_when_no_candidate_shadows():
                          init_scale=0.2)
     assert v.status == "inconclusive"
     assert v.n_candidates == 0
+
+
+def test_uniqueness_counts_unconverged_trials():
+    chain = gen_pseudo_orbit(CAT, SIG0, [0.3, 0.3], 1e-3, 100, seed=4)
+    v = check_uniqueness(CAT, SIG0, chain, eps=0.2, trials=5, seed=4, max_iter=0)
+    assert v.status == "inconclusive"
+    assert v.n_candidates == 0
+    assert v.unconverged == v.trials == 5
+
+
+def test_uniqueness_trials_match_one_newton_solve_each():
+    T = build_torus_example()
+    sig = SymbolSequence.random(2, 80, 5)
+    chain = gen_pseudo_orbit(T, sig, [0.1, 0.5, 0.3, 0.8], 1e-3, 80, seed=5)
+    eps, trials, scale, max_iter = 0.5, 12, 0.2, 4
+    rng = np.random.default_rng(7)
+    starts = [T.space.normalize(chain.points + ball_sample(rng, len(chain), 4, scale))
+              for _ in range(trials)]
+    # reference: the trials as a loop of single solves
+    points, iterations, unconverged = [], [], 0
+    for init in starts:
+        try:
+            r = shadow_newton(T, chain, max_iter=max_iter, initial_points=init)
+        except ShadowingConvergenceError:
+            unconverged += 1
+            continue
+        points.append(r.shadow.points)
+        iterations.append(r.iterations)
+    assert 0 < unconverged < trials
+    best, res, sweeps, finite = _gauss_newton(T, sig.symbols(0, chain.n_links),
+                                              np.array(starts), 1e-10, max_iter)
+    done = res <= 1e-10
+    assert np.array_equal(best[done], np.array(points))
+    assert np.array_equal(sweeps[done], iterations)
+    assert np.all(finite)
+
+    candidates = [p for p in points
+                  if verify_shadowing(T, chain, ChainRecord(p, sig, 0.0, "exact-chain"),
+                                      eps).ok]
+    assert 2 <= len(candidates) < len(points)
+    v = check_uniqueness(T, sig, chain, eps, trials=trials, seed=7, init_scale=scale,
+                         max_iter=max_iter)
+    core = slice(v.margin, len(chain) - v.margin)
+    spread = max(float(np.max(T.space.dist(a[core], b[core])))
+                 for i, a in enumerate(candidates) for b in candidates[i + 1:])
+    assert (v.n_candidates, v.unconverged, v.core_spread) == (
+        len(candidates), unconverged, spread)
 
 
 def test_lipschitz_estimates():

@@ -14,6 +14,21 @@ def test_cat_eigenvalues():
     assert sorted(w) == pytest.approx(expect, abs=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(4,), (1000, 4), (3, 7, 4)])
+def test_torus_maps_match_docstring_formulas(shape):
+    p = np.random.default_rng(len(shape)).uniform(-1.0, 2.0, size=shape)
+    two_pi = 2 * np.pi
+    for m, sign in zip(build_torus_example().maps, (1.0, -1.0)):
+        x, y, u, v = (p[..., i] for i in range(4))
+        cf = np.cos(np.pi * (u + sign * v)) ** 2 * np.sin(two_pi * x) / two_pi
+        expect = np.stack([2 * x - cf + y, x - cf + y, 2 * u + v, u + v], axis=-1)
+        assert np.array_equal(m.fwd(p), expect)
+        X, Y, U, V = (p[..., i] for i in range(4))
+        u, v, x = U - V, -U + 2 * V, X - Y
+        y = Y - x + np.cos(np.pi * (u + sign * v)) ** 2 * np.sin(two_pi * x) / two_pi
+        assert np.array_equal(m.inv(p), np.stack([x, y, u, v], axis=-1))
+
+
 def test_torus_family_fixed_point_and_collapse():
     T = build_torus_example()
     F1 = T.maps[0]
