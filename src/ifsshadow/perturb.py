@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .core import (ChainRecord, IFS, SymbolSequence, link_residuals, make_ifs,
                    orbit_steps, rho0, validate_chain)
@@ -103,14 +104,12 @@ def move_points_diffeo(
                 f"displacement {float(np.max(d_pq)):.3e} is not < delta = {delta:.3e}"
             )
         min_sep = np.inf
-        for pts in (P, Q):
-            for i in range(k):
-                for j in range(i + 1, k):
-                    s = float(space.dist(pts[i], pts[j]))
-                    if s == 0.0:
-                        which = "sources" if pts is P else "targets"
-                        raise ValueError(f"{which} must be pairwise distinct")
-                    min_sep = min(min_sep, s)
+        iu, ju = np.triu_indices(k, 1)
+        for which, pts in (("sources", P), ("targets", Q)):
+            sep = space.dist(pts[iu], pts[ju])
+            if np.any(sep == 0.0):
+                raise ValueError(f"{which} must be pairwise distinct")
+            min_sep = min(min_sep, float(np.min(sep, initial=np.inf)))
         D = space.geodesic_displacement(P, Q)
     else:
         min_sep = np.inf
@@ -201,11 +200,8 @@ def adjusted_conditions(F: IFS, chain: ChainRecord, ys: np.ndarray,
     res = link_residuals(F, adj)
     max_res = float(np.max(res)) if res.size else 0.0
     dist = float(np.max(F.space.dist(chain.points[: m + 1], ys)))
-    distinct = True
-    for i in range(m + 1):
-        for j in range(i + 1, m + 1):
-            if np.array_equal(ys[i], ys[j]):
-                distinct = False
+    equal = np.all(ys[:, None, :] == ys[None, :, :], axis=-1)
+    distinct = not np.any(np.triu(equal, 1))
     return AdjustedConditions(dist, max_res, distinct)
 
 
@@ -393,6 +389,30 @@ def _orbit_window(G: IFS, sigma: SymbolSequence, X: np.ndarray, K: int,
     return np.array(list(orbit_steps(G, sigma, X, -K))[:0:-1] + forward)
 
 
+def _nearest_samples(space: Space, samples: np.ndarray, queries: np.ndarray,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the nearest sample and the distance to it, for each query.
+
+    A k-d tree (periodic with box 1 on the torus) proposes 2^d + 1 candidates
+    per query, enough to hold the 2^d samples equidistant from a lattice cell
+    centre; ``space.dist`` re-ranks them, and among equal distances the lowest
+    sample index wins, as ``np.argmin`` over all samples would choose.
+    Memory is linear in the numbers of samples and queries.
+    """
+    data, probes = samples, queries
+    if space.periodic:
+        # normalize may return exactly 1.0 (from -1e-20), which the periodic
+        # tree rejects; a second mod sends it to 0.0, the same torus point
+        data, probes = (np.mod(np.mod(x, 1.0), 1.0) for x in (samples, queries))
+    tree = cKDTree(data, boxsize=1.0 if space.periodic else None)
+    _, cand = tree.query(probes, k=min(len(samples), 2 ** space.dim + 1))
+    cand = np.sort(cand.reshape(len(queries), -1), axis=1)
+    d = space.dist(queries[:, None, :], samples[cand])
+    best = np.argmin(d, axis=1)
+    rows = np.arange(len(queries))
+    return cand[rows, best], d[rows, best]
+
+
 @dataclass(frozen=True)
 class SemiConjugacy:
     """Sampled table of the map h transporting G-orbits to F-chains."""
@@ -408,33 +428,36 @@ class SemiConjugacy:
     two_sided: bool = True
 
     @property
+    def _usable(self) -> np.ndarray:
+        """Indices of the samples whose shadowing solve succeeded."""
+        return np.setdiff1d(np.arange(self.samples.shape[0]), self.flagged)
+
+    @property
     def max_residual(self) -> float:
-        ok = np.setdiff1d(np.arange(self.samples.shape[0]), self.flagged)
+        ok = self._usable
         return float(np.max(self.residuals[ok])) if ok.size else np.inf
 
     def max_image_dist(self, space: Space) -> float:
-        ok = np.setdiff1d(np.arange(self.samples.shape[0]), self.flagged)
+        ok = self._usable
         if not ok.size:
             return np.inf
         return float(np.max(space.dist(self.samples[ok], self.images[ok])))
 
-    def image_covering_radius(self, space: Space, probe_resolution: int = 64,
-                              chunk: int = 4096) -> float:
+    def image_covering_radius(self, space: Space,
+                              probe_resolution: int = 64) -> float:
         """Covering radius of the image set over a probe grid.
 
         Surjectivity of h is only checkable approximately from finite data:
-        a value at most 2*epsilon means the images form a 2*epsilon-net.
+        a value at most 2*epsilon means the images form a 2*epsilon-net.  Each
+        probe's nearest image comes from a k-d tree, so memory is linear in
+        the numbers of probes and images.
         """
-        ok = np.setdiff1d(np.arange(self.samples.shape[0]), self.flagged)
+        ok = self._usable
         if not ok.size:
             return np.inf
-        images = self.images[ok]
         probes = MetricGrid(space, probe_resolution).points
-        worst = 0.0
-        for lo in range(0, probes.shape[0], chunk):
-            d = space.dist(probes[lo: lo + chunk, None, :], images[None, :, :])
-            worst = max(worst, float(np.max(np.min(d, axis=1))))
-        return worst
+        _, dist = _nearest_samples(space, self.images[ok], probes)
+        return float(np.max(dist))
 
 
 def build_semiconj(
@@ -455,30 +478,33 @@ def build_semiconj(
     one-sided windows (``two_sided=False``) for families whose inverses blow
     orbits up, e.g. contractions.
     """
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    if K < 0:
+        raise ValueError(f"K must be >= 0, got {K}")
     solve = solver or shadow_auto
     X = _as_points(F.space, np.asarray(samples, dtype=float))
     n = X.shape[0]
     lo = K if two_sided else 0
     P = _orbit_window(G, sigma, X, K, two_sided)
     shifted = sigma.shift(-lo)
-    images = np.full((n, F.space.dim), np.nan)
-    residuals = np.full((n, lo + K + 1), np.nan)
-    chain_delta = np.empty(n)
+    # link residuals of every window at once: the slack of each pseudo-orbit
+    links = F.space.dist(F.step(shifted.symbols(0, lo + K), P[:-1]), P[1:])
+    chain_delta = np.max(links, axis=0, initial=0.0)
+    shadows = np.full(P.shape, np.nan)
     flagged = []
     for i in range(n):
         pseudo = ChainRecord(P[:, i, :], shifted, delta=0.0, kind="shadow-candidate")
-        chain_delta[i] = validate_chain(F, pseudo).max_residual
         try:
             r = solve(F, pseudo)
         except (ShadowingConvergenceError, np.linalg.LinAlgError):
             flagged.append(i)
             continue
-        images[i] = r.shadow.points[lo]
-        residuals[i] = F.space.dist(P[:, i, :], r.shadow.points)
+        shadows[:, i, :] = r.shadow.points
     return SemiConjugacy(
-        samples=X, images=images, epsilon=eps, K=K, sigma=sigma,
-        residuals=residuals, chain_delta=chain_delta, flagged=tuple(flagged),
-        two_sided=two_sided,
+        samples=X, images=shadows[lo].copy(), epsilon=eps, K=K, sigma=sigma,
+        residuals=np.ascontiguousarray(F.space.dist(P, shadows).T),
+        chain_delta=chain_delta, flagged=tuple(flagged), two_sided=two_sided,
     )
 
 
@@ -493,20 +519,19 @@ def semiconj_residual(
     """Defect of the conjugation identity, max over samples and |k| <= K of
     dist(F-orbit_k(h(x)), h(G-orbit_k(x))), with h read off at the nearest
     sample.  Raises CoverageError if a queried point is farther than epsilon
-    (or coverage_tol) from every sample.
+    (or coverage_tol) from every sample.  The nearest sample comes from a k-d
+    tree, so memory is linear in the number of samples.
     """
     tol = h.epsilon if coverage_tol is None else coverage_tol
-    ok = np.setdiff1d(np.arange(h.samples.shape[0]), h.flagged)
+    ok = h._usable
     if ok.size == 0:
         raise ValueError("semiconjugacy table is empty")
     samples = h.samples[ok]
     images = h.images[ok]
     space = F.space
     PG = _orbit_window(G, sigma, samples, K, h.two_sided)
-    queries = PG.reshape(-1, space.dim)
-    dmat = space.dist(queries[:, None, :], samples[None, :, :])
-    nearest = np.argmin(dmat, axis=1)
-    coverage = float(np.max(dmat[np.arange(len(queries)), nearest]))
+    nearest, dist = _nearest_samples(space, samples, PG.reshape(-1, space.dim))
+    coverage = float(np.max(dist))
     if coverage > tol:
         raise CoverageError(
             f"nearest-sample distance {coverage:.4f} exceeds {tol:.4f}; "

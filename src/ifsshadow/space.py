@@ -115,6 +115,8 @@ def lattice_samples(n: int, dim: int, generator: int | None = None) -> np.ndarra
     optimum); by default g is chosen as a golden-ratio-like integer coprime
     to n.
     """
+    if n < 1:
+        raise ValueError(f"lattice_samples needs n >= 1 samples, got {n}")
     if generator is None:
         generator = 43 if (dim, n) == (2, 200) else max(1, int(round(n * 0.6180339887)))
         while np.gcd(generator, n) != 1:
@@ -161,8 +163,10 @@ class MetricGrid:
             axis = np.arange(self.resolution, dtype=float) / self.resolution
             if not self.space.periodic:
                 axis = axis + 0.5 / self.resolution
-            mesh = np.meshgrid(*([axis] * d), indexing="ij")
-            self._points = np.stack(mesh, axis=-1).reshape(-1, d)
+            pts = np.empty((self.resolution,) * d + (d,))
+            for j in range(d):
+                pts[..., j] = axis.reshape((-1,) + (1,) * (d - 1 - j))
+            self._points = pts.reshape(-1, d)
         return self._points
 
     def __len__(self) -> int:

@@ -213,6 +213,18 @@ def test_cli_exit_codes(tmp_path):
                    "contraction") == 1
 
 
+@pytest.mark.parametrize("flag, value, name", [
+    ("--samples", "0", "n >= 1"), ("--eps", "0", "eps must be positive"),
+    ("--K", "-1", "K must be >= 0")])
+def test_cli_semiconj_bad_inputs_are_config_errors(flag, value, name, capsys):
+    argv = {"--f": "cat", "--g": "cat_bumped:1e-3", "--sigma": "constant:0",
+            "--eps": "0.05", "--K": "2", "--samples": "20"}
+    argv[flag] = value
+    assert run_cli("semiconj", *[a for kv in argv.items() for a in kv]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:") and name in err
+
+
 def test_cli_bad_thread_setting_is_config_error(monkeypatch, capsys):
     monkeypatch.setenv("IFSSHADOW_THREADS", "abc")
     assert run_cli("metrics", "--f", "rotation:0.1", "--g", "rotation:0.12",

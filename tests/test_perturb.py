@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifsshadow import (CoverageError, InversionError, MetricGrid, SmoothMap,
                        Space, SupportError, SymbolSequence,
@@ -10,7 +14,7 @@ from ifsshadow import (CoverageError, InversionError, MetricGrid, SmoothMap,
                        lattice_samples, make_ifs, move_points_diffeo,
                        perturbed_ifs, rho0, semiconj_residual, shadow_newton,
                        validate_chain)
-from ifsshadow.perturb import MAX_ABS_PROFILE_DERIV
+from ifsshadow.perturb import MAX_ABS_PROFILE_DERIV, _nearest_samples
 from ifsshadow.systems import (build_bumped_cat_ifs, build_cat_ifs,
                                build_contraction_ifs, build_torus_f1)
 
@@ -91,6 +95,8 @@ def test_preconditions_rejected():
         move_points_diffeo([(p, q)], 0.01)      # dist not < delta
     with pytest.raises(ValueError, match="distinct"):
         move_points_diffeo([(p, q), (p, np.array([0.4, 0.4]))], 0.2)
+    with pytest.raises(ValueError, match="targets must be pairwise distinct"):
+        move_points_diffeo([(p, q), (np.array([0.33, 0.3]), q)], 0.2)
     with pytest.raises(ValueError, match="dim"):
         move_points_diffeo([(np.array([0.3]), np.array([0.31]))], 0.02,
                            space=Space(1))
@@ -221,6 +227,68 @@ def test_perturbed_ifs_rejects_oversized_slack():
         perturbed_ifs(CAT, chain, m=10, Delta=0.05, seed=1)
 
 
+# --- nearest-sample lookup ---------------------------------------------------
+
+def dense_nearest(space, samples, queries):
+    d = space.dist(queries[:, None, :], samples[None, :, :])
+    idx = np.argmin(d, axis=1)
+    return idx, d[np.arange(len(queries)), idx]
+
+
+# dyadic coordinates make exact distance ties common
+coord = st.one_of(st.integers(0, 7).map(lambda i: i / 8),
+                  st.floats(0.0, 1.0, exclude_max=True))
+
+
+@st.composite
+def samples_and_queries(draw):
+    space = Space(draw(st.integers(1, 3)), periodic=draw(st.booleans()))
+
+    def points(max_size):
+        rows = draw(st.lists(st.lists(coord, min_size=space.dim, max_size=space.dim),
+                             min_size=1, max_size=max_size))
+        return np.array(rows, dtype=float)
+    return space, points(30), points(20)
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=samples_and_queries())
+def test_nearest_samples_equal_dense_argmin(case):
+    space, samples, queries = case
+    idx, dist = _nearest_samples(space, samples, queries)
+    ref_idx, ref_dist = dense_nearest(space, samples, queries)
+    assert np.array_equal(idx, ref_idx)
+    assert np.array_equal(dist, ref_dist)
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("d", [2, 3])
+def test_nearest_samples_exact_ties_pick_the_lowest_index(d, periodic):
+    space, m = Space(d, periodic), 4
+    axis = np.arange(m) / m
+    lattice = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), -1).reshape(-1, d)
+    samples = lattice[np.random.default_rng(d).permutation(len(lattice))]
+    inner = np.all(lattice < (m - 1) / m, axis=1)
+    queries = lattice[inner] + 0.5 / m              # cell centres
+    idx, dist = _nearest_samples(space, samples, queries)
+    for q, i, di in zip(queries, idx, dist):
+        corners = np.nonzero(space.dist(q, samples) == di)[0]
+        assert len(corners) >= 2 ** d
+        assert i == corners.min()
+    assert np.array_equal(idx, dense_nearest(space, samples, queries)[0])
+
+
+def test_nearest_samples_accepts_a_sample_normalised_to_one():
+    sp = Space(2)
+    samples = np.vstack([sp.normalize([-1e-20, 0.5]), lattice_samples(20, 2)])
+    assert samples[0, 0] == 1.0
+    queries = np.array([[0.0, 0.5], [0.999, 0.51], [0.4, 0.4]])
+    idx, dist = _nearest_samples(sp, samples, queries)
+    ref_idx, ref_dist = dense_nearest(sp, samples, queries)
+    assert idx[0] == 0 and dist[0] == 0.0
+    assert np.array_equal(idx, ref_idx) and np.array_equal(dist, ref_dist)
+
+
 # --- semiconjugacy -----------------------------------------------------------
 
 def test_semiconj_with_itself_is_identity():
@@ -253,6 +321,26 @@ def test_semiconj_bumped_cat_conclusions():
     assert float(np.max(sc.chain_delta)) <= d0 + 1e-12
     # approximate surjectivity: images form a 2*eps-net of the torus
     assert sc.image_covering_radius(CAT.space) <= 2 * 0.05
+
+
+def test_image_covering_radius_equals_dense_oracle():
+    G = build_bumped_cat_ifs(1e-3)
+    sc = build_semiconj(CAT, G, SIG0, eps=0.05, samples=lattice_samples(60, 2), K=4)
+    probes = MetricGrid(CAT.space, 32).points
+    dense = CAT.space.dist(probes[:, None, :], sc.images[None, :, :])
+    assert sc.image_covering_radius(CAT.space, 32) == float(np.max(np.min(dense, axis=1)))
+
+
+def test_semiconj_residual_memory_is_linear_in_samples():
+    G = build_bumped_cat_ifs(1e-3)
+    sc = build_semiconj(CAT, G, SIG0, eps=0.05, samples=lattice_samples(600, 2), K=10)
+    tracemalloc.start()
+    try:
+        semiconj_residual(CAT, G, SIG0, sc, K=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20      # a dense query-by-sample tensor takes ~378 MB
 
 
 def test_semiconj_residual_below_twice_eps_and_monotone_in_K():

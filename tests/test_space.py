@@ -104,6 +104,17 @@ def test_grid_is_a_net():
         assert len(grid) == res ** sp.dim
 
 
+def test_grid_points_match_a_meshgrid_reference():
+    for d, res in ((1, 7), (2, 5), (3, 4), (4, 3)):
+        for sp in (Space(d), Space(d, periodic=False)):
+            axis = np.arange(res, dtype=float) / res
+            if not sp.periodic:
+                axis = axis + 0.5 / res
+            mesh = np.meshgrid(*([axis] * d), indexing="ij")
+            ref = np.stack(mesh, axis=-1).reshape(-1, d)
+            assert np.array_equal(MetricGrid(sp, res).points, ref)
+
+
 def test_default_resolutions():
     assert default_resolution(1) == 4096
     assert default_resolution(2) == 256
