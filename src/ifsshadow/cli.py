@@ -244,7 +244,7 @@ def cmd_semiconj(args) -> int:
             [str(i)]
             + [repr(float(c)) for c in sc.samples[i]]
             + [repr(float(c)) for c in sc.images[i]]
-            + [repr(float(np.nanmax(sc.residuals[i])))]
+            + [repr(float(np.max(sc.residuals[i])))]
         ))
     result = {
         "command": "semiconj",
@@ -261,6 +261,8 @@ def cmd_semiconj(args) -> int:
 
 def cmd_cover(args) -> int:
     F = ifsio.load_system(args.system)
+    if not 0 <= args.map_index < len(F):
+        raise ValueError(f"--map-index {args.map_index} outside [0, {len(F)})")
     Fi = F.maps[args.map_index]
     rep = check_ball_cover(Fi, args.eps, args.delta, args.centers, args.probes,
                            seed=args.seed, threads=args.threads)

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .maps import SmoothMap
-from .space import MetricGrid, Space, _as_points
+from .space import MetricGrid, Space, _as_points, ball_sample
 
 
 @dataclass(frozen=True)
@@ -285,12 +285,7 @@ def gen_pseudo_orbit(
         x = space.normalize(np.round(x, decimals))
     pts[0] = x
     if kind == "uniform-ball" and delta > 0:
-        rng = np.random.default_rng(seed)
-        dirs = rng.standard_normal((steps, d))
-        norms = np.linalg.norm(dirs, axis=-1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        radii = delta * rng.random((steps, 1)) ** (1.0 / d)
-        errs = dirs / norms * radii
+        errs = ball_sample(np.random.default_rng(seed), steps, d, delta)
     else:
         errs = np.zeros((steps, d))
     fwds = [m.fwd for m in F.maps]

@@ -127,7 +127,6 @@ def estimate_expansive_const(
     delta_grid=(0.4, 0.3, 0.25, 0.2, 0.15, 0.1, 0.05, 0.02, 0.01),
     n_pairs: int = 512,
     seed: int = 0,
-    max_recorded: int = 16,
 ) -> ExpansivenessReport:
     """Estimate the expansiveness constant relative to sigma by pair sampling.
 
@@ -136,6 +135,7 @@ def estimate_expansive_const(
     within n_cap steps.  The candidate constant is the largest Delta without
     sampled violations - an estimate, not a proof.
     """
+    max_recorded = 16                  # violating pairs kept (all are counted)
     X, Y = _sample_pairs(F, grid, pair_tolerance, n_pairs, seed)
     deltas = sorted(set(float(d) for d in delta_grid), reverse=True)
     if X.shape[0] == 0:
@@ -152,9 +152,8 @@ def estimate_expansive_const(
         verdicts.append(DeltaVerdict(dlt, n_viol > 0, n_viol))
         if n_viol == 0 and candidate is None:
             candidate = dlt
-        if n_viol > 0 and len(violations) < max_recorded:
-            for idx in np.nonzero(viol)[0][: max_recorded - len(violations)]:
-                violations.append((X[idx].copy(), Y[idx].copy(), float(maxsep[idx])))
+        for idx in np.nonzero(viol)[0][: max_recorded - len(violations)]:
+            violations.append((X[idx].copy(), Y[idx].copy(), float(maxsep[idx])))
     verdict = "expansive-at-Delta" if candidate is not None else "violated"
     return ExpansivenessReport(sigma, candidate, n_cap, pair_tolerance,
                                tuple(verdicts), tuple(violations), verdict)
@@ -167,8 +166,6 @@ def estimate_N_of_mu(
     mu: float,
     grid: MetricGrid,
     n_cap: int = 30,
-    n_pairs: int = 256,
-    n_directions: int = 16,
     seed: int = 0,
 ) -> Optional[int]:
     """Smallest N <= n_cap such that no sampled pair at distance >= mu keeps all
@@ -179,6 +176,7 @@ def estimate_N_of_mu(
     """
     if mu > F.space.diameter():
         return 1
+    n_pairs, n_directions = 256, 16
     rng = np.random.default_rng(seed)
     pts = grid.points
     d = F.space.dim

@@ -63,6 +63,8 @@ def write_chain(path, chain: ChainRecord) -> None:
 def read_chain(path, delta: float = 0.0, kind: str = "delta-chain") -> ChainRecord:
     with open(path, newline="") as f:
         rows = list(csv.reader(f))
+    if len(rows) < 2:
+        raise ValueError(f"chain file {str(path)!r} has no points")
     header = rows[0]
     d = len(header) - 2
     pts = np.array([[float(c) for c in row[2: 2 + d]] for row in rows[1:]])

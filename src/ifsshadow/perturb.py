@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -21,8 +21,7 @@ from scipy.spatial import cKDTree
 from .core import (ChainRecord, IFS, SymbolSequence, link_residuals, make_ifs,
                    orbit_steps, rho0, validate_chain)
 from .maps import InversionError, SmoothMap, compose
-from .shadowing import (ShadowResult, ShadowingConvergenceError, lipschitz_estimate,
-                        shadow_auto)
+from .shadowing import _gauss_newton, _link_errors, _max_residual, lipschitz_estimate
 from .space import MetricGrid, Space, ball_sample, _as_points
 
 
@@ -382,11 +381,11 @@ def perturbed_ifs(
 
 def _orbit_window(G: IFS, sigma: SymbolSequence, X: np.ndarray, K: int,
                   two_sided: bool = True) -> np.ndarray:
-    """Orbit points O(k)(x) for k in [-K, K] (or [0, K]), batched over samples."""
+    """Orbit points O(k)(x) for k in [-K, K] (or [0, K]), one row per sample."""
     forward = list(orbit_steps(G, sigma, X, K))
     if not two_sided:
-        return np.array(forward)
-    return np.array(list(orbit_steps(G, sigma, X, -K))[:0:-1] + forward)
+        return np.stack(forward, axis=1)
+    return np.stack(list(orbit_steps(G, sigma, X, -K))[:0:-1] + forward, axis=1)
 
 
 def _nearest_samples(space: Space, samples: np.ndarray, queries: np.ndarray,
@@ -396,7 +395,8 @@ def _nearest_samples(space: Space, samples: np.ndarray, queries: np.ndarray,
     A k-d tree (periodic with box 1 on the torus) proposes 2^d + 1 candidates
     per query, enough to hold the 2^d samples equidistant from a lattice cell
     centre; ``space.dist`` re-ranks them, and among equal distances the lowest
-    sample index wins, as ``np.argmin`` over all samples would choose.
+    sample index wins, as ``np.argmin`` over all samples would choose.  Where
+    the last candidate ties the first, all samples in that ball are re-ranked.
     Memory is linear in the numbers of samples and queries.
     """
     data, probes = samples, queries
@@ -405,12 +405,20 @@ def _nearest_samples(space: Space, samples: np.ndarray, queries: np.ndarray,
         # tree rejects; a second mod sends it to 0.0, the same torus point
         data, probes = (np.mod(np.mod(x, 1.0), 1.0) for x in (samples, queries))
     tree = cKDTree(data, boxsize=1.0 if space.periodic else None)
-    _, cand = tree.query(probes, k=min(len(samples), 2 ** space.dim + 1))
-    cand = np.sort(cand.reshape(len(queries), -1), axis=1)
+    k = min(len(samples), 2 ** space.dim + 1)
+    tree_d, cand = (a.reshape(len(queries), -1) for a in tree.query(probes, k=k))
+    cand = np.sort(cand, axis=1)
     d = space.dist(queries[:, None, :], samples[cand])
     best = np.argmin(d, axis=1)
     rows = np.arange(len(queries))
-    return cand[rows, best], d[rows, best]
+    idx, dist = cand[rows, best], d[rows, best]
+    if k < len(samples):
+        radius = tree_d[:, 0] * (1.0 + 1e-9) + 1e-12
+        for q in np.flatnonzero(tree_d[:, -1] <= radius):
+            ball = np.sort(tree.query_ball_point(probes[q], radius[q]))
+            dq = space.dist(queries[q], samples[ball])
+            idx[q], dist[q] = ball[np.argmin(dq)], np.min(dq)
+    return idx, dist
 
 
 @dataclass(frozen=True)
@@ -467,44 +475,39 @@ def build_semiconj(
     eps: float,
     samples: np.ndarray,
     K: int,
-    solver: Callable[[IFS, ChainRecord], ShadowResult] | None = None,
     two_sided: bool = True,
 ) -> SemiConjugacy:
     """h(x) = k=0 point of the F-chain shadowing the G-orbit window of x.
 
     Each sample's G-orbit window is a delta-chain of F (delta = the matched
     family distance); shadowing it with F and reading off the k = 0 point
-    defines h.  Residuals store dist(G-orbit_k(x), F-orbit_k(h(x))).  Use
-    one-sided windows (``two_sided=False``) for families whose inverses blow
-    orbits up, e.g. contractions.
+    defines h.  One batched Gauss-Newton solve (tol 1e-10, 20 sweeps) shadows
+    all windows, so F needs Jacobians, and each row has the bits of
+    ``shadow_newton`` on its window.  Samples whose window misses the tol are
+    flagged, with NaN rows; a LinAlgError of the stacked solve flags them all.
+    Residuals store dist(G-orbit_k(x), F-orbit_k(h(x))).  Use one-sided
+    windows (``two_sided=False``) for families whose inverses blow orbits
+    up, e.g. contractions.
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if K < 0:
         raise ValueError(f"K must be >= 0, got {K}")
-    solve = solver or shadow_auto
-    X = _as_points(F.space, np.asarray(samples, dtype=float))
-    n = X.shape[0]
+    X = _as_points(F.space, samples)
     lo = K if two_sided else 0
-    P = _orbit_window(G, sigma, X, K, two_sided)
-    shifted = sigma.shift(-lo)
-    # link residuals of every window at once: the slack of each pseudo-orbit
-    links = F.space.dist(F.step(shifted.symbols(0, lo + K), P[:-1]), P[1:])
-    chain_delta = np.max(links, axis=0, initial=0.0)
-    shadows = np.full(P.shape, np.nan)
-    flagged = []
-    for i in range(n):
-        pseudo = ChainRecord(P[:, i, :], shifted, delta=0.0, kind="shadow-candidate")
-        try:
-            r = solve(F, pseudo)
-        except (ShadowingConvergenceError, np.linalg.LinAlgError):
-            flagged.append(i)
-            continue
-        shadows[:, i, :] = r.shadow.points
+    windows = _orbit_window(G, sigma, X, K, two_sided)      # (n, window, d)
+    symbols = sigma.symbols(-lo, K)
+    chain_delta = _max_residual(_link_errors(F, symbols, windows))   # window slacks
+    try:
+        shadows, res, _, _ = _gauss_newton(F, symbols, windows, 1e-10, 20)
+        failed = ~(res <= 1e-10)
+    except np.linalg.LinAlgError:
+        shadows, failed = np.empty_like(windows), np.ones(X.shape[0], dtype=bool)
+    shadows[failed] = np.nan
     return SemiConjugacy(
-        samples=X, images=shadows[lo].copy(), epsilon=eps, K=K, sigma=sigma,
-        residuals=np.ascontiguousarray(F.space.dist(P, shadows).T),
-        chain_delta=chain_delta, flagged=tuple(flagged), two_sided=two_sided,
+        samples=X, images=shadows[:, lo].copy(), epsilon=eps, K=K, sigma=sigma,
+        residuals=F.space.dist(windows, shadows), chain_delta=chain_delta,
+        flagged=tuple(np.flatnonzero(failed).tolist()), two_sided=two_sided,
     )
 
 
@@ -586,14 +589,14 @@ def check_ball_cover(
     seed: int,
     centers: np.ndarray | None = None,
     threads: int = 1,
-    max_recorded: int = 100,
-    chunk: int = 64,
 ) -> CoverReport:
     """Sample probes Z in the ball of radius eps+delta around F(X) and test
     dist(F^{-1}(Z), X) < eps; report any violations found.
     """
     if not Fi.invertible:
         raise ValueError(f"map {Fi.label!r} must be invertible")
+    chunk = 64              # centers per probe batch: fixes the probes a seed draws
+    max_recorded = 100      # violations kept (all are counted)
     space = Fi.space
     rng = np.random.default_rng(seed)
     if centers is None:
@@ -615,11 +618,8 @@ def check_ball_cover(
         pre = Fi.invert(Z.reshape(-1, space.dim)).reshape(Z.shape)
         dd = space.dist(pre, Xc[:, None, :])
         bad = dd >= eps
-        found = []
-        for ci, pi in zip(*np.nonzero(bad)):
-            found.append((Xc[ci].copy(), Z[ci, pi].copy(), float(dd[ci, pi])))
-            if len(found) >= max_recorded:
-                break
+        found = [(Xc[ci].copy(), Z[ci, pi].copy(), float(dd[ci, pi]))
+                 for ci, pi in np.argwhere(bad)[:max_recorded]]
         return lo, np.any(bad, axis=1), int(np.count_nonzero(bad)), found
 
     if threads > 1:
@@ -634,8 +634,7 @@ def check_ball_cover(
     for lo, chunk_flags, count, found in results:
         flags[lo: lo + len(chunk_flags)] = chunk_flags
         total += count
-        if len(recorded) < max_recorded:
-            recorded.extend(found[: max_recorded - len(recorded)])
+        recorded.extend(found[: max_recorded - len(recorded)])
     return CoverReport(
         passed=not bool(np.any(flags)), eps=eps, delta=delta,
         n_centers=n_centers, n_probes=n_probes, seed=seed,

@@ -17,11 +17,11 @@ Three solvers cover the systems in the catalog:
   banded Cholesky solve (O(window length)).
 
 On linear systems the Newton and closed-form solvers converge to the same
-minimal-correction chain.  ``check_uniqueness`` runs all of its multi-start
-trials as one batched Gauss-Newton solve: each sweep steps every active
-trial with one map call per symbol and solves all their normal systems with
-one banded Cholesky, and every trial gets the iterates a ``shadow_newton``
-call from its start would give.
+minimal-correction chain.  ``check_uniqueness`` (multi-start trials) and
+``perturb.build_semiconj`` (one window per sample) each run one batched
+Gauss-Newton solve: each sweep steps every active chain with one map call
+per symbol and solves all their normal systems with one banded Cholesky, and
+every chain gets the iterates of a ``shadow_newton`` call on it alone.
 """
 
 from __future__ import annotations
@@ -100,14 +100,14 @@ def lipschitz_estimate(m: SmoothMap, n_samples: int = 512, seed: int = 0) -> flo
     return best
 
 
-def shadow_contraction(F: IFS, chain: ChainRecord, seed: int = 0) -> ShadowResult:
+def shadow_contraction(F: IFS, chain: ChainRecord) -> ShadowResult:
     """Shadow a one-sided delta-chain of a contracting family.
 
     Anchors y_0 = x_0 and iterates exactly; the result is an exact chain with
     sup_dist <= delta / (1 - q), q the largest contraction factor.
     """
     for m in F.maps:
-        q = lipschitz_estimate(m, seed=seed)
+        q = lipschitz_estimate(m)
         if q >= 1.0:
             raise NotContractingError(
                 f"map {m.label!r} is not contracting (Lipschitz estimate {q:.4f})"
@@ -169,6 +169,8 @@ def shadow_linear_hyperbolic(A: SmoothMap, chain: ChainRecord) -> ShadowResult:
     """Minimal-correction exact orbit of a hyperbolic toral automorphism."""
     if A.matrix is None:
         raise NotHyperbolicError(f"map {A.label!r} is not a linear toral automorphism")
+    if np.any(chain.sigma.symbols(0, chain.n_links) != 0):
+        raise NotHyperbolicError("the closed form needs symbol 0 on every link")
     F = IFS((A,))
     w, V = hyperbolic_splitting(A.matrix)
     pts = chain.points
@@ -245,7 +247,7 @@ def _max_residual(R: np.ndarray) -> np.ndarray:
 
 def _gauss_newton(F: IFS, symbols: np.ndarray, Y: np.ndarray, tol: float,
                   max_iter: int):
-    """Gauss-Newton sweeps on a stack Y (B, m+1, d) of starts on one schedule.
+    """Gauss-Newton sweeps on a stack Y (B, m+1, d) of chains on one schedule.
 
     Each sweep makes one IFS.step call, one IFS.jacobians call and one
     _normal_solve over all active chains.  A chain leaves the active set
@@ -420,8 +422,6 @@ def check_uniqueness(
     trials: int = 20,
     seed: int = 0,
     init_scale: float | None = None,
-    agree_tol: float = 1e-8,
-    margin: int | None = None,
     tol: float = 1e-10,
     max_iter: int = 30,
 ) -> UniquenessVerdict:
@@ -438,8 +438,7 @@ def check_uniqueness(
     if chain.sigma != sigma:
         chain = ChainRecord(chain.points, sigma, chain.delta, chain.kind)
     n = len(chain)
-    if margin is None:
-        margin = min(chain.n_links // 4, 40)
+    margin = min(chain.n_links // 4, 40)
     if 2 * margin >= n:
         margin = max((n - 1) // 2, 0)
     scale = eps / 4.0 if init_scale is None else init_scale
@@ -460,6 +459,7 @@ def check_uniqueness(
     core = candidates[:, margin:n - margin]
     spread = max((float(np.max(space.dist(core[i], core[i + 1:])))
                   for i in range(len(core) - 1)), default=0.0)
+    agree_tol = 1e-8         # largest core spread between candidates of one shadow
     status = "unique" if spread <= agree_tol else "not-unique"
     return UniquenessVerdict(status, len(candidates), trials, spread, margin, eps,
                              unconverged)

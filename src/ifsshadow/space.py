@@ -107,20 +107,18 @@ def ball_sample(rng: np.random.Generator, n: int, dim: int, radius: float) -> np
     return v / norms * r
 
 
-def lattice_samples(n: int, dim: int, generator: int | None = None) -> np.ndarray:
+def lattice_samples(n: int, dim: int) -> np.ndarray:
     """Rank-1 lattice point set: low-discrepancy samples with small covering radius.
 
     Points are (i/n, i*g/n, i*g^2/n, ...) mod 1.  For dim 2 and n = 200 the
     generator 43 covers the torus to radius ~0.044 (near the hexagonal
-    optimum); by default g is chosen as a golden-ratio-like integer coprime
-    to n.
+    optimum); otherwise g is a golden-ratio-like integer coprime to n.
     """
     if n < 1:
         raise ValueError(f"lattice_samples needs n >= 1 samples, got {n}")
-    if generator is None:
-        generator = 43 if (dim, n) == (2, 200) else max(1, int(round(n * 0.6180339887)))
-        while np.gcd(generator, n) != 1:
-            generator += 1
+    generator = 43 if (dim, n) == (2, 200) else max(1, int(round(n * 0.6180339887)))
+    while np.gcd(generator, n) != 1:
+        generator += 1
     i = np.arange(n)
     cols = [i / n]
     g = 1

@@ -226,6 +226,22 @@ def test_gen_unknown_noise_model():
         gen_pseudo_orbit(CAT, SIG0, [0.1, 0.1], 0.01, 10, noise="gauss")
 
 
+def test_gen_uniform_ball_noise_is_the_written_out_formula():
+    steps, delta, seed = 300, 0.01, 5
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((steps, 2))
+    norms = np.linalg.norm(dirs, axis=-1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    errs = dirs / norms * (delta * rng.random((steps, 1)) ** (1.0 / 2))
+    pts = [np.array([0.2, 0.9])]
+    for e in errs:
+        y = CAT.maps[0].fwd(pts[-1])
+        y = y - np.floor(y) + e
+        pts.append(y - np.floor(y))
+    chain = gen_pseudo_orbit(CAT, SIG0, [0.2, 0.9], delta, steps, seed=seed)
+    assert np.array_equal(chain.points, np.array(pts))
+
+
 def test_gen_deterministic_in_seed():
     a = gen_pseudo_orbit(CAT, SIG0, [0.2, 0.9], 0.01, 500, seed=77)
     b = gen_pseudo_orbit(CAT, SIG0, [0.2, 0.9], 0.01, 500, seed=77)

@@ -213,6 +213,43 @@ def test_cli_exit_codes(tmp_path):
                    "contraction") == 1
 
 
+@pytest.mark.parametrize("index", ["3", "-1"])
+def test_cli_cover_map_index_outside_family_is_config_error(index, capsys):
+    assert run_cli("cover", "--system", "cat", "--map-index", index, "--eps",
+                   "0.05", "--delta", "0.05", "--centers", "4", "--probes", "4") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert f"--map-index {index}" in err
+
+
+@pytest.mark.parametrize("text", ["", "k,lambda,x0,x1\n"])
+def test_cli_verify_chain_without_points_is_config_error(text, tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text(text)
+    assert run_cli("shadow", "--system", "cat", "--sigma", "constant:0",
+                   "--delta", "0.001", "--len", "10",
+                   "--out", str(tmp_path / "s")) == 0
+    capsys.readouterr()
+    assert run_cli("verify", "--system", "cat", "--chain", str(empty),
+                   "--shadow", str(tmp_path / "s_shadow.csv"), "--eps", "0.01") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert "empty.csv" in err
+
+
+def test_cli_hyperbolic_solver_on_two_maps_is_contract_violation(tmp_path, capsys):
+    spec = tmp_path / "two.json"
+    ifsio.write_json(spec, {"space": {"dim": 2}, "maps": [
+        {"kind": "cat"},
+        {"kind": "affine", "params": {"matrix": [[1, 1], [1, 2]],
+                                      "offset": [0.0, 0.0]}}]})
+    assert run_cli("shadow", "--system", f"@{spec}", "--sigma", "periodic:0,1",
+                   "--delta", "0.001", "--len", "10", "--solver", "hyperbolic") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("contract violation:")
+    assert "symbol 0" in err
+
+
 @pytest.mark.parametrize("flag, value, name", [
     ("--samples", "0", "n >= 1"), ("--eps", "0", "eps must be positive"),
     ("--K", "-1", "K must be >= 0")])

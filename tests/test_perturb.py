@@ -14,9 +14,15 @@ from ifsshadow import (CoverageError, InversionError, MetricGrid, SmoothMap,
                        lattice_samples, make_ifs, move_points_diffeo,
                        perturbed_ifs, rho0, semiconj_residual, shadow_newton,
                        validate_chain)
-from ifsshadow.perturb import MAX_ABS_PROFILE_DERIV, _nearest_samples
-from ifsshadow.systems import (build_bumped_cat_ifs, build_cat_ifs,
-                               build_contraction_ifs, build_torus_f1)
+from ifsshadow import shadowing
+from ifsshadow.core import IFS, ChainRecord
+from ifsshadow.maps import affine_map, compose
+from ifsshadow.perturb import (MAX_ABS_PROFILE_DERIV, _nearest_samples,
+                               _orbit_window)
+from ifsshadow.shadowing import ShadowingConvergenceError
+from ifsshadow.systems import (CAT_MATRIX, build_bumped_cat_ifs, build_cat_ifs,
+                               build_contraction_ifs, build_system,
+                               build_torus_f1)
 
 CAT = build_cat_ifs()
 SIG0 = SymbolSequence.constant(0)
@@ -364,8 +370,7 @@ def test_semiconj_config_error_is_not_a_flagged_sample():
     shift = SmoothMap("shift", SP2, lambda x: x + 0.1, inv=lambda p: p - 0.1)
     F = make_ifs([shift])
     with pytest.raises(ValueError, match="Jacobian"):
-        build_semiconj(F, F, SIG0, eps=0.05, samples=lattice_samples(8, 2), K=2,
-                       solver=shadow_newton)
+        build_semiconj(F, F, SIG0, eps=0.05, samples=lattice_samples(8, 2), K=2)
 
 
 def test_semiconj_one_sided_contraction_family():
@@ -379,9 +384,82 @@ def test_semiconj_one_sided_contraction_family():
     samples = np.linspace(0.0, 1.0, 50)[:, None]
     eps = d0 / (1 - 0.5) + 1e-6
     sc = build_semiconj(F, G, sig, eps=eps, samples=samples, K=30,
-                        two_sided=False, solver=lambda FF, c: shadow_newton(FF, c))
+                        two_sided=False)
     assert sc.max_image_dist(F.space) < eps
     assert sc.max_residual < eps
+
+
+def bumped_copy(F: IFS) -> IFS:
+    """F with every map followed by one wide bump moving a point by 1e-3."""
+    p = np.full(F.space.dim, 0.37)
+    e = np.zeros(F.space.dim)
+    e[-1] = 1e-3
+    h = move_points_diffeo([(p, p + e)], delta=2e-3, space=F.space,
+                           support_radius=0.45, label="h")
+    return make_ifs([compose(h, f, label=f"bumped_{f.label}") for f in F.maps])
+
+
+@pytest.mark.parametrize("name, sigma, n, K", [
+    ("cat", SIG0, 60, 6),
+    ("torus_example", SymbolSequence.periodic([0, 1, 1]), 40, 3)])
+def test_semiconj_rows_equal_shadow_newton_per_window(name, sigma, n, K):
+    F = build_system(name)
+    G = build_system("cat_bumped:1e-3") if name == "cat" else bumped_copy(F)
+    sc = build_semiconj(F, G, sigma, eps=0.05, samples=lattice_samples(n, F.space.dim),
+                        K=K)
+    assert not sc.flagged
+    P = _orbit_window(G, sigma, sc.samples, K)
+    sweeps = set()
+    for i in range(n):
+        window = ChainRecord(P[i], sigma.shift(-K), kind="shadow-candidate")
+        r = shadow_newton(F, window)
+        sweeps.add(r.iterations)
+        assert np.array_equal(sc.images[i], r.shadow.points[K])
+        assert np.array_equal(sc.residuals[i], F.space.dist(P[i], r.shadow.points))
+    assert max(sweeps) >= 1          # some windows needed Newton sweeps
+
+
+def cat_with_wrong_jacobian() -> IFS:
+    """The cat map, with the sign of its Jacobian flipped where u < 1/2."""
+    cat = CAT.maps[0]
+
+    def jac(x):
+        J = cat.jacobian(x)
+        return np.where((x[..., 0] < 0.5)[..., None, None], -J, J)
+    return make_ifs([SmoothMap("cat_wrong_jac", SP2, cat.fwd, inv=cat.inv, jac=jac)])
+
+
+def test_semiconj_flags_windows_that_do_not_converge():
+    F = cat_with_wrong_jacobian()
+    G = make_ifs([affine_map(SP2, CAT_MATRIX, [1e-4, 0.0], "cat_shifted")])
+    samples = lattice_samples(60, 2)
+    sc = build_semiconj(F, G, SIG0, eps=0.05, samples=samples, K=2)
+    flagged = list(sc.flagged)
+    assert 0 < len(flagged) < 60
+    assert np.all(np.isnan(sc.images[flagged]))
+    assert np.all(np.isnan(sc.residuals[flagged]))
+    P = _orbit_window(G, SIG0, sc.samples, 2)
+    with pytest.raises(ShadowingConvergenceError):
+        shadow_newton(F, ChainRecord(P[flagged[0]], SIG0, kind="shadow-candidate"))
+    # the other samples keep the bits of a run without the flagged ones
+    keep = np.setdiff1d(np.arange(60), flagged)
+    rest = build_semiconj(F, G, SIG0, eps=0.05, samples=samples[keep], K=2)
+    assert not rest.flagged
+    assert np.array_equal(rest.images, sc.images[keep])
+    assert np.array_equal(rest.residuals, sc.residuals[keep])
+    assert np.array_equal(rest.chain_delta, sc.chain_delta[keep])
+    assert sc.max_residual == rest.max_residual
+
+
+def test_semiconj_linalg_error_flags_every_sample(monkeypatch):
+    def failing(jacs, rhs):
+        raise np.linalg.LinAlgError("banded Cholesky failed")
+    monkeypatch.setattr(shadowing, "_normal_solve", failing)
+    G = build_bumped_cat_ifs(1e-3)
+    sc = build_semiconj(CAT, G, SIG0, eps=0.05, samples=lattice_samples(40, 2), K=5)
+    assert sc.flagged == tuple(range(40))
+    assert np.all(np.isnan(sc.images)) and np.all(np.isnan(sc.residuals))
+    assert sc.max_residual == np.inf and sc.max_image_dist(CAT.space) == np.inf
 
 
 # --- ball-cover probe --------------------------------------------------------
