@@ -15,7 +15,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .core import IFS, SymbolSequence, orbit_steps
-from .space import MetricGrid, _as_points
+from .space import MetricGrid, _as_points, _norms
 
 
 def separation_time(F: IFS, sigma: SymbolSequence, x, y, eta: float,
@@ -186,7 +186,7 @@ def estimate_N_of_mu(
         dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     else:
         dirs = rng.standard_normal((n_directions, d))
-        dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+        dirs /= _norms(dirs)[:, None]
     X = np.repeat(base, len(dirs), axis=0)
     Y = F.space.normalize(X + mu * np.tile(dirs, (len(base), 1)))
     i = rng.integers(0, len(pts), size=n_pairs)

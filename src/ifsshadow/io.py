@@ -62,13 +62,17 @@ def write_chain(path, chain: ChainRecord) -> None:
 
 def read_chain(path, delta: float = 0.0, kind: str = "delta-chain") -> ChainRecord:
     with open(path, newline="") as f:
-        rows = list(csv.reader(f))
+        reader = csv.reader(f)
+        rows = [(reader.line_num, row) for row in reader]
     if len(rows) < 2:
         raise ValueError(f"chain file {str(path)!r} has no points")
-    header = rows[0]
-    d = len(header) - 2
-    pts = np.array([[float(c) for c in row[2: 2 + d]] for row in rows[1:]])
-    syms = [int(row[1]) for row in rows[1:]]
+    d = len(rows[0][1]) - 2
+    for line, row in rows[1:]:
+        if len(row) < d + 2:
+            raise ValueError(f"chain file {str(path)!r} line {line}: expected "
+                             f"{d + 2} fields, got {len(row)}")
+    pts = np.array([[float(c) for c in row[2: 2 + d]] for _, row in rows[1:]])
+    syms = [int(row[1]) for _, row in rows[1:]]
     window = tuple(s for s in syms[:-1]) if len(syms) > 1 else (max(syms[0], 0),)
     sigma = SymbolSequence(window=window,
                            extension=f"constant:{window[-1]}")

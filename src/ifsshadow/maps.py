@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .space import Space, _as_points
+from .space import Space, _as_points, _norms
 
 
 class InversionError(RuntimeError):
@@ -68,7 +68,7 @@ def _newton_invert(m: SmoothMap, p: np.ndarray, tol: float, max_iter: int) -> np
     best_res = np.inf
     for _ in range(max_iter):
         r = space.displacement(m(q), p)
-        res = float(np.max(np.sqrt(np.sum(r * r, axis=-1))))
+        res = float(np.max(_norms(r)))
         if res < best_res:
             best, best_res = q, res
         step = np.linalg.solve(m.jacobian(q), r[..., None])[..., 0]
@@ -76,7 +76,7 @@ def _newton_invert(m: SmoothMap, p: np.ndarray, tol: float, max_iter: int) -> np
         if np.max(np.abs(step)) <= tol:
             return q
     r = space.displacement(m(q), p)
-    res = float(np.max(np.sqrt(np.sum(r * r, axis=-1))))
+    res = float(np.max(_norms(r)))
     if res < best_res:
         best, best_res = q, res
     raise InversionError(

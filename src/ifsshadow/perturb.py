@@ -22,7 +22,7 @@ from .core import (ChainRecord, IFS, SymbolSequence, link_residuals, make_ifs,
                    orbit_steps, rho0, validate_chain)
 from .maps import InversionError, SmoothMap, compose
 from .shadowing import _gauss_newton, _link_errors, _max_residual, lipschitz_estimate
-from .space import MetricGrid, Space, ball_sample, _as_points
+from .space import MetricGrid, Space, ball_sample, _as_points, _norms
 
 
 class SupportError(ValueError):
@@ -79,6 +79,12 @@ def move_points_diffeo(
     and dim >= 2.  The perturbation x -> x + sum_i profile(|x-p_i|/R) d_i is a
     contraction of the identity on each support (|d_i| max|profile'| < R), so
     the inverse exists and is computed by fixed-point iteration.
+
+    For k >= 2 the supports are disjoint (else SupportError), so each point
+    lies in at most one support and gets at most one nonzero term: the
+    perturbation and Jacobian visit the centers one at a time on (N, d)
+    arrays, with memory linear in N.  Points outside every support are their
+    own preimage and leave the inverse iteration after its first step.
     """
     if pairs:
         P = np.stack([np.asarray(p, dtype=float) for p, _ in pairs])
@@ -120,7 +126,7 @@ def move_points_diffeo(
             R = min(R, 0.45)
     else:
         R = float(support_radius)
-    maxd = float(np.max(np.linalg.norm(D, axis=-1))) if k else 0.0
+    maxd = float(np.max(_norms(D))) if k else 0.0
     if k >= 2 and min_sep <= 2.0 * R:
         raise SupportError(
             f"supports of radius {R:.4f} overlap (min center/target separation "
@@ -134,12 +140,13 @@ def move_points_diffeo(
         )
 
     def perturbation(x):
-        if k == 0:
-            return np.zeros_like(x)
-        v = space.displacement(P, x[..., None, :])      # from centers to x
-        dist = np.sqrt(np.sum(v * v, axis=-1))
-        w = bump_profile(dist / R)
-        return np.einsum("...i,id->...d", w, D)
+        flat = x.reshape(-1, space.dim)
+        out = np.zeros_like(flat)
+        for i in range(k):
+            dist = space.dist(P[i], flat)
+            inside = dist < R
+            out[inside] += bump_profile(dist[inside] / R)[:, None] * D[i]
+        return out.reshape(x.shape)
 
     def fwd(x):
         return x + perturbation(x)
@@ -165,18 +172,16 @@ def move_points_diffeo(
     eye = np.eye(space.dim)
 
     def jac(x):
-        J = np.broadcast_to(eye, np.shape(x)[:-1] + (space.dim, space.dim)).copy()
-        if k == 0:
-            return J
-        v = space.displacement(P, x[..., None, :])
-        dist = np.sqrt(np.sum(v * v, axis=-1))
-        t = dist / R
-        coef = np.zeros_like(dist)
-        pos = dist > 0.0
-        coef[pos] = bump_profile_deriv(t[pos]) / (R * dist[pos])
-        grads = coef[..., None] * v                     # (..., k, d)
-        J += np.einsum("ia,...ib->...ab", D, grads)
-        return J
+        flat = x.reshape(-1, space.dim)
+        J = np.broadcast_to(eye, flat.shape + (space.dim,)).copy()
+        for i in range(k):
+            v = space.displacement(P[i], flat)          # from center i to x
+            dist = _norms(v)
+            inside = (dist < R) & (dist > 0.0)
+            di = dist[inside]
+            grads = (bump_profile_deriv(di / R) / (R * di))[:, None] * v[inside]
+            J[inside] += D[i][:, None] * grads[:, None, :]
+        return J.reshape(x.shape + (space.dim,))
 
     return BumpDiffeo(
         label=label, space=space, fwd=fwd, inv=inv, jac=jac,

@@ -35,7 +35,7 @@ from scipy.signal import lfilter
 
 from .core import ChainRecord, IFS, SymbolSequence, orbit_steps, validate_chain
 from .maps import SmoothMap
-from .space import ball_sample
+from .space import _norms, ball_sample
 
 
 class NotContractingError(ValueError):
@@ -242,7 +242,7 @@ def _link_errors(F: IFS, symbols: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 def _max_residual(R: np.ndarray) -> np.ndarray:
     """Largest link residual of each chain in a stack R (B, m, d); 0 for m = 0."""
-    return np.max(np.sqrt(np.sum(R * R, axis=-1)), axis=1, initial=0.0)
+    return np.max(_norms(R), axis=1, initial=0.0)
 
 
 def _gauss_newton(F: IFS, symbols: np.ndarray, Y: np.ndarray, tol: float,
@@ -439,8 +439,6 @@ def check_uniqueness(
         chain = ChainRecord(chain.points, sigma, chain.delta, chain.kind)
     n = len(chain)
     margin = min(chain.n_links // 4, 40)
-    if 2 * margin >= n:
-        margin = max((n - 1) // 2, 0)
     scale = eps / 4.0 if init_scale is None else init_scale
     rng = np.random.default_rng(seed)
     space = F.space

@@ -37,6 +37,22 @@ def _as_points(space: "Space", x) -> np.ndarray:
     return x
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Row norms over the last axis, bit-identical to np.sqrt(np.sum(v * v, axis=-1)).
+
+    numpy adds fewer than 8 terms in order, so for d < 8 the squared columns
+    are added one by one, without the (..., d) product array; from 8 terms on
+    numpy sums pairwise, so np.sum keeps its order there.
+    """
+    d = v.shape[-1]
+    if d >= 8:
+        return np.sqrt(np.sum(v * v, axis=-1))
+    s = v[..., 0] * v[..., 0]
+    for j in range(1, d):
+        s += v[..., j] * v[..., j]
+    return np.sqrt(s)
+
+
 @dataclass(frozen=True)
 class Space:
     """A d-dimensional torus (default) or unit cube."""
@@ -63,15 +79,22 @@ class Space:
         """
         p = _as_points(self, p)
         q = _as_points(self, q)
-        if not self.periodic:
-            return q - p
-        r = (q - p) - np.floor(q - p)
-        return np.where(r > 0.5, r - 1.0, r)
+        r = q - p
+        if self.periodic:
+            # r lies in [0, 1] after the floor and r - 0.0 == r, so subtracting
+            # the mask in place equals np.where(r > 0.5, r - 1, r) bit for bit
+            r -= np.floor(r)
+            r -= r > 0.5
+        return r
 
     def dist(self, p, q) -> np.ndarray:
-        """Metric distance between point arrays, broadcasting over leading axes."""
-        v = self.displacement(p, q)
-        return np.sqrt(np.sum(v * v, axis=-1))
+        """Metric distance between point arrays, broadcasting over leading axes.
+
+        The Euclidean norm of ``displacement(p, q)`` (the shortest
+        representative on the torus), taken by ``_norms``: same bits as the
+        square root of numpy's sum of squares, with no (..., d) temporaries.
+        """
+        return _norms(self.displacement(p, q))
 
     def geodesic_displacement(self, p, q) -> np.ndarray:
         """Displacement along the unique shortest path from p to q.
@@ -85,7 +108,7 @@ class Space:
                 raise AntipodalError(
                     "coordinate gap of exactly 0.5; perturb the inputs"
                 )
-            if np.any(np.sqrt(np.sum(v * v, axis=-1)) >= 0.5):
+            if np.any(_norms(v) >= 0.5):
                 raise AntipodalError("points at distance >= 0.5 have no unique shortest path")
         return v
 
@@ -101,7 +124,7 @@ class Space:
 def ball_sample(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:
     """Uniform samples from the Euclidean ball of the given radius."""
     v = rng.standard_normal((n, dim))
-    norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    norms = _norms(v)[:, None]
     norms[norms == 0.0] = 1.0
     r = radius * rng.random((n, 1)) ** (1.0 / dim)
     return v / norms * r

@@ -237,6 +237,23 @@ def test_cli_verify_chain_without_points_is_config_error(text, tmp_path, capsys)
     assert "empty.csv" in err
 
 
+@pytest.mark.parametrize("row, got", [("", 0), ("1,-1,0.3", 3)])
+def test_read_chain_names_a_blank_or_short_row(row, got, tmp_path, capsys):
+    bad = tmp_path / "gappy.csv"
+    bad.write_text(f"k,lambda,x0,x1\n0,0,0.1,0.2\n{row}\n1,-1,0.3,0.4\n")
+    with pytest.raises(ValueError, match=rf"gappy\.csv' line 3: expected 4 fields, got {got}"):
+        ifsio.read_chain(bad)
+    assert run_cli("shadow", "--system", "cat", "--sigma", "constant:0",
+                   "--delta", "0.001", "--len", "10",
+                   "--out", str(tmp_path / "s")) == 0
+    capsys.readouterr()
+    assert run_cli("verify", "--system", "cat", "--chain", str(bad),
+                   "--shadow", str(tmp_path / "s_shadow.csv"), "--eps", "0.01") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert "gappy.csv' line 3" in err
+
+
 def test_cli_hyperbolic_solver_on_two_maps_is_contract_violation(tmp_path, capsys):
     spec = tmp_path / "two.json"
     ifsio.write_json(spec, {"space": {"dim": 2}, "maps": [

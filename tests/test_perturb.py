@@ -145,6 +145,104 @@ def test_bump_inverse_raises_when_unconverged():
     assert np.max(SP2.dist(g.invert(g(X)), X)) <= 1e-12
 
 
+# dense reference: every point against every center, summed by einsum
+def dense_terms(f, x):
+    v = x[..., None, :] - f.centers                 # from every center to x
+    if f.space.periodic:
+        v = v - np.floor(v)
+        v = np.where(v > 0.5, v - 1.0, v)
+    return v, np.sqrt(np.sum(v * v, axis=-1))
+
+
+def dense_perturbation(f, x):
+    if not len(f.centers):
+        return np.zeros_like(x)
+    _, dist = dense_terms(f, x)
+    w = bump_profile(dist / f.support_radius)
+    return np.einsum("...i,id->...d", w, f.displacements)
+
+
+def dense_jacobian(f, x):
+    d = f.space.dim
+    J = np.broadcast_to(np.eye(d), x.shape[:-1] + (d, d)).copy()
+    if not len(f.centers):
+        return J
+    v, dist = dense_terms(f, x)
+    R = f.support_radius
+    coef = np.zeros_like(dist)
+    pos = dist > 0.0
+    coef[pos] = bump_profile_deriv(dist[pos] / R) / (R * dist[pos])
+    return J + np.einsum("ia,...ib->...ab", f.displacements, coef[..., None] * v)
+
+
+def dense_invert(f, p):
+    sp = f.space
+    z = sp.normalize(p.copy())
+    active = np.arange(len(p))
+    for _ in range(120):
+        z_next = sp.normalize(p[active] - dense_perturbation(f, z[active]))
+        step = sp.dist(z_next, z[active])
+        z[active] = z_next
+        active = active[step > 1e-13]
+        if not active.size:
+            return z
+    raise AssertionError("dense reference inverse did not converge")
+
+
+def random_pair_set(k, seed, space=SP2, support_radius=None):
+    """k pairs with random sources and targets moved by a fraction of the
+    largest displacement the supports allow."""
+    rng = np.random.default_rng(seed)
+    P = rng.random((k, 2))
+    if k >= 2:
+        sep = np.min(space.dist(P[:, None, :], P[None, :, :])[np.triu_indices(k, 1)])
+        R = 0.4 * sep if support_radius is None else support_radius
+    else:
+        R = 0.2 if support_radius is None else support_radius
+    size = 0.3 * R / MAX_ABS_PROFILE_DERIV
+    Q = space.normalize(P + ball_sample(rng, k, 2, size))
+    pairs = list(zip(P, Q))
+    f = move_points_diffeo(pairs, 2.0 * size, space=space,
+                           support_radius=support_radius)
+    # points on, just inside and just outside each support boundary, at the
+    # sources and targets, uniform, and outside the unit square
+    ang = rng.random(64) * 2 * np.pi
+    ring = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    R = f.support_radius
+    X = [rng.random((3000, 2)), rng.uniform(-2.0, 3.0, (500, 2)), P, Q]
+    for c in P:
+        for scale in (R, R * (1 - 1e-12), R * (1 - 1e-9), R * (1 + 1e-12), 0.5 * R):
+            X.append(c + scale * ring)
+    return f, np.concatenate(X)
+
+
+PAIR_SETS = ([(k, seed, None) for k in range(6) for seed in (1, 2)]
+             + [(3, 7, 0.05)])
+
+
+@pytest.mark.parametrize("k, seed, support_radius", PAIR_SETS)
+@pytest.mark.parametrize("periodic", [True, False])
+def test_bump_equals_the_dense_all_centers_formulas(k, seed, support_radius,
+                                                    periodic):
+    sp = Space(2, periodic=periodic)
+    f, X = random_pair_set(k, seed, sp, support_radius)
+    assert len(f.centers) == k
+    fwd = X + dense_perturbation(f, X)
+    assert np.array_equal(f.fwd(X), fwd)
+    assert np.array_equal(f(X), sp.normalize(fwd))
+    assert np.array_equal(f.jacobian(X), dense_jacobian(f, X))
+    Y = f(X)
+    assert np.array_equal(f.invert(Y), dense_invert(f, Y))
+    # leading axes: a (2, n, d) stack and a single point
+    X2 = X[: 2 * (len(X) // 2)].reshape(2, -1, 2)
+    assert np.array_equal(f(X2), f(X2.reshape(-1, 2)).reshape(X2.shape))
+    assert np.array_equal(f.jacobian(X2),
+                          f.jacobian(X2.reshape(-1, 2)).reshape(X2.shape + (2,)))
+    assert np.array_equal(f.invert(Y[:2].reshape(1, 2, 2)), f.invert(Y[:2])[None])
+    assert np.array_equal(f(X[0]), f(X[:1])[0])
+    assert np.array_equal(f.jacobian(X[0]), f.jacobian(X[:1])[0])
+
+
 # --- adjusted points --------------------------------------------------------
 
 def test_adjusted_points_m0_is_anchor():

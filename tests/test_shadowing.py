@@ -429,6 +429,14 @@ def test_uniqueness_counts_unconverged_trials():
     assert v.unconverged == v.trials == 5
 
 
+@pytest.mark.parametrize("n_links", [0, 1, 2, 3, 4, 5, 400])
+def test_uniqueness_margin_is_a_quarter_of_the_links_capped_at_40(n_links):
+    chain = gen_pseudo_orbit(CAT, SIG0, [0.38, 0.59], 1e-3, n_links, seed=2)
+    assert chain.n_links == n_links
+    v = check_uniqueness(CAT, SIG0, chain, eps=0.2, trials=3, seed=2)
+    assert v.margin == min(n_links // 4, 40)
+
+
 def test_uniqueness_trials_match_one_newton_solve_each():
     T = build_torus_example()
     sig = SymbolSequence.random(2, 80, 5)

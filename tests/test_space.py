@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ifsshadow import (AntipodalError, DimensionError, MetricGrid, Space,
                        ball_sample, default_resolution, lattice_samples)
+from ifsshadow.space import _norms
 
 
 def test_wraparound_distance():
@@ -135,3 +139,78 @@ def test_lattice_samples_cover_the_torus():
     probe = MetricGrid(sp, 120).points
     cover = np.max(np.min(sp.dist(probe[:, None, :], pts[None, :, :]), axis=1))
     assert cover <= 0.05
+
+
+# --- metric kernel properties -----------------------------------------------
+
+def ref_displacement(sp, p, q):
+    if not sp.periodic:
+        return q - p
+    r = (q - p) - np.floor(q - p)
+    return np.where(r > 0.5, r - 1.0, r)
+
+
+def ref_norms(v):
+    return np.sqrt(np.sum(v * v, axis=-1))
+
+
+# exact halves, integers, signed zeros and offsets of 1e-20 next to plain floats
+COORDS = st.one_of(
+    st.floats(-3.0, 3.0, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.75, 1.0, -1.0, 2.0, -0.5, 1.5,
+                     1e-20, -1e-20, 0.5 + 1e-20, 1.0 - 1e-20]))
+
+# (shape of p, shape of q) given n, k and d
+SHAPES = {
+    "rows": lambda n, k, d: ((n, d), (n, d)),
+    "outer": lambda n, k, d: ((n, 1, d), (k, d)),
+    "one-to-many": lambda n, k, d: ((d,), (n, d)),
+    "points": lambda n, k, d: ((d,), (d,)),
+}
+
+
+@st.composite
+def point_pairs(draw):
+    d = draw(st.integers(1, 9))
+    sp = Space(d, periodic=draw(st.booleans()))
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    p_shape, q_shape = SHAPES[draw(st.sampled_from(sorted(SHAPES)))](n, k, d)
+    p = draw(hnp.arrays(float, p_shape, elements=COORDS))
+    q = draw(hnp.arrays(float, q_shape, elements=COORDS))
+    return sp, p, q
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=point_pairs())
+def test_displacement_and_dist_equal_the_written_out_formulas(case):
+    sp, p, q = case
+    v = ref_displacement(sp, p, q)
+    assert np.array_equal(sp.displacement(p, q), v)
+    assert np.array_equal(sp.dist(p, q), ref_norms(v))
+    assert np.array_equal(_norms(v), ref_norms(v))
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=point_pairs())
+def test_torus_displacement_is_shortest_and_consistent(case):
+    sp, p, q = case
+    sp = Space(sp.dim)
+    v = sp.displacement(p, q)
+    assert np.all((v > -0.5) & (v <= 0.5))
+    dist = sp.dist(p, q)
+    assert np.all((dist >= 0.0) & (dist <= sp.diameter()))
+    p, q = sp.normalize(p), sp.normalize(q)
+    back = sp.dist(sp.normalize(p + sp.displacement(p, q)), q)
+    assert np.all(back <= 1e-15)
+
+
+@settings(deadline=None, max_examples=200)
+@given(v=hnp.arrays(float, hnp.array_shapes(min_dims=1, max_dims=3, max_side=9),
+                    elements=COORDS),
+       layout=st.sampled_from(["C", "F", "strided"]))
+def test_norms_equal_the_sum_of_squares_in_any_layout(v, layout):
+    if layout == "F":
+        v = np.asfortranarray(v)
+    elif layout == "strided":
+        v = np.repeat(v, 2, axis=-1)[..., ::2]
+    assert np.array_equal(_norms(v), ref_norms(v))
