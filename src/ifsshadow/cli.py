@@ -18,8 +18,8 @@ import sys
 import numpy as np
 
 from . import io as ifsio
-from .core import (dist_D0, dist_D1, gen_pseudo_orbit, rho0, rho1,
-                   validate_chain)
+from .core import (SymbolSequence, dist_D0, dist_D1, gen_pseudo_orbit, rho0,
+                   rho1, validate_chain)
 from .expansive import estimate_expansive_const, estimate_N_of_mu, separation_time
 from .maps import InversionError, identity_map
 from .perturb import (CoverageError, SupportError, build_semiconj,
@@ -49,8 +49,12 @@ def _default_threads() -> int:
 
 
 def _emit(args, result: dict, files: dict | None = None) -> None:
-    """Write the primary JSON (plus auxiliary files) and echo it to stdout."""
-    text = ifsio.dump_json(result)
+    """Write the primary JSON (plus auxiliary files) and echo it to stdout.
+
+    The JSON is `result` plus the command name and its config echo.
+    """
+    text = ifsio.dump_json({"command": args.command, "config": _config(args),
+                            **result})
     sys.stdout.write(text)
     if args.out:
         ifsio.atomic_write_text(f"{args.out}.json", text)
@@ -65,10 +69,16 @@ def _parse_point(text: str) -> np.ndarray:
     return np.array([float(c) for c in text.split(",")])
 
 
-def _x0(args, F):
-    if args.x0:
-        return _parse_point(args.x0)
-    return np.random.default_rng(args.seed).random(F.space.dim)
+def _chain(args, noise: str):
+    """The system and the seeded pseudo-orbit named by the chain options; with
+    no --sigma the schedule is random over the family, seeded by --seed."""
+    F = ifsio.load_system(args.system)
+    sigma = (ifsio.parse_sigma(args.sigma) if args.sigma
+             else SymbolSequence.random(len(F), args.len, args.seed))
+    x0 = (_parse_point(args.x0) if args.x0
+          else np.random.default_rng(args.seed).random(F.space.dim))
+    return F, gen_pseudo_orbit(F, sigma, x0, args.delta, args.len, noise=noise,
+                               seed=args.seed)
 
 
 def _config(args, skip=("out", "func", "threads")) -> dict:
@@ -77,14 +87,9 @@ def _config(args, skip=("out", "func", "threads")) -> dict:
 
 
 def cmd_generate(args) -> int:
-    F = ifsio.load_system(args.system)
-    sigma = ifsio.parse_sigma(args.sigma)
-    chain = gen_pseudo_orbit(F, sigma, _x0(args, F), args.delta, args.len,
-                             noise=args.noise, seed=args.seed)
+    F, chain = _chain(args, args.noise)
     v = validate_chain(F, chain)
     result = {
-        "command": "generate",
-        "config": _config(args),
         "delta_recorded": chain.delta,
         "measured_residual": v.max_residual,
         "n_points": len(chain),
@@ -102,15 +107,9 @@ _SOLVERS = {
 
 
 def cmd_shadow(args) -> int:
-    F = ifsio.load_system(args.system)
-    sigma = (ifsio.parse_sigma(args.sigma) if args.sigma
-             else ifsio.parse_sigma(f"random:{len(F)},{args.len},{args.seed}"))
-    chain = gen_pseudo_orbit(F, sigma, _x0(args, F), args.delta, args.len,
-                             noise=args.noise, seed=args.seed)
+    F, chain = _chain(args, args.noise)
     r = _SOLVERS[args.solver](F, chain)
     result = {
-        "command": "shadow",
-        "config": _config(args),
         "solver": r.solver,
         "sup_dist": r.sup_dist,
         "residual": r.residual,
@@ -129,8 +128,6 @@ def cmd_verify(args) -> int:
     y = ifsio.read_chain(args.shadow)
     v = verify_shadowing(F, xi, y, args.eps, args.tol)
     result = {
-        "command": "verify",
-        "config": _config(args),
         "ok": v.ok,
         "is_exact": v.is_exact,
         "exact_residual": v.exact_residual,
@@ -148,8 +145,7 @@ def cmd_expansive(args) -> int:
     rep = estimate_expansive_const(
         F, sigma, grid_for(F.space, args.grid), pair_tolerance=args.pair_tol,
         n_cap=args.ncap, delta_grid=deltas, n_pairs=args.pairs, seed=args.seed)
-    result = {"command": "expansive", "config": _config(args), **rep.to_dict()}
-    _emit(args, result)
+    _emit(args, rep.to_dict())
     return 0
 
 
@@ -164,8 +160,6 @@ def cmd_septime(args) -> int:
                                 grid_for(F.space, args.grid),
                                 n_cap=args.ncap, seed=args.seed)
     result = {
-        "command": "septime",
-        "config": _config(args),
         "separation_time": t,
         "N_of_mu": mu_n,
     }
@@ -174,16 +168,10 @@ def cmd_septime(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    F = ifsio.load_system(args.system)
-    sigma = (ifsio.parse_sigma(args.sigma) if args.sigma
-             else ifsio.parse_sigma(f"random:{len(F)},{args.len},{args.seed}"))
-    chain = gen_pseudo_orbit(F, sigma, _x0(args, F), args.delta, args.len,
-                             seed=args.seed)
+    F, chain = _chain(args, "uniform-ball")
     res = perturbed_ifs(F, chain, m=args.m, Delta=args.Delta,
                         grid_resolution=args.grid or 64, seed=args.seed)
     result = {
-        "command": "perturb",
-        "config": _config(args),
         "matched_D0": res.matched_d0,
         "delta_max": res.delta_max,
         "exact_residual": res.exact_residual,
@@ -218,8 +206,6 @@ def cmd_movepoints(args) -> int:
     roundtrip = float(np.max(space.dist(f.invert(f(X)), X)))
     r0 = rho0(f, identity_map(space), grid)
     result = {
-        "command": "movepoints",
-        "config": _config(args),
         "rho0_to_identity": r0,
         "interpolation_error": interp,
         "roundtrip_error": roundtrip,
@@ -237,25 +223,20 @@ def cmd_semiconj(args) -> int:
     samples = lattice_samples(args.samples, F.space.dim)
     sc = build_semiconj(F, G, sigma, eps=args.eps, samples=samples, K=args.K)
     conj = semiconj_residual(F, G, sigma, sc, K=args.K)
-    rows = ["i," + ",".join(f"x{j}" for j in range(F.space.dim)) + ","
-            + ",".join(f"hx{j}" for j in range(F.space.dim)) + ",max_residual"]
-    for i in range(sc.samples.shape[0]):
-        rows.append(",".join(
-            [str(i)]
-            + [repr(float(c)) for c in sc.samples[i]]
-            + [repr(float(c)) for c in sc.images[i]]
-            + [repr(float(np.max(sc.residuals[i])))]
-        ))
+    d = F.space.dim
+    table = ifsio.csv_text(
+        ["i"] + [f"x{j}" for j in range(d)] + [f"hx{j}" for j in range(d)]
+        + ["max_residual"],
+        ([i, *x, *hx, r] for i, (x, hx, r) in enumerate(
+            zip(sc.samples, sc.images, np.max(sc.residuals, axis=1)))))
     result = {
-        "command": "semiconj",
-        "config": _config(args),
         "max_residual": sc.max_residual,
         "max_image_dist": sc.max_image_dist(F.space),
         "conjugation_residual": conj,
         "n_flagged": len(sc.flagged),
         "max_chain_delta": float(np.max(sc.chain_delta)),
     }
-    _emit(args, result, {"_table.csv": "\n".join(rows) + "\n"})
+    _emit(args, result, {"_table.csv": table})
     return 0
 
 
@@ -267,15 +248,14 @@ def cmd_cover(args) -> int:
     rep = check_ball_cover(Fi, args.eps, args.delta, args.centers, args.probes,
                            seed=args.seed, threads=args.threads)
     d = Fi.space.dim
-    rows = ([",".join([f"X{j}" for j in range(d)] + [f"Z{j}" for j in range(d)]
-                      + ["preimage_dist", "epsilon"])]
-            + [",".join([repr(float(c)) for c in x] + [repr(float(c)) for c in z]
-                        + [repr(dd), repr(args.eps)])
-               for x, z, dd in rep.violations])
-    result = {"command": "cover", "config": _config(args), **rep.to_dict()}
+    table = ifsio.csv_text(
+        [f"X{j}" for j in range(d)] + [f"Z{j}" for j in range(d)]
+        + ["preimage_dist", "epsilon"],
+        ([*x, *z, dd, args.eps] for x, z, dd in rep.violations))
+    result = rep.to_dict()
     del result["violations"]
     result["recorded_violations"] = len(rep.violations)
-    _emit(args, result, {"_violations.csv": "\n".join(rows) + "\n"})
+    _emit(args, result, {"_violations.csv": table})
     return 0
 
 
@@ -290,8 +270,6 @@ def cmd_metrics(args) -> int:
         fn = dist_D0 if args.metric == "D0" else dist_D1
         value = fn(F, G, grid, mode=args.mode)
     result = {
-        "command": "metrics",
-        "config": _config(args),
         "metric": args.metric,
         "mode": args.mode,
         "grid_resolution": grid.resolution,
@@ -317,23 +295,22 @@ def build_parser() -> argparse.ArgumentParser:
         if out:
             sp.add_argument("--out", help="output path prefix")
 
+    def chain_options(sp, sigma_required=False, noise=True):
+        sp.add_argument("--system", required=True)
+        sp.add_argument("--sigma", required=sigma_required)
+        sp.add_argument("--x0")
+        sp.add_argument("--delta", type=float, required=True)
+        sp.add_argument("--len", type=int, required=True)
+        if noise:
+            sp.add_argument("--noise", default="uniform-ball")
+
     sp = sub.add_parser("generate", help="emit a seeded pseudo-orbit")
-    sp.add_argument("--system", required=True)
-    sp.add_argument("--sigma", required=True)
-    sp.add_argument("--x0")
-    sp.add_argument("--delta", type=float, required=True)
-    sp.add_argument("--len", type=int, required=True)
-    sp.add_argument("--noise", default="uniform-ball")
+    chain_options(sp, sigma_required=True)
     common(sp)
     sp.set_defaults(func=cmd_generate)
 
     sp = sub.add_parser("shadow", help="generate a pseudo-orbit and shadow it")
-    sp.add_argument("--system", required=True)
-    sp.add_argument("--sigma")
-    sp.add_argument("--x0")
-    sp.add_argument("--delta", type=float, required=True)
-    sp.add_argument("--len", type=int, required=True)
-    sp.add_argument("--noise", default="uniform-ball")
+    chain_options(sp)
     sp.add_argument("--solver", choices=sorted(_SOLVERS), default="auto")
     common(sp)
     sp.set_defaults(func=cmd_shadow)
@@ -371,11 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_septime)
 
     sp = sub.add_parser("perturb", help="perturbed family through adjusted points")
-    sp.add_argument("--system", required=True)
-    sp.add_argument("--sigma")
-    sp.add_argument("--x0")
-    sp.add_argument("--delta", type=float, required=True)
-    sp.add_argument("--len", type=int, required=True)
+    chain_options(sp, noise=False)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--Delta", type=float, required=True)
     sp.add_argument("--grid", type=int)

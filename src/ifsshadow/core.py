@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .maps import SmoothMap
-from .space import MetricGrid, Space, _as_points, ball_sample
+from .space import MetricGrid, Space, _as_points, _norms, ball_sample
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class IFS:
         """Images f_{symbols[i]}(X[i]), one map call per distinct symbol."""
         X = np.asarray(X, dtype=float)
         out = np.empty_like(X)
-        for s, idx in _symbol_groups(symbols):
+        for s, idx in self._symbol_groups(symbols):
             out[idx] = self.maps[s](X[idx])
         return out
 
@@ -54,15 +54,25 @@ class IFS:
         """Jacobians Df_{symbols[i]}(X[i]), one map call per distinct symbol."""
         X = np.asarray(X, dtype=float)
         out = np.empty(X.shape + X.shape[-1:])
-        for s, idx in _symbol_groups(symbols):
+        for s, idx in self._symbol_groups(symbols):
             out[idx] = self.maps[s].jacobian(X[idx])
         return out
 
+    def _symbol_groups(self, symbols) -> Iterator[tuple[int, np.ndarray]]:
+        symbols = np.asarray(symbols)
+        for s in _in_family(self, np.unique(symbols)):
+            yield int(s), np.nonzero(symbols == s)[0]
 
-def _symbol_groups(symbols) -> Iterator[tuple[int, np.ndarray]]:
-    symbols = np.asarray(symbols)
-    for s in np.unique(symbols):
-        yield int(s), np.nonzero(symbols == s)[0]
+
+def _in_family(F: IFS, symbols: np.ndarray) -> np.ndarray:
+    """`symbols`, after checking that each one indexes a map of F; raises
+    ValueError naming a symbol outside the family."""
+    if symbols.size:
+        lo, hi = int(np.min(symbols)), int(np.max(symbols))
+        if lo < 0 or hi >= len(F):
+            raise ValueError(f"symbol {lo if lo < 0 else hi} is outside the "
+                             f"family of {len(F)} maps (symbols 0..{len(F) - 1})")
+    return symbols
 
 
 def make_ifs(maps: Iterable[SmoothMap]) -> IFS:
@@ -95,6 +105,9 @@ class SymbolSequence:
                 ) from None
         elif kind != "periodic":
             raise ValueError(f"unknown extension rule {self.extension!r}")
+        if min(self.window) < 0 or (kind == "constant" and int(value) < 0):
+            raise ValueError(f"symbols must be >= 0, got window {self.window} "
+                             f"and extension {self.extension!r}")
 
     @classmethod
     def constant(cls, symbol: int) -> "SymbolSequence":
@@ -188,23 +201,25 @@ def orbit_steps(F: IFS, sigma: SymbolSequence, x, k: int) -> Iterator[np.ndarray
     values of SmoothMap.__call__; a negative k steps back through the
     inverses f_{s(-1)}^{-1}, f_{s(-2)}^{-1}, ... and raises ValueError,
     before yielding anything, when a map is not invertible.  The schedule is
-    resolved with one ``symbols`` call.
+    resolved with one ``symbols`` call, checked against the family size
+    before anything is yielded.
     """
     if k < 0 and not F.invertible:
         raise ValueError("negative-step orbit map needs invertible maps")
+    symbols = _in_family(F, sigma.symbols(min(k, 0), max(k, 0)))
     space = F.space
     y = space.normalize(_as_points(space, x))
     yield y
     if k >= 0:
         fwds = [m.fwd for m in F.maps]
         periodic = space.periodic
-        for s in sigma.symbols(0, k).tolist():
+        for s in symbols.tolist():
             y = np.asarray(fwds[s](y), dtype=float)
             if periodic:
                 y = y - np.floor(y)
             yield y
     else:
-        for s in sigma.symbols(k, 0)[::-1].tolist():
+        for s in symbols[::-1].tolist():
             y = F.maps[s].invert(y)
             yield y
 
@@ -227,11 +242,19 @@ class ChainVerdict:
     worst_k: Optional[int]       # link with the largest residual, None for one point
 
 
+def _link_errors(F: IFS, symbols: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Displacements from f_{s(k)}(y_k) to y_{k+1} for chains Y (..., m+1, d)
+    on one schedule, batched over Y's leading axes; (..., m, d)."""
+    *lead, n, d = Y.shape
+    B = int(np.prod(lead))
+    images = F.step(np.tile(symbols, B), Y[..., :-1, :].reshape(-1, d))
+    return F.space.displacement(
+        images, Y[..., 1:, :].reshape(-1, d)).reshape(*lead, n - 1, d)
+
+
 def link_residuals(F: IFS, chain: ChainRecord) -> np.ndarray:
     """Per-link residuals dist(x_{k+1}, f_{sigma(k)}(x_k)), vectorized by symbol."""
-    pts = chain.points
-    images = F.step(chain.sigma.symbols(0, chain.n_links), pts[:-1])
-    return F.space.dist(images, pts[1:])
+    return _norms(_link_errors(F, chain.sigma.symbols(0, chain.n_links), chain.points))
 
 
 def validate_chain(F: IFS, chain: ChainRecord, tol: float = 1e-9) -> ChainVerdict:
@@ -241,9 +264,6 @@ def validate_chain(F: IFS, chain: ChainRecord, tol: float = 1e-9) -> ChainVerdic
     worst = int(np.argmax(res))
     worst_val = float(res[worst])
     return ChainVerdict(worst_val <= tol, worst_val, worst)
-
-
-NOISE_MODELS = ("uniform-ball", "round")
 
 
 def _parse_noise(noise: str) -> tuple[str, int]:
@@ -290,7 +310,7 @@ def gen_pseudo_orbit(
         errs = np.zeros((steps, d))
     fwds = [m.fwd for m in F.maps]
     periodic = space.periodic
-    for k, s in enumerate(sigma.symbols(0, steps).tolist()):
+    for k, s in enumerate(_in_family(F, sigma.symbols(0, steps)).tolist()):
         y = np.asarray(fwds[s](pts[k]), dtype=float)
         if periodic:
             y = y - np.floor(y)

@@ -138,7 +138,7 @@ def estimate_expansive_const(
     max_recorded = 16                  # violating pairs kept (all are counted)
     X, Y = _sample_pairs(F, grid, pair_tolerance, n_pairs, seed)
     deltas = sorted(set(float(d) for d in delta_grid), reverse=True)
-    if X.shape[0] == 0:
+    if X.shape[0] == 0 or not deltas:
         return ExpansivenessReport(sigma, None, n_cap, pair_tolerance,
                                    tuple(DeltaVerdict(d, False, 0) for d in deltas),
                                    (), "inconclusive")

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ChainRecord, IFS, SymbolSequence, make_ifs
-from .maps import affine_map
+from .maps import SmoothMap, affine_map
 from .space import Space
 from . import systems
 
@@ -45,22 +45,26 @@ def write_json(path, obj) -> None:
     atomic_write_text(path, dump_json(obj))
 
 
-def chain_to_csv_text(chain: ChainRecord) -> str:
-    d = chain.points.shape[1]
+def csv_text(header, rows) -> str:
+    """CSV, "\n" line ends; non-integers as repr(float(c)), read back exactly."""
     buf = _io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["k", "lambda"] + [f"x{i}" for i in range(d)])
-    lams = chain.sigma.symbols(0, chain.n_links).tolist() + [-1]
-    for k, lam in enumerate(lams):
-        w.writerow([k, lam] + [repr(float(c)) for c in chain.points[k]])
+    w.writerow(header)
+    w.writerows([c if isinstance(c, int) else repr(float(c)) for c in r] for r in rows)
     return buf.getvalue()
+
+
+def chain_to_csv_text(chain: ChainRecord) -> str:
+    lams = chain.sigma.symbols(0, chain.n_links).tolist() + [-1]
+    return csv_text(["k", "lambda"] + [f"x{i}" for i in range(chain.points.shape[1])],
+                    ([k, lams[k], *x] for k, x in enumerate(chain.points.tolist())))
 
 
 def write_chain(path, chain: ChainRecord) -> None:
     atomic_write_text(path, chain_to_csv_text(chain))
 
 
-def read_chain(path, delta: float = 0.0, kind: str = "delta-chain") -> ChainRecord:
+def read_chain(path, delta: float = 0.0) -> ChainRecord:
     with open(path, newline="") as f:
         reader = csv.reader(f)
         rows = [(reader.line_num, row) for row in reader]
@@ -73,10 +77,9 @@ def read_chain(path, delta: float = 0.0, kind: str = "delta-chain") -> ChainReco
                              f"{d + 2} fields, got {len(row)}")
     pts = np.array([[float(c) for c in row[2: 2 + d]] for _, row in rows[1:]])
     syms = [int(row[1]) for _, row in rows[1:]]
-    window = tuple(s for s in syms[:-1]) if len(syms) > 1 else (max(syms[0], 0),)
-    sigma = SymbolSequence(window=window,
-                           extension=f"constant:{window[-1]}")
-    return ChainRecord(points=pts, sigma=sigma, delta=delta, kind=kind)
+    window = tuple(syms[:-1]) if len(syms) > 1 else (max(syms[0], 0),)
+    sigma = SymbolSequence(window, extension=f"constant:{window[-1]}")
+    return ChainRecord(points=pts, sigma=sigma, delta=delta)
 
 
 def read_sigma(path) -> SymbolSequence:
@@ -105,8 +108,6 @@ MAP_KINDS = ("affine", "cat", "torus_F1", "torus_F2", "rotation", "custom_poly")
 
 def _poly_map(space: Space, terms, label: str):
     """Polynomial map given per-output monomial terms {coef, powers}."""
-    from .maps import SmoothMap
-
     terms = [[(float(t["coef"]), np.asarray(t["powers"], dtype=int))
               for t in out_terms] for out_terms in terms]
     if len(terms) != space.dim:
@@ -149,12 +150,10 @@ def ifs_from_dict(spec: dict) -> IFS:
         label = mspec.get("label", f"{kind}_{i}")
         if kind == "affine":
             maps.append(affine_map(space, params["matrix"], params["offset"], label))
-        elif kind == "cat":
-            maps.append(systems.build_cat_ifs().maps[0])
-        elif kind == "torus_F1":
-            maps.append(systems.build_torus_f1().maps[0])
-        elif kind == "torus_F2":
-            maps.append(systems.build_torus_f2().maps[0])
+        elif kind in ("cat", "torus_F1", "torus_F2"):
+            maps.append(systems.build_system(kind).maps[0])
+            if maps[-1].space != space:
+                raise ValueError(f"map kind {kind!r} acts on {maps[-1].space}, not {space}")
         elif kind == "rotation":
             maps.append(affine_map(space, np.eye(space.dim), params["angles"], label))
         elif kind == "custom_poly":

@@ -87,8 +87,10 @@ def _newton_invert(m: SmoothMap, p: np.ndarray, tol: float, max_iter: int) -> np
     )
 
 
-def fd_jacobian(m: SmoothMap, x, h: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian, wrap-safe via shortest displacements."""
+def fd_jacobian(m: SmoothMap, x) -> np.ndarray:
+    """Central-difference Jacobian (step 1e-6), wrap-safe via shortest
+    displacements."""
+    h = 1e-6
     x = _as_points(m.space, x)
     d = m.space.dim
     cols = []

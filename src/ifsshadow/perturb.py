@@ -18,10 +18,10 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import (ChainRecord, IFS, SymbolSequence, link_residuals, make_ifs,
-                   orbit_steps, rho0, validate_chain)
+from .core import (ChainRecord, IFS, SymbolSequence, _link_errors, link_residuals,
+                   make_ifs, orbit_steps, rho0, validate_chain)
 from .maps import InversionError, SmoothMap, compose
-from .shadowing import _gauss_newton, _link_errors, _max_residual, lipschitz_estimate
+from .shadowing import _gauss_newton, _max_residual, lipschitz_estimate
 from .space import MetricGrid, Space, ball_sample, _as_points, _norms
 
 
@@ -248,9 +248,10 @@ def adjusted_points(F: IFS, chain: ChainRecord, m: int, eta: float,
     return ys
 
 
-def inverse_lipschitz_estimate(m: SmoothMap, n_samples: int = 512,
-                               seed: int = 0) -> float:
-    """Lipschitz estimate of the inverse map (uniform-continuity modulus)."""
+def inverse_lipschitz_estimate(m: SmoothMap, seed: int = 0) -> float:
+    """Lipschitz estimate of the inverse map (uniform-continuity modulus), from
+    512 sampled points."""
+    n_samples = 512
     if m.jac is not None:
         rng = np.random.default_rng(seed)
         X = m.space.uniform(rng, n_samples)
@@ -286,7 +287,6 @@ def perturbed_ifs(
     chain: ChainRecord,
     m: int,
     Delta: float,
-    sigma: SymbolSequence | None = None,
     grid_resolution: int = 64,
     seed: int = 0,
 ) -> PerturbedIFS:
@@ -302,9 +302,7 @@ def perturbed_ifs(
         raise ValueError("Delta must be positive")
     if F.space.dim < 2:
         raise ValueError("needs dim >= 2 (bump constructions)")
-    sigma = sigma or chain.sigma
-    if sigma is not chain.sigma:
-        chain = ChainRecord(chain.points, sigma, chain.delta, chain.kind)
+    sigma = chain.sigma
 
     l_inv = [inverse_lipschitz_estimate(f, seed=seed) for f in F.maps]
     delta0 = min([Delta / 2.0] + [0.95 * Delta / L for L in l_inv])

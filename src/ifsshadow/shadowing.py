@@ -33,7 +33,8 @@ import numpy as np
 from scipy.linalg.lapack import dpbsv
 from scipy.signal import lfilter
 
-from .core import ChainRecord, IFS, SymbolSequence, orbit_steps, validate_chain
+from .core import (ChainRecord, IFS, SymbolSequence, _link_errors, orbit_steps,
+                   validate_chain)
 from .maps import SmoothMap
 from .space import _norms, ball_sample
 
@@ -74,16 +75,16 @@ def _finish(F: IFS, chain: ChainRecord, ypts: np.ndarray, solver: str,
                         iterations=iterations, residual=residual)
 
 
-def lipschitz_estimate(m: SmoothMap, n_samples: int = 512, seed: int = 0) -> float:
+def lipschitz_estimate(m: SmoothMap) -> float:
     """Numerical Lipschitz estimate from Jacobian norms and sampled pair ratios.
 
-    The estimate is deterministic in (n_samples, seed), so it is memoised on
-    the map object and computed once per map and sample set.
+    The estimate uses 512 samples of a fixed seed, so it is memoised on the
+    map object and computed once per map.
     """
-    key = ("lipschitz", n_samples, seed)
-    if key in m._memo:
-        return m._memo[key]
-    rng = np.random.default_rng(seed)
+    if "lipschitz" in m._memo:
+        return m._memo["lipschitz"]
+    n_samples = 512
+    rng = np.random.default_rng(0)
     X = m.space.uniform(rng, n_samples)
     best = 0.0
     if m.jac is not None:
@@ -96,7 +97,7 @@ def lipschitz_estimate(m: SmoothMap, n_samples: int = 512, seed: int = 0) -> flo
         ratios = m.space.dist(m(X[ok]), m(Y[ok])) / dxy[ok]
         if ratios.size:
             best = max(best, float(np.max(ratios)))
-    m._memo[key] = best
+    m._memo["lipschitz"] = best
     return best
 
 
@@ -169,7 +170,8 @@ def shadow_linear_hyperbolic(A: SmoothMap, chain: ChainRecord) -> ShadowResult:
     """Minimal-correction exact orbit of a hyperbolic toral automorphism."""
     if A.matrix is None:
         raise NotHyperbolicError(f"map {A.label!r} is not a linear toral automorphism")
-    if np.any(chain.sigma.symbols(0, chain.n_links) != 0):
+    symbols = chain.sigma.symbols(0, chain.n_links)
+    if np.any(symbols != 0):
         raise NotHyperbolicError("the closed form needs symbol 0 on every link")
     F = IFS((A,))
     w, V = hyperbolic_splitting(A.matrix)
@@ -178,7 +180,7 @@ def shadow_linear_hyperbolic(A: SmoothMap, chain: ChainRecord) -> ShadowResult:
     if m == 0:
         return _finish(F, chain, pts.copy(), "linear-hyperbolic", 1)
     space = A.space
-    E = space.displacement(A(pts[:-1]), pts[1:])       # link errors, (m, d)
+    E = _link_errors(F, symbols, pts)                   # (m, d)
     Et = np.linalg.solve(V, E.T).T                      # eigen coordinates
 
     Wt = np.empty((m + 1, w.size), dtype=complex)
@@ -231,13 +233,6 @@ def _normal_solve(jacs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if info != 0:
         raise np.linalg.LinAlgError(f"banded Cholesky failed (LAPACK info {info})")
     return u.reshape(B, m, d)
-
-
-def _link_errors(F: IFS, symbols: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Displacements from f_{s(k)}(y_k) to y_{k+1} for a stack Y (B, m+1, d)."""
-    B, n, d = Y.shape
-    images = F.step(np.tile(symbols, B), Y[:, :-1].reshape(-1, d))
-    return F.space.displacement(images, Y[:, 1:].reshape(-1, d)).reshape(B, n - 1, d)
 
 
 def _max_residual(R: np.ndarray) -> np.ndarray:
@@ -324,8 +319,7 @@ def shadow_newton(
     )
 
 
-def shadow_auto(F: IFS, chain: ChainRecord, tol: float = 1e-10,
-                max_iter: int = 20) -> ShadowResult:
+def shadow_auto(F: IFS, chain: ChainRecord) -> ShadowResult:
     """First applicable solver: closed form for one hyperbolic automorphism,
     then contraction, then Gauss-Newton."""
     if len(F) == 1:
@@ -336,7 +330,7 @@ def shadow_auto(F: IFS, chain: ChainRecord, tol: float = 1e-10,
     try:
         return shadow_contraction(F, chain)
     except NotContractingError:
-        return shadow_newton(F, chain, tol=tol, max_iter=max_iter)
+        return shadow_newton(F, chain)
 
 
 @dataclass(frozen=True)
@@ -446,11 +440,12 @@ def check_uniqueness(
     starts = space.normalize(chain.points + noise.reshape(trials, n, space.dim))
     symbols = sigma.symbols(0, n - 1)
     best, res, _, _ = _gauss_newton(F, symbols, starts, tol, max_iter)
-    converged = best[res <= tol]
-    ok = ((_max_residual(_link_errors(F, symbols, converged)) <= 1e-9)
-          & (np.max(space.dist(chain.points, converged), axis=1) <= eps))
-    candidates = converged[ok]
-    unconverged = trials - len(converged)
+    converged = res <= tol
+    # res is the best iterate's largest link residual, measured by the solve
+    ok = converged & (res <= 1e-9)
+    ok[ok] = np.max(space.dist(chain.points, best[ok]), axis=1) <= eps
+    candidates = best[ok]
+    unconverged = trials - int(np.count_nonzero(converged))
     if not len(candidates):
         return UniquenessVerdict("inconclusive", 0, trials, np.inf, margin, eps,
                                  unconverged)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,43 @@ def test_sigma_symbols_match_lookup(window, constant, k_min, a, length):
     syms = s.symbols(a, a + length)
     assert syms.dtype.kind == "i"
     assert syms.tolist() == [s.lookup(k) for k in range(a, a + length)]
+
+
+@given(window=st.lists(st.integers(0, 5), min_size=1, max_size=8),
+       constant=st.one_of(st.none(), st.integers(0, 5)),
+       k_min=st.integers(-20, 20))
+def test_sigma_json_roundtrip_is_lossless(window, constant, k_min):
+    ext = "periodic" if constant is None else f"constant:{constant}"
+    s = SymbolSequence(tuple(window), ext, k_min)
+    assert SymbolSequence.from_dict(json.loads(json.dumps(s.to_dict()))) == s
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SymbolSequence.constant(-1),
+    lambda: SymbolSequence.periodic([0, -2]),
+    lambda: SymbolSequence((0, 1), "constant:-1"),
+])
+def test_sigma_rejects_negative_symbols(make):
+    with pytest.raises(ValueError, match="symbols must be >= 0"):
+        make()
+
+
+def test_schedule_outside_the_family_is_value_error():
+    two, x = build_torus_example(), np.full(4, 0.3)
+    with pytest.raises(ValueError, match="symbol 5 is outside the family of 2 maps"):
+        gen_pseudo_orbit(two, SymbolSequence.constant(5), x, 0.0, 3)
+    with pytest.raises(ValueError, match="symbol 5 is outside the family of 2 maps"):
+        next(orbit_steps(two, SymbolSequence.periodic([0, 5]), x, 3))
+    with pytest.raises(ValueError, match="symbol 5 is outside the family of 2 maps"):
+        orbit_map(two, SymbolSequence.periodic([5, 1]), -2, x)
+
+
+@pytest.mark.parametrize("symbols, bad", [([0, 5], 5), ([-1, 1], -1)])
+def test_ifs_step_checks_both_ends_of_the_symbols(symbols, bad):
+    two, X = build_torus_example(), np.full((2, 4), 0.3)
+    for call in (two.step, two.jacobians):
+        with pytest.raises(ValueError, match=f"symbol {bad} is outside the family"):
+            call(symbols, X)
 
 
 # --- orbit map ----------------------------------------------------------

@@ -159,3 +159,9 @@ def test_n_of_mu_monotone_in_mu_and_eta():
     ne = [estimate_N_of_mu(CAT, SIG0, eta=eta, mu=1e-3, grid=grid, seed=3)
           for eta in (0.05, 0.1, 0.2)]
     assert ne[0] <= ne[1] <= ne[2]
+
+
+def test_empty_delta_grid_is_inconclusive():
+    rep = estimate_expansive_const(CAT, SIG0, MetricGrid(CAT.space, 16), delta_grid=())
+    assert rep.verdict == "inconclusive"
+    assert rep.candidate_delta is None and rep.verdicts == ()

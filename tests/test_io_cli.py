@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from ifsshadow import SymbolSequence, gen_pseudo_orbit
+from ifsshadow import ChainRecord, SymbolSequence, gen_pseudo_orbit
 from ifsshadow import io as ifsio
 from ifsshadow.cli import main
 from ifsshadow.systems import build_cat_ifs
@@ -26,6 +29,24 @@ def test_chain_csv_roundtrip(tmp_path):
     assert np.array_equal(back.points, chain.points)
     assert [back.sigma.lookup(k) for k in range(25)] == \
            [chain.sigma.lookup(k) for k in range(25)]
+
+
+@settings(deadline=None)
+@given(window=st.lists(st.integers(0, 5), min_size=1, max_size=8),
+       constant=st.one_of(st.none(), st.integers(0, 5)),
+       k_min=st.integers(-20, 20),
+       points=hnp.arrays(float, st.tuples(st.integers(1, 12), st.integers(1, 4)),
+                         elements=st.floats(allow_nan=False)))
+def test_chain_csv_roundtrip_is_lossless(window, constant, k_min, points,
+                                         tmp_path_factory):
+    ext = "periodic" if constant is None else f"constant:{constant}"
+    chain = ChainRecord(points, SymbolSequence(tuple(window), ext, k_min))
+    path = tmp_path_factory.getbasetemp() / "roundtrip.csv"
+    ifsio.write_chain(path, chain)
+    back = ifsio.read_chain(path)
+    assert np.array_equal(back.points.view(np.uint64), points.view(np.uint64))
+    assert np.array_equal(back.sigma.symbols(0, chain.n_links),
+                          chain.sigma.symbols(0, chain.n_links))
 
 
 def test_sigma_file_and_inline_specs(tmp_path):
@@ -82,6 +103,14 @@ def test_custom_poly_map():
 def test_unknown_map_kind():
     with pytest.raises(ValueError, match="kind"):
         ifsio.ifs_from_dict({"space": {"dim": 1}, "maps": [{"kind": "henon"}]})
+
+
+@pytest.mark.parametrize("space, kind", [
+    ({"dim": 3}, "cat"), ({"dim": 2, "periodic": False}, "cat"),
+    ({"dim": 2}, "torus_F1")])
+def test_catalog_kind_on_another_space_is_rejected(space, kind):
+    with pytest.raises(ValueError, match=f"map kind '{kind}' acts on Space"):
+        ifsio.ifs_from_dict({"space": space, "maps": [{"kind": kind}]})
 
 
 def test_load_system_from_file(tmp_path):
@@ -211,6 +240,22 @@ def test_cli_exit_codes(tmp_path):
     assert run_cli("shadow", "--system", "cat", "--sigma", "constant:0",
                    "--delta", "0.001", "--len", "10", "--solver",
                    "contraction") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--system", "torus_example", "--sigma", "constant:5"],
+     "symbol 5 is outside the family of 2 maps"),
+    (["shadow", "--system", "cat", "--sigma", "periodic:0,1"],
+     "symbol 1 is outside the family of 1 maps"),
+    (["generate", "--system", "cat", "--sigma", "constant:-1"],
+     "symbols must be >= 0"),
+    (["shadow", "--system", "cat", "--sigma", "periodic:0,-2"],
+     "symbols must be >= 0")])
+def test_cli_symbol_outside_the_family_is_config_error(argv, message, capsys):
+    assert run_cli(*argv, "--delta", "0.001", "--len", "10") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert message in err
 
 
 @pytest.mark.parametrize("index", ["3", "-1"])

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifsshadow import (InversionError, SmoothMap, Space, affine_map, compose,
-                       fd_jacobian, identity_map)
+                       fd_jacobian, identity_map, move_points_diffeo)
 from ifsshadow.systems import CAT_MATRIX, build_cat_ifs, build_torus_f1
 
 
@@ -89,3 +91,27 @@ def test_affine_matrix_metadata():
     assert np.array_equal(rot.matrix, np.eye(2, dtype=int))
     contr = affine_map(Space(1, periodic=False), [[0.5]], [0.0])
     assert contr.matrix is None
+
+
+def torus2_maps():
+    """Invertible maps of T^2: rotations, automorphisms and small bumps."""
+    T2 = Space(2)
+    coord = st.floats(0.0, 1.0)
+    rotations = st.tuples(coord, coord).map(
+        lambda b: affine_map(T2, np.eye(2), b, "rot"))
+    automorphisms = st.sampled_from([[[1, 1], [0, 1]], [[2, 1], [1, 1]],
+                                     [[1, 0], [3, 1]]]).map(
+        lambda A: affine_map(T2, A, np.zeros(2), "aut"))
+    bumps = st.tuples(coord, coord, st.floats(-0.02, 0.02),
+                      st.floats(-0.02, 0.02)).map(
+        lambda t: move_points_diffeo([(np.array(t[:2]), np.array(t[:2]) + t[2:])],
+                                     delta=0.05))
+    return st.one_of(rotations, automorphisms, bumps)
+
+
+@settings(deadline=None, max_examples=60)
+@given(outer=torus2_maps(), inner=torus2_maps(), seed=st.integers(0, 2 ** 16))
+def test_compose_then_inverse_is_identity(outer, inner, seed):
+    g = compose(outer, inner)
+    X = g.space.uniform(np.random.default_rng(seed), 64)
+    assert np.max(g.space.dist(g.invert(g(X)), X)) <= 1e-10
