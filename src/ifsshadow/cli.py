@@ -41,10 +41,13 @@ def _default_threads() -> int:
     env = os.environ.get("IFSSHADOW_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
             raise ValueError(
                 f"IFSSHADOW_THREADS must be an integer, got {env!r}") from None
+        if threads < 1:
+            raise ValueError(f"IFSSHADOW_THREADS must be >= 1, got {threads}")
+        return threads
     return os.cpu_count() or 1
 
 
@@ -170,7 +173,7 @@ def cmd_septime(args) -> int:
 def cmd_perturb(args) -> int:
     F, chain = _chain(args, "uniform-ball")
     res = perturbed_ifs(F, chain, m=args.m, Delta=args.Delta,
-                        grid_resolution=args.grid or 64, seed=args.seed)
+                        grid_resolution=args.grid, seed=args.seed)
     result = {
         "matched_D0": res.matched_d0,
         "delta_max": res.delta_max,
@@ -286,14 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Systems: " + "; ".join(f"{e.name} - {e.doc}" for e in CATALOG.values()),
     )
     p.add_argument("--threads", type=int, default=_default_threads(),
-                   help="worker threads for the cover command "
+                   help="worker threads for the cover command, >= 1 "
                         "(default: IFSSHADOW_THREADS or cores)")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, out=True):
+    def common(sp):
         sp.add_argument("--seed", type=int, default=0)
-        if out:
-            sp.add_argument("--out", help="output path prefix")
+        sp.add_argument("--out", help="output path prefix")
 
     def chain_options(sp, sigma_required=False, noise=True):
         sp.add_argument("--system", required=True)

@@ -121,7 +121,7 @@ class SymbolSequence:
     def random(cls, n_symbols: int, length: int, seed: int) -> "SymbolSequence":
         rng = np.random.default_rng(seed)
         w = rng.integers(0, n_symbols, size=length)
-        return cls(window=tuple(int(s) for s in w), extension="periodic")
+        return cls(window=tuple(w.tolist()), extension="periodic")
 
     def lookup(self, k: int) -> int:
         i = k - self.k_min

@@ -13,6 +13,7 @@ import io as _io
 import json
 import os
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -139,7 +140,10 @@ def _poly_map(space: Space, terms, label: str):
 
 def ifs_from_dict(spec: dict) -> IFS:
     """Build an IFS from the definition-JSON schema:
-    {"space": {"dim": d, "periodic": bool?}, "maps": [{"kind": ..., "params": ...}]}.
+    {"space": {"dim": d, "periodic": bool?},
+     "maps": [{"kind": ..., "params": ..., "label": ...?}]}.
+    Without a label, a catalog kind keeps its catalog name and any other kind
+    is named f"{kind}_{i}".
     """
     sp = spec["space"]
     space = Space(int(sp["dim"]), bool(sp.get("periodic", True)))
@@ -151,9 +155,10 @@ def ifs_from_dict(spec: dict) -> IFS:
         if kind == "affine":
             maps.append(affine_map(space, params["matrix"], params["offset"], label))
         elif kind in ("cat", "torus_F1", "torus_F2"):
-            maps.append(systems.build_system(kind).maps[0])
-            if maps[-1].space != space:
-                raise ValueError(f"map kind {kind!r} acts on {maps[-1].space}, not {space}")
+            f = systems.build_system(kind).maps[0]
+            if f.space != space:
+                raise ValueError(f"map kind {kind!r} acts on {f.space}, not {space}")
+            maps.append(replace(f, label=label) if "label" in mspec else f)
         elif kind == "rotation":
             maps.append(affine_map(space, np.eye(space.dim), params["angles"], label))
         elif kind == "custom_poly":

@@ -13,15 +13,15 @@ from typing import Callable
 import numpy as np
 
 from .core import IFS, make_ifs
-from .maps import SmoothMap, affine_map, fd_jacobian, identity_map
+from .maps import SmoothMap, affine_map, compose, fd_jacobian, identity_map
+from .perturb import move_points_diffeo
 from .space import Space
 
 CAT_MATRIX = np.array([[2, 1], [1, 1]])
 
 
-def _self_check(F: IFS, n: int = 64, seed: int = 12345) -> IFS:
-    rng = np.random.default_rng(seed)
-    X = F.space.uniform(rng, n)
+def _self_check(F: IFS) -> IFS:
+    X = F.space.uniform(np.random.default_rng(12345), 64)
     for m in F.maps:
         if m.invertible:
             back = m.invert(m(X))
@@ -153,9 +153,6 @@ def build_bumped_cat_ifs(d0_target: float = 1e-3) -> IFS:
     stretch of the cat map caps the pullback discrepancy), so the matched
     distance to the plain cat map measures just under d0_target.
     """
-    from .perturb import move_points_diffeo
-    from .maps import compose
-
     lam_u = float(np.max(np.abs(np.linalg.eigvals(CAT_MATRIX.astype(float)))))
     disp = 0.95 * d0_target / lam_u
     p = np.array([0.37, 0.61])

@@ -54,6 +54,7 @@ def test_sigma_file_and_inline_specs(tmp_path):
     p = tmp_path / "sigma.json"
     ifsio.write_json(p, s.to_dict())
     assert ifsio.read_sigma(p) == s
+    assert ifsio.parse_sigma(f"@{p}") == s
     assert ifsio.parse_sigma("constant:2").lookup(100) == 2
     assert ifsio.parse_sigma("periodic:0,1").lookup(3) == 1
     r = ifsio.parse_sigma("random:2,10,5")
@@ -98,6 +99,17 @@ def test_custom_poly_map():
     from ifsshadow import fd_jacobian
     X = np.random.default_rng(0).random((50, 2))
     assert np.max(np.abs(F.maps[0].jacobian(X) - fd_jacobian(F.maps[0], X))) < 1e-4
+
+
+def test_catalog_kind_keeps_a_given_label():
+    spec = {"space": {"dim": 2}, "maps": [{"kind": "cat", "label": "mycat"},
+                                          {"kind": "cat"}]}
+    F = ifsio.ifs_from_dict(spec)
+    assert [f.label for f in F.maps] == ["mycat", "cat"]
+    x = np.array([[0.25, 0.5], [0.7, 0.1]])
+    assert np.array_equal(F.maps[0](x), CAT.maps[0](x))
+    assert np.array_equal(F.maps[0].invert(x), CAT.maps[0].invert(x))
+    assert F.maps[0].matrix is not None
 
 
 def test_unknown_map_kind():
@@ -330,6 +342,43 @@ def test_cli_bad_thread_setting_is_config_error(monkeypatch, capsys):
                    "--metric", "rho0", "--grid", "16") == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "IFSSHADOW_THREADS" in err
+
+
+def test_cli_zero_threads_is_config_error(monkeypatch, capsys):
+    cover = ["cover", "--system", "cat", "--eps", "0.05", "--delta", "0.05",
+             "--centers", "4", "--probes", "4"]
+    assert run_cli("--threads", "0", *cover) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert "threads must be >= 1, got 0" in err
+
+    monkeypatch.setenv("IFSSHADOW_THREADS", "0")
+    assert run_cli(*cover) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert "IFSSHADOW_THREADS must be >= 1, got 0" in err
+
+
+def test_cli_shadow_reads_a_schedule_file(tmp_path):
+    p = tmp_path / "sigma.json"
+    ifsio.write_json(p, SymbolSequence.periodic([0, 1]).to_dict())
+    argv = ["shadow", "--system", "contraction:0.5", "--delta", "0.01",
+            "--len", "20", "--seed", "3"]
+    assert run_cli(*argv, "--sigma", f"@{p}", "--out", str(tmp_path / "f")) == 0
+    assert run_cli(*argv, "--sigma", "periodic:0,1", "--out", str(tmp_path / "i")) == 0
+    assert (tmp_path / "f_shadow.csv").read_bytes() == \
+           (tmp_path / "i_shadow.csv").read_bytes()
+    assert json.loads((tmp_path / "f.json").read_text())["config"]["sigma"] == f"@{p}"
+
+
+def test_cli_perturb_grid_default_follows_the_dimension(tmp_path):
+    # m = 0 composes no member, so the 24^4 grid of T^4 is never filled
+    assert run_cli("perturb", "--system", "torus_example", "--sigma", "periodic:0,1",
+                   "--delta", "1e-6", "--len", "10", "--m", "0", "--Delta", "0.05",
+                   "--out", str(tmp_path / "p")) == 0
+    rep = json.loads((tmp_path / "p.json").read_text())
+    assert rep["grid_resolution"] == 24 and "grid" not in rep["config"]
+    assert rep["n_maps"] == 2
 
 
 def test_cli_determinism_byte_identical(tmp_path):

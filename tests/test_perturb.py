@@ -14,7 +14,7 @@ from ifsshadow import (CoverageError, InversionError, MetricGrid, SmoothMap,
                        lattice_samples, make_ifs, move_points_diffeo,
                        perturbed_ifs, rho0, semiconj_residual, shadow_newton,
                        validate_chain)
-from ifsshadow import shadowing
+from ifsshadow import perturb, shadowing
 from ifsshadow.core import IFS, ChainRecord
 from ifsshadow.maps import affine_map, compose
 from ifsshadow.perturb import (MAX_ABS_PROFILE_DERIV, _nearest_samples,
@@ -59,6 +59,8 @@ def test_empty_pair_list_is_identity():
     f = move_points_diffeo([], 0.01, space=SP2)
     grid = MetricGrid(SP2, 64)
     assert rho0(f, identity_map(SP2), grid) == 0.0
+    with pytest.raises(ValueError, match="explicit space"):
+        move_points_diffeo([], 0.01)
 
 
 def test_single_pair_interpolation_and_rho0():
@@ -325,6 +327,47 @@ def test_perturbed_ifs_contraction_family():
     assert res.max_point_dist < 0.02
 
 
+def test_perturbed_ifs_two_map_family_members():
+    sp = Space(2, periodic=False)
+    F = make_ifs([affine_map(sp, 0.5 * np.eye(2), [0.0, 0.0], "c0"),
+                  affine_map(sp, 0.5 * np.eye(2), [0.5, 0.5], "c1")])
+    sig = SymbolSequence.periodic([0, 1, 1])
+    exact = iterate_chain(F, sig, [0.3, 0.4], 12)
+    pts = exact.points.copy()
+    pts[3] += [1e-4, -5e-5]              # only links 2 and 3 need a bump
+    chain = ChainRecord(pts, sig, 0.0, "delta-chain")
+    m = 6
+    res = perturbed_ifs(F, chain, m=m, Delta=0.02, seed=1)
+    labels = [g.label for g in res.gs.maps]
+    assert labels == [f"g{k}_{lam}" if k in (2, 3) else f"c{lam}"
+                      for k in range(m + 1) for lam in (0, 1)]
+    assert res.pairing == (0, 1) * (m + 1)
+    assert res.grid_resolution == 64
+    grid = MetricGrid(sp, res.grid_resolution)
+    composed = [rho0(g, F.maps[lam], grid) for g, lam in zip(res.gs.maps, res.pairing)
+                if g.label.startswith("g")]
+    assert len(composed) == 4 and res.matched_d0 == max(composed) > 0.0
+
+
+def test_perturbed_ifs_matched_distance_guard_names_the_pair(monkeypatch):
+    monkeypatch.setattr(perturb, "rho0", lambda f, g, grid: 0.05)
+    chain = gen_pseudo_orbit(CAT, SIG0, [0.37, 0.52], 1e-3, 30, seed=17)
+    with pytest.raises(RuntimeError, match=r"5\.000e-02 >= Delta for pair \(g0_0, cat\)"):
+        perturbed_ifs(CAT, chain, m=10, Delta=0.05, seed=17)
+
+
+def test_perturbed_ifs_default_grid_is_capped_by_the_dimension():
+    # m = 0 composes no member, so the grid is named but never filled
+    T = build_system("torus_example")
+    chain = gen_pseudo_orbit(T, SymbolSequence.periodic([0, 1]),
+                             [0.1, 0.2, 0.3, 0.4], 1e-6, 10, seed=0)
+    res = perturbed_ifs(T, chain, m=0, Delta=0.05)
+    assert res.grid_resolution == 24 and len(res.gs) == 2
+    assert perturbed_ifs(T, chain, m=0, Delta=0.05, grid_resolution=6).grid_resolution == 6
+    cat_chain = iterate_chain(CAT, SIG0, [0.1, 0.9], 5)
+    assert perturbed_ifs(CAT, cat_chain, m=0, Delta=0.05).grid_resolution == 64
+
+
 def test_perturbed_ifs_rejects_oversized_slack():
     chain = gen_pseudo_orbit(CAT, SIG0, [0.37, 0.52], 0.02, 30, seed=1)
     with pytest.raises(ValueError, match="slack"):
@@ -380,6 +423,22 @@ def test_nearest_samples_exact_ties_pick_the_lowest_index(d, periodic):
         assert len(corners) >= 2 ** d
         assert i == corners.min()
     assert np.array_equal(idx, dense_nearest(space, samples, queries)[0])
+
+
+def test_nearest_samples_with_repeated_samples_equal_dense_argmin():
+    # half the samples sit at one point, and half the queries on it
+    sp = Space(2)
+    rng = np.random.default_rng(0)
+    samples = rng.random((2000, 2))
+    samples[1000:] = samples[1000]
+    queries = rng.random((10000, 2))
+    queries[5000:] = samples[1000]
+    idx, dist = _nearest_samples(sp, samples, queries)
+    for lo in range(0, len(queries), 1000):       # dense reference in slices
+        ref_idx, ref_dist = dense_nearest(sp, samples, queries[lo: lo + 1000])
+        assert np.array_equal(idx[lo: lo + 1000], ref_idx)
+        assert np.array_equal(dist[lo: lo + 1000], ref_dist)
+    assert np.all(idx[5000:] == 1000)
 
 
 def test_nearest_samples_accepts_a_sample_normalised_to_one():
@@ -591,6 +650,12 @@ def test_cover_deterministic_and_reports():
     assert a.n_violations == b.n_violations
     d = a.to_dict()
     assert d["seed"] == 7 and d["n_centers"] == 20
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_cover_thread_count_below_one_is_rejected(threads):
+    with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+        check_ball_cover(identity_map(SP2), 0.05, 0.0, 4, 4, seed=0, threads=threads)
 
 
 def test_cover_threads_do_not_change_result():
