@@ -18,8 +18,8 @@ import sys
 import numpy as np
 
 from . import io as ifsio
-from .core import (SymbolSequence, dist_D0, dist_D1, gen_pseudo_orbit, rho0,
-                   rho1, validate_chain)
+from .core import (EXACT_CHAIN_TOL, SymbolSequence, dist_D0, dist_D1,
+                   gen_pseudo_orbit, rho0, rho1, validate_chain)
 from .expansive import estimate_expansive_const, estimate_N_of_mu, separation_time
 from .maps import InversionError, identity_map
 from .perturb import (CoverageError, SupportError, build_semiconj,
@@ -84,9 +84,12 @@ def _chain(args, noise: str):
                                seed=args.seed)
 
 
-def _config(args, skip=("out", "func", "threads")) -> dict:
+_NOT_CONFIG = ("out", "func", "threads")     # options left out of the config echo
+
+
+def _config(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items())
-            if k not in skip and v is not None}
+            if k not in _NOT_CONFIG and v is not None}
 
 
 def cmd_generate(args) -> int:
@@ -322,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--chain", required=True)
     sp.add_argument("--shadow", required=True)
     sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=float, default=EXACT_CHAIN_TOL)
     common(sp)
     sp.set_defaults(func=cmd_verify)
 
@@ -400,6 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {args.threads}")
         return args.func(args)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0

@@ -17,6 +17,8 @@ import numpy as np
 from .maps import SmoothMap
 from .space import MetricGrid, Space, _as_points, _norms, ball_sample
 
+EXACT_CHAIN_TOL = 1e-9   # largest link residual of a chain counted as exact
+
 
 @dataclass(frozen=True)
 class IFS:
@@ -96,18 +98,20 @@ class SymbolSequence:
         if len(self.window) == 0:
             raise ValueError("symbol window must be nonempty")
         kind, _, value = self.extension.partition(":")
+        fill = None                # the symbol outside the window; None: periodic
         if kind == "constant":
             try:
-                int(value)
+                fill = int(value)
             except ValueError:
                 raise ValueError(
                     f"constant extension needs a symbol, got {self.extension!r}"
                 ) from None
-        elif kind != "periodic":
+        elif self.extension != "periodic":
             raise ValueError(f"unknown extension rule {self.extension!r}")
-        if min(self.window) < 0 or (kind == "constant" and int(value) < 0):
+        if min(self.window) < 0 or (fill is not None and fill < 0):
             raise ValueError(f"symbols must be >= 0, got window {self.window} "
                              f"and extension {self.extension!r}")
+        object.__setattr__(self, "_fill", fill)
 
     @classmethod
     def constant(cls, symbol: int) -> "SymbolSequence":
@@ -128,17 +132,17 @@ class SymbolSequence:
         n = len(self.window)
         if 0 <= i < n:
             return self.window[i]
-        if self.extension == "periodic":
+        if self._fill is None:
             return self.window[i % n]
-        return int(self.extension.split(":", 1)[1])
+        return self._fill
 
     def symbols(self, k_from: int, k_to: int) -> np.ndarray:
         """Symbols for k in [k_from, k_to), as an integer array."""
         window = np.array(self.window, dtype=np.intp)
         i = np.arange(k_from - self.k_min, k_to - self.k_min)
-        if self.extension == "periodic":
+        if self._fill is None:
             return window[i % window.size]
-        out = np.full(i.size, int(self.extension.split(":", 1)[1]), dtype=np.intp)
+        out = np.full(i.size, self._fill, dtype=np.intp)
         inside = (i >= 0) & (i < window.size)
         out[inside] = window[i[inside]]
         return out
@@ -257,7 +261,8 @@ def link_residuals(F: IFS, chain: ChainRecord) -> np.ndarray:
     return _norms(_link_errors(F, chain.sigma.symbols(0, chain.n_links), chain.points))
 
 
-def validate_chain(F: IFS, chain: ChainRecord, tol: float = 1e-9) -> ChainVerdict:
+def validate_chain(F: IFS, chain: ChainRecord,
+                   tol: float = EXACT_CHAIN_TOL) -> ChainVerdict:
     res = link_residuals(F, chain)
     if res.size == 0:
         return ChainVerdict(True, 0.0, None)

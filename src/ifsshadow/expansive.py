@@ -105,15 +105,11 @@ def _sample_pairs(F: IFS, grid: MetricGrid, pair_tolerance: float,
     X, Y = pts[i], pts[j]
     d = F.space.dim
     base = pts[rng.integers(0, len(pts), size=min(n_pairs, 256))]
-    offs = []
-    for axis in range(d):
-        e = np.zeros(d)
-        e[axis] = 2.0 * pair_tolerance
-        offs.append(e)
-    offs.append(np.full(d, 2.0 * pair_tolerance / np.sqrt(d)))
-    for e in offs:
-        X = np.concatenate([X, base])
-        Y = np.concatenate([Y, F.space.normalize(base + e)])
+    # d+1 offsets of length 2*pair_tolerance: one per axis, one diagonal
+    offs = np.vstack([np.diag(np.full(d, 2.0 * pair_tolerance)),
+                      np.full(d, 2.0 * pair_tolerance / np.sqrt(d))])
+    X = np.concatenate([X, np.tile(base, (d + 1, 1))])
+    Y = np.concatenate([Y, F.space.normalize(base + offs[:, None]).reshape(-1, d)])
     keep = F.space.dist(X, Y) > pair_tolerance
     return X[keep], Y[keep]
 

@@ -21,7 +21,8 @@ from scipy.spatial import cKDTree
 from .core import (ChainRecord, IFS, SymbolSequence, _link_errors, link_residuals,
                    make_ifs, orbit_steps, rho0, validate_chain)
 from .maps import InversionError, SmoothMap, compose
-from .shadowing import _gauss_newton, _max_residual, lipschitz_estimate
+from .shadowing import (NEWTON_MAX_ITER, NEWTON_TOL, _gauss_newton, _max_residual,
+                        lipschitz_estimate)
 from .space import MetricGrid, Space, ball_sample, default_resolution, _as_points, _norms
 
 
@@ -192,8 +193,7 @@ def adjusted_conditions(F: IFS, chain: ChainRecord, ys: np.ndarray,
     """Measure the three adjusted-point conditions for a candidate set."""
     m = ys.shape[0] - 1
     adj = ChainRecord(ys, chain.sigma, delta=0.0, kind="shadow-candidate")
-    res = link_residuals(F, adj)
-    max_res = float(np.max(res)) if res.size else 0.0
+    max_res = validate_chain(F, adj).max_residual
     dist = float(np.max(F.space.dist(chain.points[: m + 1], ys)))
     equal = np.all(ys[:, None, :] == ys[None, :, :], axis=-1)
     distinct = not np.any(np.triu(equal, 1))
@@ -297,8 +297,7 @@ def perturbed_ifs(
     l_inv = [inverse_lipschitz_estimate(f, seed=seed) for f in F.maps]
     delta0 = min([Delta / 2.0] + [0.95 * Delta / L for L in l_inv])
     delta_max = delta0 / 6.0
-    res = link_residuals(F, chain)
-    delta_meas = float(np.max(res)) if res.size else 0.0
+    delta_meas = validate_chain(F, chain).max_residual
     if delta_meas > delta_max * (1 + 1e-12):
         raise ValueError(
             f"chain slack {delta_meas:.3e} exceeds the admissible "
@@ -472,10 +471,12 @@ def build_semiconj(
 
     Each sample's G-orbit window is a delta-chain of F (delta = the matched
     family distance); shadowing it with F and reading off the k = 0 point
-    defines h.  One batched Gauss-Newton solve (tol 1e-10, 20 sweeps) shadows
-    all windows, so F needs Jacobians, and each row has the bits of
-    ``shadow_newton`` on its window.  Samples whose window misses the tol are
-    flagged, with NaN rows; a LinAlgError of the stacked solve flags them all.
+    defines h.  One batched Gauss-Newton solve, with ``shadow_newton``'s
+    stopping rule (NEWTON_TOL, at most NEWTON_MAX_ITER sweeps), shadows all
+    windows, so F needs Jacobians, and each row has the bits of
+    ``shadow_newton`` on its window.  Samples whose window misses NEWTON_TOL
+    are flagged, with NaN rows; a LinAlgError of the stacked solve flags them
+    all.
     Residuals store dist(G-orbit_k(x), F-orbit_k(h(x))).  Use one-sided
     windows (``two_sided=False``) for families whose inverses blow orbits
     up, e.g. contractions.
@@ -490,8 +491,9 @@ def build_semiconj(
     symbols = sigma.symbols(-lo, K)
     chain_delta = _max_residual(_link_errors(F, symbols, windows))   # window slacks
     try:
-        shadows, res, _, _ = _gauss_newton(F, symbols, windows, 1e-10, 20)
-        failed = ~(res <= 1e-10)
+        shadows, res, _, _ = _gauss_newton(F, symbols, windows, NEWTON_TOL,
+                                           NEWTON_MAX_ITER)
+        failed = ~(res <= NEWTON_TOL)
     except np.linalg.LinAlgError:
         shadows, failed = np.empty_like(windows), np.ones(X.shape[0], dtype=bool)
     shadows[failed] = np.nan

@@ -33,10 +33,15 @@ import numpy as np
 from scipy.linalg.lapack import dpbsv
 from scipy.signal import lfilter
 
-from .core import (ChainRecord, IFS, SymbolSequence, _link_errors, orbit_steps,
-                   validate_chain)
+from .core import (EXACT_CHAIN_TOL, ChainRecord, IFS, SymbolSequence,
+                   _link_errors, orbit_steps, validate_chain)
 from .maps import SmoothMap
 from .space import _norms, ball_sample
+
+# Gauss-Newton's stopping rule: a largest link residual at most NEWTON_TOL,
+# or NEWTON_MAX_ITER sweeps
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 20
 
 
 class NotContractingError(ValueError):
@@ -140,32 +145,6 @@ def split_error(matrix: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return es, eu
 
 
-def _mode_profiles(w: np.ndarray, m: int) -> np.ndarray:
-    """Anchored power profiles per mode: w^k for |w|<1, w^(k-m) for |w|>1."""
-    ks = np.arange(m + 1)
-    prof = np.empty((m + 1, w.size), dtype=complex)
-    for j, wj in enumerate(w):
-        if abs(wj) < 1.0:
-            prof[:, j] = wj ** ks
-        else:
-            prof[:, j] = (1.0 / wj) ** (m - ks)
-    return prof
-
-
-def _kernel_basis(w: np.ndarray, V: np.ndarray, m: int) -> np.ndarray:
-    """Real basis of bounded exact-orbit perturbations over the window."""
-    prof = _mode_profiles(w, m)
-    cols = []
-    for j in range(w.size):
-        col = prof[:, j:j + 1] * V[:, j][None, :]  # (m+1, d) complex
-        if abs(w[j].imag) < 1e-12:
-            cols.append(np.real(col).ravel())
-        elif w[j].imag > 0:
-            cols.append(np.real(col).ravel())
-            cols.append(np.imag(col).ravel())
-    return np.stack(cols, axis=1)
-
-
 def shadow_linear_hyperbolic(A: SmoothMap, chain: ChainRecord) -> ShadowResult:
     """Minimal-correction exact orbit of a hyperbolic toral automorphism."""
     if A.matrix is None:
@@ -183,20 +162,31 @@ def shadow_linear_hyperbolic(A: SmoothMap, chain: ChainRecord) -> ShadowResult:
     E = _link_errors(F, symbols, pts)                   # (m, d)
     Et = np.linalg.solve(V, E.T).T                      # eigen coordinates
 
+    # per mode: the geometric-series correction, and the exact-orbit kernel
+    # columns of its anchored profile (w^k if |w| < 1, w^(k-m) if |w| > 1),
+    # real and imaginary parts once per conjugate pair
+    ks = np.arange(m + 1)
     Wt = np.empty((m + 1, w.size), dtype=complex)
+    cols = []
     for j, wj in enumerate(w):
-        x = np.append(Et[:, j], 0.0)
         if abs(wj) < 1.0:
             # forward recursion v[k+1] = wj v[k] - e[k], v[0] = 0
-            Wt[:, j] = lfilter([0.0, -1.0], [1.0, -wj], x)
+            Wt[:, j] = lfilter([0.0, -1.0], [1.0, -wj], np.append(Et[:, j], 0.0))
+            prof = wj ** ks
         else:
             # backward recursion v[k] = (v[k+1] + e[k]) / wj, v[m] = 0
             z = lfilter([0.0, 1.0 / wj], [1.0, -1.0 / wj], np.append(Et[::-1, j], 0.0))
             Wt[:, j] = z[::-1]
+            prof = (1.0 / wj) ** (m - ks)
+        col = prof[:, None] * V[:, j]                   # (m+1, d)
+        if abs(wj.imag) < 1e-12:
+            cols.append(np.real(col).ravel())
+        elif wj.imag > 0:
+            cols += [np.real(col).ravel(), np.imag(col).ravel()]
     W = np.real(Wt @ V.T)
 
     # remove the exact-orbit kernel component: minimal total correction
-    K = _kernel_basis(w, V, m)
+    K = np.stack(cols, axis=1)
     c, *_ = np.linalg.lstsq(K, W.ravel(), rcond=None)
     W = W - (K @ c).reshape(W.shape)
 
@@ -287,8 +277,8 @@ def _gauss_newton(F: IFS, symbols: np.ndarray, Y: np.ndarray, tol: float,
 def shadow_newton(
     F: IFS,
     chain: ChainRecord,
-    tol: float = 1e-10,
-    max_iter: int = 20,
+    tol: float = NEWTON_TOL,
+    max_iter: int = NEWTON_MAX_ITER,
     initial_points: np.ndarray | None = None,
 ) -> ShadowResult:
     """Gauss-Newton chain-residual minimization with minimal-norm steps.
@@ -343,7 +333,7 @@ class VerifyVerdict:
 
 
 def verify_shadowing(F: IFS, xi: ChainRecord, y: ChainRecord, eps: float,
-                     tol: float = 1e-9) -> VerifyVerdict:
+                     tol: float = EXACT_CHAIN_TOL) -> VerifyVerdict:
     """Check that y is an exact chain and stays within eps of xi pointwise."""
     if len(xi) != len(y):
         raise ValueError("chains must share a common window")
@@ -416,21 +406,20 @@ def check_uniqueness(
     trials: int = 20,
     seed: int = 0,
     init_scale: float | None = None,
-    tol: float = 1e-10,
+    tol: float = NEWTON_TOL,
     max_iter: int = 30,
 ) -> UniquenessVerdict:
     """Multi-start statistical probe of shadowing uniqueness.
 
     Runs the Newton solver from `trials` perturbed initializations, all in
-    one batched solve, keeps the converged candidates that eps-shadow the
-    chain (verify_shadowing's tests: exact-chain residual <= 1e-9 and sup
-    distance <= eps), and compares them pointwise on the window core.  The
-    margin trims the window ends, where finite-window solutions legitimately
-    differ by decaying exact-orbit modes even when the bi-infinite shadow is
-    unique.  Trials that stop unconverged are counted in `unconverged`.
+    one batched solve to `tol` (by default NEWTON_TOL), keeps the converged
+    candidates that eps-shadow the chain (verify_shadowing's tests:
+    exact-chain residual <= EXACT_CHAIN_TOL and sup distance <= eps), and
+    compares them pointwise on the window core.  The margin trims the window
+    ends, where finite-window solutions legitimately differ by decaying
+    exact-orbit modes even when the bi-infinite shadow is unique.  Trials
+    that stop unconverged are counted in `unconverged`.
     """
-    if chain.sigma != sigma:
-        chain = ChainRecord(chain.points, sigma, chain.delta, chain.kind)
     n = len(chain)
     margin = min(chain.n_links // 4, 40)
     scale = eps / 4.0 if init_scale is None else init_scale
@@ -442,7 +431,7 @@ def check_uniqueness(
     best, res, _, _ = _gauss_newton(F, symbols, starts, tol, max_iter)
     converged = res <= tol
     # res is the best iterate's largest link residual, measured by the solve
-    ok = converged & (res <= 1e-9)
+    ok = converged & (res <= EXACT_CHAIN_TOL)
     ok[ok] = np.max(space.dist(chain.points, best[ok]), axis=1) <= eps
     candidates = best[ok]
     unconverged = trials - int(np.count_nonzero(converged))

@@ -359,6 +359,16 @@ def test_cli_zero_threads_is_config_error(monkeypatch, capsys):
     assert "IFSSHADOW_THREADS must be >= 1, got 0" in err
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_cli_threads_below_one_rejected_for_every_command(capsys, threads):
+    # metrics does not read --threads; the count is checked before any command
+    assert run_cli("--threads", threads, "metrics", "--f", "rotation:0.1",
+                   "--g", "rotation:0.12", "--metric", "rho0", "--grid", "16") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"config error: threads must be >= 1, got {threads}\n"
+
+
 def test_cli_shadow_reads_a_schedule_file(tmp_path):
     p = tmp_path / "sigma.json"
     ifsio.write_json(p, SymbolSequence.periodic([0, 1]).to_dict())

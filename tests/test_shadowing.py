@@ -92,23 +92,27 @@ def test_hyperbolic_bound_and_newton_agreement():
         assert gap <= 1e-8
 
 
-def test_hyperbolic_matches_dense_least_squares_oracle():
-    # minimal-norm correction from a dense lstsq solve of the stacked
-    # linearized chain constraints
-    chain = gen_pseudo_orbit(CAT, SIG0, [0.42, 0.17], 1e-3, 40, seed=6)
-    r = shadow_linear_hyperbolic(CAT.maps[0], chain)
-    m, d = chain.n_links, 2
-    A = CAT_MATRIX.astype(float)
-    space = CAT.space
-    E = space.displacement(CAT.maps[0](chain.points[:-1]), chain.points[1:])
+def dense_lstsq_gap(F, chain, shadow):
+    """Largest gap between the shadow's correction and the minimal-norm
+    correction from a dense lstsq solve of the stacked linearized chain
+    constraints of the linear map F.maps[0]."""
+    m, d = chain.n_links, F.space.dim
+    A = F.maps[0].matrix.astype(float)
+    space = F.space
+    E = space.displacement(F.maps[0](chain.points[:-1]), chain.points[1:])
     J = np.zeros((m * d, (m + 1) * d))
     for k in range(m):
         J[k * d:(k + 1) * d, k * d:(k + 1) * d] = -A
         J[k * d:(k + 1) * d, (k + 1) * d:(k + 2) * d] = np.eye(d)
     w, *_ = np.linalg.lstsq(J, -E.ravel(), rcond=None)
-    w = w.reshape(m + 1, d)
-    got = space.displacement(chain.points, r.shadow.points)
-    assert np.max(np.abs(w - got)) <= 1e-9
+    got = space.displacement(chain.points, shadow.points)
+    return np.max(np.abs(w.reshape(m + 1, d) - got))
+
+
+def test_hyperbolic_matches_dense_least_squares_oracle():
+    chain = gen_pseudo_orbit(CAT, SIG0, [0.42, 0.17], 1e-3, 40, seed=6)
+    r = shadow_linear_hyperbolic(CAT.maps[0], chain)
+    assert dense_lstsq_gap(CAT, chain, r.shadow) <= 1e-9
 
 
 def test_single_link_error_split_reconstruction():
@@ -158,6 +162,21 @@ def test_hyperbolic_four_dimensional_block_matrix():
     rn = shadow_newton(F, chain)
     assert np.max(F.space.dist(rh.shadow.points, rn.shadow.points)) <= 1e-8
     assert verify_shadowing(F, chain, rh.shadow, eps=1e-3).ok
+
+
+def test_hyperbolic_complex_eigenvalue_pair():
+    # companion matrix of x^3 - x - 1: det 1, one real expanding eigenvalue
+    # (1.3247) and a complex contracting pair (|w| = 0.8688)
+    A = affine_map(Space(3), [[0, 0, 1], [1, 0, 1], [0, 1, 0]], np.zeros(3), "cubic")
+    w, _ = hyperbolic_splitting(A.matrix)
+    assert np.count_nonzero(np.abs(w.imag) > 1e-12) == 2
+    F = make_ifs([A])
+    chain = gen_pseudo_orbit(F, SIG0, [0.31, 0.58, 0.77], 1e-4, 200, seed=4)
+    rh = shadow_linear_hyperbolic(A, chain)
+    assert rh.residual <= 1e-9
+    rn = shadow_newton(F, chain)
+    assert np.max(F.space.dist(rh.shadow.points, rn.shadow.points)) <= 1e-8
+    assert dense_lstsq_gap(F, chain, rh.shadow) <= 1e-9
 
 
 # --- Gauss-Newton solver ----------------------------------------------------
