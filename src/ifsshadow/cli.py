@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import os
 import sys
 
@@ -291,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Shadowing, expansiveness and stability experiments for IFSs.",
         epilog="Systems: " + "; ".join(f"{e.name} - {e.doc}" for e in CATALOG.values()),
     )
-    p.add_argument("--threads", type=int, default=_default_threads(),
+    p.add_argument("--threads", type=int,
                    help="worker threads for the cover command, >= 1 "
                         "(default: IFSSHADOW_THREADS or cores)")
     sub = p.add_subparsers(dest="command", required=True)
@@ -400,9 +401,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on its first call (parsing leaves the
+    parser unchanged, so one serves every call in a process)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
+        if args.threads is None:
+            args.threads = _default_threads()
         if args.threads < 1:
             raise ValueError(f"threads must be >= 1, got {args.threads}")
         return args.func(args)

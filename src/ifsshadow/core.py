@@ -352,14 +352,20 @@ def _require_invertible(*ms: SmoothMap):
             raise ValueError(f"map {m.label!r} is not invertible")
 
 
+def _rho0_gap(space: Space, forward, inverse) -> float:
+    """rho0 from `forward()` and `inverse()`, each returning the grid images
+    under f and under g (forward maps, then inverses); the forward pair is
+    released before the inverse pair is computed."""
+    fwd = float(np.max(space.dist(*forward())))
+    bwd = float(np.max(space.dist(*inverse())))
+    return max(fwd, bwd)
+
+
 def rho0(f: SmoothMap, g: SmoothMap, grid: MetricGrid) -> float:
     """sup over the grid of the forward and inverse discrepancies of f and g."""
     _require_invertible(f, g)
     X = grid.points
-    space = f.space
-    fwd = float(np.max(space.dist(f(X), g(X))))
-    bwd = float(np.max(space.dist(f.invert(X), g.invert(X))))
-    return max(fwd, bwd)
+    return _rho0_gap(f.space, lambda: (f(X), g(X)), lambda: (f.invert(X), g.invert(X)))
 
 
 def _spectral_norms(M: np.ndarray) -> np.ndarray:

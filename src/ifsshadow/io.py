@@ -9,7 +9,6 @@ through a temp file plus rename.
 from __future__ import annotations
 
 import csv
-import io as _io
 import json
 import os
 import tempfile
@@ -47,12 +46,17 @@ def write_json(path, obj) -> None:
 
 
 def csv_text(header, rows) -> str:
-    """CSV, "\n" line ends; non-integers as repr(float(c)), read back exactly."""
-    buf = _io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows([c if isinstance(c, int) else repr(float(c)) for c in r] for r in rows)
-    return buf.getvalue()
+    """CSV, "\n" line ends; integers (bools included) as str(c), other cells
+    as repr(float(c)), read back exactly.
+
+    No field needs quoting (header names are plain identifiers, numbers
+    never hold a comma or quote), so joining the fields gives the bytes
+    ``csv.writer(lineterminator="\n")`` writes.
+    """
+    lines = [",".join(header)]
+    lines += [",".join([str(c) if isinstance(c, int) else repr(float(c)) for c in r])
+              for r in rows]
+    return "\n".join(lines) + "\n"
 
 
 def chain_to_csv_text(chain: ChainRecord) -> str:

@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import (ChainRecord, IFS, SymbolSequence, _link_errors, link_residuals,
-                   make_ifs, orbit_steps, rho0, validate_chain)
+from .core import (ChainRecord, IFS, SymbolSequence, _link_errors, _require_invertible,
+                   _rho0_gap, link_residuals, make_ifs, orbit_steps, validate_chain)
 from .maps import InversionError, SmoothMap, compose
 from .shadowing import (NEWTON_MAX_ITER, NEWTON_TOL, _gauss_newton, _max_residual,
                         lipschitz_estimate)
@@ -314,6 +314,7 @@ def perturbed_ifs(
     gmaps: list[SmoothMap] = []
     pairing: list[int] = []
     matched = 0.0
+    images = None      # f_lambda(X), f_lambda^{-1}(X) on the grid X, taken for the first h_k
     for k in range(m + 1):
         # block k < m is h_k o F, block m the unperturbed family; a link whose
         # point already lands on y_{k+1} keeps the plain maps
@@ -322,13 +323,21 @@ def perturbed_ifs(
                                         space.normalize(ys[k + 1])):
             h = move_points_diffeo([(sources[k], ys[k + 1])], delta=delta0 / 2.0,
                                    space=space, label=f"h{k}")
+            if images is None:
+                _require_invertible(*F.maps)
+                images = [(f(grid.points), f.invert(grid.points)) for f in F.maps]
+            h_inv = h.invert(grid.points)
         for lam, f in enumerate(F.maps):
             pairing.append(lam)
             if h is None:
                 gmaps.append(f)
                 continue
             gmaps.append(compose(h, f, label=f"g{k}_{lam}"))
-            val = rho0(gmaps[-1], f, grid)
+            # rho0(h_k o f, f): the member maps X to h_k(f(X)) and back to
+            # f^{-1}(h_k^{-1}(X)), the same arrays its own calls return
+            f_X, f_inv_X = images[lam]
+            val = _rho0_gap(space, lambda: (h(f_X), f_X),
+                            lambda: (space.normalize(f.invert(h_inv)), f_inv_X))
             if val >= Delta:
                 raise RuntimeError(
                     f"measured matched distance {val:.3e} >= Delta for pair "

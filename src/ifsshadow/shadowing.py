@@ -418,16 +418,19 @@ def check_uniqueness(
     compares them pointwise on the window core.  The margin trims the window
     ends, where finite-window solutions legitimately differ by decaying
     exact-orbit modes even when the bi-infinite shadow is unique.  Trials
-    that stop unconverged are counted in `unconverged`.
+    that stop unconverged are counted in `unconverged`.  `sigma` must agree
+    with the chain's own schedule on its links (ValueError otherwise).
     """
     n = len(chain)
+    symbols = sigma.symbols(0, chain.n_links)
+    if not np.array_equal(symbols, chain.sigma.symbols(0, chain.n_links)):
+        raise ValueError("sigma differs from the chain's schedule on its links")
     margin = min(chain.n_links // 4, 40)
     scale = eps / 4.0 if init_scale is None else init_scale
     rng = np.random.default_rng(seed)
     space = F.space
     noise = np.array([ball_sample(rng, n, space.dim, scale) for _ in range(trials)])
     starts = space.normalize(chain.points + noise.reshape(trials, n, space.dim))
-    symbols = sigma.symbols(0, n - 1)
     best, res, _, _ = _gauss_newton(F, symbols, starts, tol, max_iter)
     converged = res <= tol
     # res is the best iterate's largest link residual, measured by the solve

@@ -1,12 +1,19 @@
+import csv
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ifsshadow import ChainRecord, SymbolSequence, gen_pseudo_orbit
+import ifsshadow
+from ifsshadow import ChainRecord, SymbolSequence, cli, gen_pseudo_orbit
 from ifsshadow import io as ifsio
 from ifsshadow.cli import main
 from ifsshadow.systems import build_cat_ifs
@@ -47,6 +54,36 @@ def test_chain_csv_roundtrip_is_lossless(window, constant, k_min, points,
     assert np.array_equal(back.points.view(np.uint64), points.view(np.uint64))
     assert np.array_equal(back.sigma.symbols(0, chain.n_links),
                           chain.sigma.symbols(0, chain.n_links))
+
+
+def csv_writer_oracle(header, rows) -> str:
+    """The table as csv.writer writes it, integers as str and every other
+    cell as repr(float(c))."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows([c if isinstance(c, int) else repr(float(c)) for c in r] for r in rows)
+    return buf.getvalue()
+
+
+HEADER_NAMES = ("k", "lambda", "i", "x0", "x1", "hx0", "max_residual", "X0", "Z0",
+                "preimage_dist", "epsilon")
+EDGE_FLOATS = (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2e-308, 1e300,
+               -1e-300, 1e-300)
+CELLS = st.one_of(
+    st.integers(), st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64))
+
+
+@settings(deadline=None)
+@given(header=st.lists(st.sampled_from(HEADER_NAMES), max_size=6),
+       rows=st.lists(st.lists(CELLS, max_size=6), max_size=8))
+@example(header=["k", "lambda", "x0"],
+         rows=[[0, True, False], [-7, 2**70, np.float64(-0.0)], list(EDGE_FLOATS), []])
+def test_csv_text_matches_csv_writer(header, rows):
+    assert ifsio.csv_text(header, rows) == csv_writer_oracle(header, rows)
 
 
 def test_sigma_file_and_inline_specs(tmp_path):
@@ -412,3 +449,76 @@ def test_cli_config_echo_is_lossless(tmp_path):
     assert cfg["len"] == 50
     assert cfg["seed"] == 9
     assert cfg["noise"] == "uniform-ball"     # defaults included
+
+
+def cli_output(prefix: Path) -> dict:
+    """The primary JSON and CSV files a run wrote under `prefix`, by suffix."""
+    return {p.name[len(prefix.name):]: p.read_bytes()
+            for p in prefix.parent.glob(prefix.name + "*")
+            if not p.name.endswith(".meta.json")}
+
+
+def run_fresh_processes(argvs) -> list[str]:
+    """Run each argv through the CLI in a new interpreter (all at once) and
+    return their stdouts."""
+    src = str(Path(ifsshadow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    procs = [subprocess.Popen([sys.executable, "-m", "ifsshadow.cli", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True, env=env) for argv in argvs]
+    results = [proc.communicate() for proc in procs]
+    for proc, (_, err) in zip(procs, results):
+        assert proc.returncode == 0, err
+    return [out for out, _ in results]
+
+
+def test_cli_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
+    # each call's options are its own: a later call without --x0, --solver or
+    # --noise gets the defaults, not what an earlier call set
+    runs = [
+        ["shadow", "--system", "contraction:0.5", "--delta", "0.01", "--len", "100",
+         "--seed", "5", "--x0", "0.3", "--solver", "newton"],
+        ["shadow", "--system", "contraction:0.5", "--delta", "0.01", "--len", "100",
+         "--seed", "5"],
+        ["generate", "--system", "cat", "--sigma", "constant:0", "--delta", "0.01",
+         "--len", "40", "--noise", "round:2", "--seed", "3"],
+        ["perturb", "--system", "cat", "--sigma", "constant:0", "--x0", "0.37,0.52",
+         "--delta", "0.001", "--len", "20", "--m", "4", "--Delta", "0.05",
+         "--seed", "3"],
+    ]
+    outputs = []
+    for i, argv in enumerate(runs):
+        prefix = tmp_path / f"in{i}"
+        assert run_cli(*argv, "--out", str(prefix)) == 0
+        outputs.append((capsys.readouterr().out, cli_output(prefix)))
+    assert outputs[0] != outputs[1]
+    fresh = [tmp_path / f"fresh{i}" for i in range(len(runs))]
+    stdouts = run_fresh_processes([*argv, "--out", str(prefix)]
+                                  for argv, prefix in zip(runs, fresh))
+    assert [(out, cli_output(prefix)) for out, prefix in zip(stdouts, fresh)] == outputs
+    assert len(outputs[3][1]) == 3 and "noise" not in json.loads(outputs[3][0])["config"]
+
+
+def test_cli_reads_the_thread_setting_on_every_call(monkeypatch, capsys):
+    seen = []
+
+    def recording_cover(*args, threads, **kwargs):
+        seen.append(threads)
+        return check_ball_cover(*args, threads=threads, **kwargs)
+
+    check_ball_cover = cli.check_ball_cover
+    monkeypatch.setattr(cli, "check_ball_cover", recording_cover)
+    cover = ["cover", "--system", "cat", "--eps", "0.05", "--delta", "0.05",
+             "--centers", "4", "--probes", "4"]
+    monkeypatch.setenv("IFSSHADOW_THREADS", "1")
+    assert run_cli(*cover) == 0
+    monkeypatch.setenv("IFSSHADOW_THREADS", "2")
+    assert run_cli(*cover) == 0
+    assert run_cli("--threads", "1", *cover) == 0     # the flag wins over the variable
+    assert seen == [1, 2, 1]
+    monkeypatch.setenv("IFSSHADOW_THREADS", "0")
+    assert run_cli(*cover) == 2
+    assert capsys.readouterr().err.endswith(
+        "config error: IFSSHADOW_THREADS must be >= 1, got 0\n")
+    assert seen == [1, 2, 1]

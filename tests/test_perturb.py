@@ -350,7 +350,7 @@ def test_perturbed_ifs_two_map_family_members():
 
 
 def test_perturbed_ifs_matched_distance_guard_names_the_pair(monkeypatch):
-    monkeypatch.setattr(perturb, "rho0", lambda f, g, grid: 0.05)
+    monkeypatch.setattr(perturb, "_rho0_gap", lambda space, forward, inverse: 0.05)
     chain = gen_pseudo_orbit(CAT, SIG0, [0.37, 0.52], 1e-3, 30, seed=17)
     with pytest.raises(RuntimeError, match=r"5\.000e-02 >= Delta for pair \(g0_0, cat\)"):
         perturbed_ifs(CAT, chain, m=10, Delta=0.05, seed=17)

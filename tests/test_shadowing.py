@@ -448,6 +448,19 @@ def test_uniqueness_counts_unconverged_trials():
     assert v.unconverged == v.trials == 5
 
 
+def test_uniqueness_rejects_a_schedule_the_chain_was_not_built_on():
+    T = build_torus_example()
+    chain = gen_pseudo_orbit(T, SymbolSequence.periodic([0, 1]), [0.1, 0.5, 0.3, 0.8],
+                             1e-4, 20, seed=1)
+    with pytest.raises(ValueError, match="schedule"):
+        check_uniqueness(T, SIG0, chain, eps=0.1, trials=2, seed=1)
+    # another schedule object with the same symbols on the links is accepted
+    cat_chain = gen_pseudo_orbit(CAT, SIG0, [0.3, 0.3], 1e-3, 100, seed=4)
+    v = check_uniqueness(CAT, SymbolSequence.periodic([0]), cat_chain, eps=0.2,
+                         trials=2, seed=4)
+    assert v.status == "unique"
+
+
 @pytest.mark.parametrize("n_links", [0, 1, 2, 3, 4, 5, 400])
 def test_uniqueness_margin_is_a_quarter_of_the_links_capped_at_40(n_links):
     chain = gen_pseudo_orbit(CAT, SIG0, [0.38, 0.59], 1e-3, n_links, seed=2)
