@@ -525,8 +525,14 @@ def semiconj_residual(
     dist(F-orbit_k(h(x)), h(G-orbit_k(x))), with h read off at the nearest
     sample.  Raises CoverageError if a queried point is farther than epsilon
     (or coverage_tol) from every sample.  The nearest sample comes from a k-d
-    tree, so memory is linear in the number of samples.
+    tree, so memory is linear in the number of samples.  `sigma` must agree
+    with the table's own schedule on every link either window uses
+    (ValueError otherwise).
     """
+    hi = max(K, h.K)
+    lo = hi if h.two_sided else 0
+    if not np.array_equal(sigma.symbols(-lo, hi), h.sigma.symbols(-lo, hi)):
+        raise ValueError("sigma differs from the semiconjugacy table's schedule")
     tol = h.epsilon if coverage_tol is None else coverage_tol
     ok = h._usable
     if ok.size == 0:

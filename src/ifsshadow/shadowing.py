@@ -31,7 +31,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg.lapack import dpbsv
-from scipy.signal import lfilter
 
 from .core import (EXACT_CHAIN_TOL, ChainRecord, IFS, SymbolSequence,
                    _link_errors, orbit_steps, validate_chain)
@@ -169,15 +168,23 @@ def shadow_linear_hyperbolic(A: SmoothMap, chain: ChainRecord) -> ShadowResult:
     Wt = np.empty((m + 1, w.size), dtype=complex)
     cols = []
     for j, wj in enumerate(w):
+        e = Et[:, j].tolist()
+        v = [0.0]
         if abs(wj) < 1.0:
-            # forward recursion v[k+1] = wj v[k] - e[k], v[0] = 0
-            Wt[:, j] = lfilter([0.0, -1.0], [1.0, -wj], np.append(Et[:, j], 0.0))
+            # forward: v[0] = 0, v[k+1] = w v[k] - e[k]
+            wk = wj.item()
+            for ek in e:
+                v.append(wk * v[-1] - ek)
             prof = wj ** ks
         else:
-            # backward recursion v[k] = (v[k+1] + e[k]) / wj, v[m] = 0
-            z = lfilter([0.0, 1.0 / wj], [1.0, -1.0 / wj], np.append(Et[::-1, j], 0.0))
-            Wt[:, j] = z[::-1]
+            # backward: v[m] = 0, v[k] = c e[k] + c v[k+1] with c = 1/w
+            # (numpy's complex quotient; Python's gives other bits)
+            c = (1.0 / wj).item()
+            for ek in reversed(e):
+                v.append(c * ek + c * v[-1])
+            v.reverse()
             prof = (1.0 / wj) ** (m - ks)
+        Wt[:, j] = v
         col = prof[:, None] * V[:, j]                   # (m+1, d)
         if abs(wj.imag) < 1e-12:
             cols.append(np.real(col).ravel())

@@ -9,8 +9,10 @@ Two kinds of space are supported, both with unit fundamental domain:
   wraparound.  Contracting affine families live here: a genuine metric
   contraction like x/2 does not descend to the circle.
 
-Points are plain float arrays of shape ``(..., d)``; every function in this
-package is vectorized over leading axes.
+Points are plain float arrays of shape ``(..., d)``; the metric functions
+here broadcast over leading axes, as do map evaluation and the orbit maps.
+Chain-level functions (``gen_pseudo_orbit``, ``ChainRecord``,
+``link_residuals``, the ``shadow_*`` solvers) take one (m+1, d) chain.
 """
 
 from __future__ import annotations

@@ -458,12 +458,17 @@ def cli_output(prefix: Path) -> dict:
             if not p.name.endswith(".meta.json")}
 
 
+def fresh_env() -> dict:
+    """The environment of a new interpreter that imports this ifsshadow."""
+    src = str(Path(ifsshadow.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
 def run_fresh_processes(argvs) -> list[str]:
     """Run each argv through the CLI in a new interpreter (all at once) and
     return their stdouts."""
-    src = str(Path(ifsshadow.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    env = fresh_env()
     procs = [subprocess.Popen([sys.executable, "-m", "ifsshadow.cli", *argv],
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                               text=True, env=env) for argv in argvs]
@@ -471,6 +476,15 @@ def run_fresh_processes(argvs) -> list[str]:
     for proc, (_, err) in zip(procs, results):
         assert proc.returncode == 0, err
     return [out for out, _ in results]
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # importing scipy.signal (and the scipy.stats it pulls in) costs a
+    # one-shot call about 1 s of start-up
+    probe = "import sys, ifsshadow.cli; print('scipy.signal' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env=fresh_env(), check=True)
+    assert run.stdout.strip() == "False"
 
 
 def test_cli_calls_in_one_process_match_fresh_processes(tmp_path, capsys):

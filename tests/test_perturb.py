@@ -22,7 +22,7 @@ from ifsshadow.perturb import (MAX_ABS_PROFILE_DERIV, _nearest_samples,
 from ifsshadow.shadowing import ShadowingConvergenceError
 from ifsshadow.systems import (CAT_MATRIX, build_bumped_cat_ifs, build_cat_ifs,
                                build_contraction_ifs, build_system,
-                               build_torus_f1)
+                               build_torus_example, build_torus_f1)
 
 CAT = build_cat_ifs()
 SIG0 = SymbolSequence.constant(0)
@@ -521,6 +521,26 @@ def test_semiconj_coverage_error_on_sparse_samples():
     sc = build_semiconj(CAT, G, SIG0, eps=0.05, samples=sparse, K=5)
     with pytest.raises(CoverageError):
         semiconj_residual(CAT, G, SIG0, sc, K=5)
+
+
+def test_semiconj_residual_rejects_a_schedule_the_table_was_not_built_on():
+    T = build_torus_example()
+    s01 = SymbolSequence.periodic([0, 1])
+    sc = build_semiconj(T, T, s01, eps=0.3, samples=lattice_samples(6, 4), K=3)
+    with pytest.raises(ValueError, match="schedule"):
+        semiconj_residual(T, T, SymbolSequence.constant(1), sc, K=3, coverage_tol=1.0)
+    # equal on the table's links [-3, 3), other at link 3, which K = 4 also uses
+    near = SymbolSequence((1, 0, 1, 0, 1, 0), "constant:0", k_min=-3)
+    assert (semiconj_residual(T, T, near, sc, K=3, coverage_tol=1.0)
+            == semiconj_residual(T, T, s01, sc, K=3, coverage_tol=1.0))
+    with pytest.raises(ValueError, match="schedule"):
+        semiconj_residual(T, T, near, sc, K=4, coverage_tol=1.0)
+    # a one-sided table uses no negative link
+    one = build_semiconj(T, T, s01, eps=0.3, samples=lattice_samples(6, 4), K=3,
+                         two_sided=False)
+    ahead = SymbolSequence((0, 1, 0), "constant:1")
+    assert (semiconj_residual(T, T, ahead, one, K=3, coverage_tol=1.0)
+            == semiconj_residual(T, T, s01, one, K=3, coverage_tol=1.0))
 
 
 def test_semiconj_config_error_is_not_a_flagged_sample():

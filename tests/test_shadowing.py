@@ -13,6 +13,7 @@ from ifsshadow import (ChainRecord, NotContractingError, NotHyperbolicError,
                        make_ifs, shadow_auto, shadow_contraction,
                        shadow_linear_hyperbolic, shadow_newton, split_error,
                        validate_chain, verify_shadowing)
+from ifsshadow.core import _link_errors
 from ifsshadow.shadowing import _gauss_newton, _normal_solve
 from ifsshadow.systems import (CAT_MATRIX, build_cat_ifs, build_contraction_ifs,
                                build_identity_ifs, build_rotation_ifs,
@@ -177,6 +178,71 @@ def test_hyperbolic_complex_eigenvalue_pair():
     rn = shadow_newton(F, chain)
     assert np.max(F.space.dist(rh.shadow.points, rn.shadow.points)) <= 1e-8
     assert dense_lstsq_gap(F, chain, rh.shadow) <= 1e-9
+
+
+def lfilter_closed_form(A, chain):
+    """Shadow points of the closed form with each mode's geometric series run
+    through scipy.signal.lfilter, an independent implementation of the two
+    recurrences: coefficients [0, -1] / [1, -w] for contracting modes,
+    [0, 1/w] / [1, -1/w] over the reversed errors for expanding ones."""
+    from scipy.signal import lfilter
+    w, V = hyperbolic_splitting(A.matrix)
+    m, pts = chain.n_links, chain.points
+    E = _link_errors(make_ifs([A]), chain.sigma.symbols(0, m), pts)
+    Et = np.linalg.solve(V, E.T).T
+    ks = np.arange(m + 1)
+    Wt = np.empty((m + 1, w.size), dtype=complex)
+    cols = []
+    for j, wj in enumerate(w):
+        if abs(wj) < 1.0:
+            Wt[:, j] = lfilter([0.0, -1.0], [1.0, -wj], np.append(Et[:, j], 0.0))
+            prof = wj ** ks
+        else:
+            z = lfilter([0.0, 1.0 / wj], [1.0, -1.0 / wj], np.append(Et[::-1, j], 0.0))
+            Wt[:, j] = z[::-1]
+            prof = (1.0 / wj) ** (m - ks)
+        col = prof[:, None] * V[:, j]
+        if abs(wj.imag) < 1e-12:
+            cols.append(np.real(col).ravel())
+        elif wj.imag > 0:
+            cols += [np.real(col).ravel(), np.imag(col).ravel()]
+    W = np.real(Wt @ V.T)
+    K = np.stack(cols, axis=1)
+    c, *_ = np.linalg.lstsq(K, W.ravel(), rcond=None)
+    W = W - (K @ c).reshape(W.shape)
+    return A.space.normalize(pts + W)
+
+
+# delta = 0.1 keeps the corrections large enough that a last-bit change in a
+# series survives their addition to the chain points
+
+@pytest.mark.parametrize("n_links", [1, 2, 50, 2000])
+def test_hyperbolic_recurrences_match_lfilter_bits_on_cat(n_links):
+    x0 = np.random.default_rng(n_links).random(2)
+    chain = gen_pseudo_orbit(CAT, SIG0, x0, 0.1, n_links, seed=n_links)
+    got = shadow_linear_hyperbolic(CAT.maps[0], chain).shadow.points
+    assert np.array_equal(got, lfilter_closed_form(CAT.maps[0], chain))
+
+
+def test_hyperbolic_recurrences_match_lfilter_bits_on_random_automorphisms():
+    rng = np.random.default_rng(12)
+    n_complex = 0
+    for n in range(24):
+        while True:
+            d = int(rng.integers(2, 5))
+            M = rng.integers(-2, 3, size=(d, d))
+            if abs(round(np.linalg.det(M))) != 1:
+                continue
+            w = np.linalg.eigvals(M)
+            if np.min(np.abs(np.abs(w) - 1.0)) > 0.05:
+                break
+        n_complex += bool(np.any(np.abs(w.imag) > 1e-12))
+        A = affine_map(Space(d), M, np.zeros(d), "A")
+        chain = gen_pseudo_orbit(make_ifs([A]), SIG0, rng.random(d), 0.1,
+                                 int(rng.integers(1, 80)), seed=n)
+        got = shadow_linear_hyperbolic(A, chain).shadow.points
+        assert np.array_equal(got, lfilter_closed_form(A, chain)), M
+    assert n_complex >= 4
 
 
 # --- Gauss-Newton solver ----------------------------------------------------
