@@ -20,7 +20,7 @@ import numpy as np
 
 from . import io as ifsio
 from .core import (EXACT_CHAIN_TOL, SymbolSequence, dist_D0, dist_D1,
-                   gen_pseudo_orbit, rho0, rho1, validate_chain)
+                   gen_pseudo_orbit, rho0, validate_chain)
 from .expansive import estimate_expansive_const, estimate_N_of_mu, separation_time
 from .maps import InversionError, identity_map
 from .perturb import (CoverageError, SupportError, build_semiconj,
@@ -270,12 +270,11 @@ def cmd_metrics(args) -> int:
     F = ifsio.load_system(args.f)
     G = ifsio.load_system(args.g)
     grid = grid_for(F.space, args.grid)
-    if args.metric in ("rho0", "rho1"):
-        fn = rho0 if args.metric == "rho0" else rho1
-        value = fn(F.maps[0], G.maps[0], grid)
-    else:
-        fn = dist_D0 if args.metric == "D0" else dist_D1
-        value = fn(F, G, grid, mode=args.mode)
+    if args.metric in ("rho0", "rho1") and max(len(F), len(G)) > 1:
+        raise ValueError(f"{args.metric} compares two maps, not families of "
+                         f"{len(F)} and {len(G)} maps; use D0 or D1")
+    fn = dist_D0 if args.metric in ("rho0", "D0") else dist_D1
+    value = fn(F, G, grid, mode=args.mode)
     result = {
         "metric": args.metric,
         "mode": args.mode,

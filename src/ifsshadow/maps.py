@@ -13,11 +13,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .space import Space, _as_points, _norms
+from .space import Space, _as_points
 
 
 class InversionError(RuntimeError):
-    """Newton inversion failed to converge; carries the best iterate found."""
+    """An iterative inversion left points moving; carries its last iterate."""
 
     def __init__(self, msg, best=None, residual=None):
         super().__init__(msg)
@@ -48,7 +48,13 @@ class SmoothMap:
             return self.space.normalize(np.asarray(self.inv(p), dtype=float))
         if self.jac is None:
             raise InversionError(f"map {self.label!r} has no inverse and no Jacobian")
-        return _newton_invert(self, p, tol, max_iter)
+
+        def newton_step(q, target):
+            r = self.space.displacement(self(q), target)[..., None]
+            return q + np.linalg.solve(self.jacobian(q), r)[..., 0]
+
+        return _iterate_inverse(self.space, self, p, newton_step, tol, max_iter,
+                                f"Newton inversion of {self.label!r}")
 
     def jacobian(self, x) -> np.ndarray:
         if self.jac is None:
@@ -61,30 +67,26 @@ class SmoothMap:
         return self.inv is not None or self.jac is not None
 
 
-def _newton_invert(m: SmoothMap, p: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    space = m.space
-    q = space.normalize(np.array(p, dtype=float))
-    best = q
-    best_res = np.inf
+def _iterate_inverse(space: Space, f, p, update, tol: float, max_iter: int,
+                     what: str) -> np.ndarray:
+    """Preimages of p under f: z = normalize(p), then z <- normalize(update(z, p))
+    on the points still moving, until dist(z_next, z) <= tol (never for a NaN
+    step).  After max_iter steps, InversionError carries the iterate as ``best``
+    and the largest dist(f(z), p) among the moving points as ``residual``."""
+    p = np.asarray(p, dtype=float)
+    flat = p.reshape(-1, space.dim)
+    z = space.normalize(flat.copy())
+    active = np.arange(flat.shape[0])
     for _ in range(max_iter):
-        r = space.displacement(m(q), p)
-        res = float(np.max(_norms(r)))
-        if res < best_res:
-            best, best_res = q, res
-        step = np.linalg.solve(m.jacobian(q), r[..., None])[..., 0]
-        q = space.normalize(q + step)
-        if np.max(np.abs(step)) <= tol:
-            return q
-    r = space.displacement(m(q), p)
-    res = float(np.max(_norms(r)))
-    if res < best_res:
-        best, best_res = q, res
-    raise InversionError(
-        f"Newton inversion of {m.label!r} did not converge "
-        f"(best residual {best_res:.3e})",
-        best=best,
-        residual=best_res,
-    )
+        z_next = space.normalize(update(z[active], flat[active]))
+        moving = ~(space.dist(z_next, z[active]) <= tol)
+        z[active] = z_next
+        active = active[moving]
+        if active.size == 0:
+            return z.reshape(p.shape)
+    raise InversionError(f"{what}: {active.size} points still moving after {max_iter} steps",
+                         best=z.reshape(p.shape),
+                         residual=float(np.max(space.dist(f(z[active]), flat[active]))))
 
 
 def fd_jacobian(m: SmoothMap, x) -> np.ndarray:

@@ -20,9 +20,9 @@ from scipy.spatial import cKDTree
 
 from .core import (ChainRecord, IFS, SymbolSequence, _link_errors, _require_invertible,
                    _rho0_gap, link_residuals, make_ifs, orbit_steps, validate_chain)
-from .maps import InversionError, SmoothMap, compose
+from .maps import SmoothMap, _iterate_inverse, compose
 from .shadowing import (NEWTON_MAX_ITER, NEWTON_TOL, _gauss_newton, _max_residual,
-                        lipschitz_estimate)
+                        _pair_ratios, lipschitz_estimate)
 from .space import MetricGrid, Space, ball_sample, default_resolution, _as_points, _norms
 
 
@@ -144,22 +144,10 @@ def move_points_diffeo(
         return x + perturbation(x)
 
     def inv(p):
-        p = np.asarray(p, dtype=float)
-        flat = p.reshape(-1, space.dim)
-        z = space.normalize(flat.copy())
-        active = np.arange(flat.shape[0])
         # fixed-point iteration z <- p - perturbation(z); the perturbation is a
         # contraction, and points outside every support converge immediately
-        for _ in range(120):
-            z_next = space.normalize(flat[active] - perturbation(z[active]))
-            step = space.dist(z_next, z[active])
-            z[active] = z_next
-            active = active[step > 1e-13]
-            if active.size == 0:
-                return z.reshape(p.shape)
-        raise InversionError(
-            f"bump inverse of {label!r}: {active.size} points still moving after "
-            f"120 fixed-point steps", best=z.reshape(p.shape))
+        return _iterate_inverse(space, fwd, p, lambda z, q: q - perturbation(z),
+                                1e-13, 120, f"bump inverse of {label!r}")
 
     eye = np.eye(space.dim)
 
@@ -251,10 +239,7 @@ def inverse_lipschitz_estimate(m: SmoothMap, seed: int = 0) -> float:
         if smin <= 0:
             raise ValueError(f"map {m.label!r} has a singular Jacobian on the sample")
         return 1.0 / smin
-    Y = m.space.normalize(X + ball_sample(rng, n_samples, m.space.dim, 1e-3))
-    dxy = m.space.dist(X, Y)
-    ok = dxy > 0
-    return float(np.max(m.space.dist(m.invert(X[ok]), m.invert(Y[ok])) / dxy[ok]))
+    return float(np.max(_pair_ratios(m.invert, m.space, X, rng, 1e-3)))
 
 
 @dataclass(frozen=True)

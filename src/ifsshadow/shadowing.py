@@ -79,6 +79,15 @@ def _finish(F: IFS, chain: ChainRecord, ypts: np.ndarray, solver: str,
                         iterations=iterations, residual=residual)
 
 
+def _pair_ratios(g, space, X: np.ndarray, rng, scale: float) -> np.ndarray:
+    """Ratios dist(g(X), g(Y)) / dist(X, Y) for Y = X + a ball sample of
+    radius `scale`, over the pairs with Y != X."""
+    Y = space.normalize(X + ball_sample(rng, len(X), space.dim, scale))
+    dxy = space.dist(X, Y)
+    ok = dxy > 0
+    return space.dist(g(X[ok]), g(Y[ok])) / dxy[ok]
+
+
 def lipschitz_estimate(m: SmoothMap) -> float:
     """Numerical Lipschitz estimate from Jacobian norms and sampled pair ratios.
 
@@ -95,10 +104,7 @@ def lipschitz_estimate(m: SmoothMap) -> float:
         J = m.jacobian(X)
         best = float(np.max(np.linalg.svd(J, compute_uv=False)[..., 0]))
     for scale in (1e-4, 1e-2):
-        Y = m.space.normalize(X + ball_sample(rng, n_samples, m.space.dim, scale))
-        dxy = m.space.dist(X, Y)
-        ok = dxy > 0
-        ratios = m.space.dist(m(X[ok]), m(Y[ok])) / dxy[ok]
+        ratios = _pair_ratios(m, m.space, X, rng, scale)
         if ratios.size:
             best = max(best, float(np.max(ratios)))
     m._memo["lipschitz"] = best

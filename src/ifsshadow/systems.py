@@ -118,14 +118,19 @@ def build_torus_example() -> IFS:
                                  _torus_f_map("torus_F2", -1.0)]))
 
 
-def build_contraction_ifs(q: float, offsets=(0.0, 0.5)) -> IFS:
-    """Affine contractions x -> q x + o on the unit interval (Euclidean metric).
+def build_contraction_ifs(q: float, offsets=None) -> IFS:
+    """Affine contractions x -> q x + o of the unit interval into itself
+    (Euclidean metric): 0 <= o <= 1 - q, offsets (0, 1 - q) by default.
 
     A metric contraction like x/2 does not descend to the circle, so these
     families live on the non-periodic unit cube.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"contraction factor must lie in (0, 1), got {q}")
+    offsets = (0.0, 1.0 - q) if offsets is None else offsets
+    if not all(0.0 <= o <= 1.0 - q for o in offsets):
+        raise ValueError(f"offsets {list(offsets)} must lie in [0, {1.0 - q}] so that "
+                         f"x -> {q} x + o maps [0, 1] into itself")
     space = Space(1, periodic=False)
     maps = [affine_map(space, [[q]], [float(o)], f"contraction_{i}")
             for i, o in enumerate(offsets)]
@@ -206,8 +211,7 @@ def build_system(spec: str) -> IFS:
         if not args:
             raise ValueError("contraction needs a factor, e.g. contraction:0.5")
         q = float(args[0])
-        offsets = [float(a) for a in args[1:]] or [0.0, 1.0 - q]
-        return build_contraction_ifs(q, offsets)
+        return build_contraction_ifs(q, [float(a) for a in args[1:]] or None)
     if name == "rotation":
         if not args:
             raise ValueError("rotation needs at least one angle")

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ifsshadow import (MetricGrid, SymbolSequence, estimate_N_of_mu,
-                       estimate_expansive_const, max_orbit_separation,
+from ifsshadow import (MetricGrid, Space, SymbolSequence, affine_map, estimate_N_of_mu,
+                       estimate_expansive_const, make_ifs, max_orbit_separation,
                        separation_time, separation_times_batch)
 from ifsshadow.systems import (build_cat_ifs, build_identity_ifs,
                                build_rotation_ifs)
@@ -143,6 +143,20 @@ def test_n_of_mu_cat_matches_eigenvalue_prediction():
     prediction = int(np.ceil(np.log(0.1 * np.sqrt(2) / 1e-3) / np.log(LAM_U)))
     assert prediction == 6
     assert abs(N - prediction) <= 1
+
+
+def test_n_of_mu_off_the_plane_uses_random_directions():
+    # d != 2 draws its direction fan at random: on the circle doubling map a
+    # pair at distance mu separates past eta after ceil(log2(eta / mu)) steps
+    D = make_ifs([affine_map(Space(1), [[2]], [0.0], "doubling")])
+    grid = MetricGrid(D.space, 64)
+    prediction = int(np.ceil(np.log2(0.1 / 1e-3)))
+    for seed in range(3):
+        N = estimate_N_of_mu(D, SIG0, eta=0.1, mu=1e-3, grid=grid, seed=seed)
+        assert abs(N - prediction) <= 1
+    I3 = build_identity_ifs(3)
+    assert estimate_N_of_mu(I3, SIG0, eta=0.1, mu=1e-3, grid=MetricGrid(I3.space, 8),
+                            n_cap=10) is None
 
 
 def test_n_of_mu_identity_saturates():

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import ifsshadow
-from ifsshadow import ChainRecord, SymbolSequence, cli, gen_pseudo_orbit
+from ifsshadow import (ChainRecord, MetricGrid, SymbolSequence, build_system, cli,
+                       dist_D0, dist_D1, gen_pseudo_orbit, rho1)
 from ifsshadow import io as ifsio
 from ifsshadow.cli import main
 from ifsshadow.systems import build_cat_ifs
@@ -229,6 +230,46 @@ def test_cli_metrics_rho0_rotations(tmp_path):
     result = json.loads((tmp_path / "m.json").read_text())
     assert result["value"] == pytest.approx(0.02)
     assert result["grid_resolution"] == 512
+
+
+@pytest.mark.parametrize("metric, fn", [("D0", dist_D0), ("D1", dist_D1)])
+@pytest.mark.parametrize("mode", ["matched", "all-pairs"])
+def test_cli_family_metrics_match_the_library(metric, fn, mode, tmp_path):
+    out = tmp_path / "m"
+    assert run_cli("metrics", "--f", "rotation:0.1,0.3", "--g", "rotation:0.12,0.29",
+                   "--metric", metric, "--mode", mode, "--grid", "64",
+                   "--out", str(out)) == 0
+    result = json.loads((tmp_path / "m.json").read_text())
+    F, G = build_system("rotation:0.1,0.3"), build_system("rotation:0.12,0.29")
+    assert result["value"] == fn(F, G, MetricGrid(F.space, 64), mode=mode)
+    assert result["mode"] == mode
+
+
+def test_cli_rho1_on_single_maps_is_the_map_distance(tmp_path):
+    out = tmp_path / "m"
+    assert run_cli("metrics", "--f", "torus_F1", "--g", "torus_F2", "--metric", "rho1",
+                   "--grid", "8", "--out", str(out)) == 0
+    F, G = build_system("torus_F1"), build_system("torus_F2")
+    value = json.loads((tmp_path / "m.json").read_text())["value"]
+    assert value == rho1(F.maps[0], G.maps[0], MetricGrid(F.space, 8))
+
+
+@pytest.mark.parametrize("argv", [
+    ("--f", "torus_example", "--g", "torus_F1", "--metric", "rho0"),
+    ("--f", "torus_example", "--g", "torus_example", "--metric", "rho0",
+     "--mode", "all-pairs"),
+    ("--f", "torus_F1", "--g", "torus_example", "--metric", "rho1"),
+])
+def test_cli_map_metrics_on_families_are_config_errors(argv, capsys):
+    # rho0/rho1 used to compare map 0 of each family and ignore --mode
+    assert run_cli("metrics", *argv, "--grid", "4") == 2
+    assert "use D0 or D1" in capsys.readouterr().err
+
+
+def test_cli_contraction_offsets_outside_the_interval_are_config_errors(capsys):
+    assert run_cli("shadow", "--system", "contraction:0.5,0,0.6", "--delta", "0.01",
+                   "--len", "10") == 2
+    assert "offsets [0.0, 0.6] must lie in [0, 0.5]" in capsys.readouterr().err
 
 
 def test_cli_septime(tmp_path):

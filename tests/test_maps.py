@@ -56,6 +56,17 @@ def test_newton_inversion_failure_carries_best_iterate():
     assert exc.value.residual is not None and exc.value.residual >= 0.0
 
 
+def test_newton_inversion_of_nan_raises():
+    f1 = build_torus_f1().maps[0]
+    bare = SmoothMap("f1_bare", f1.space, f1.fwd, inv=None, jac=f1.jac)
+    P = f1(np.array([[0.3, 0.1, 0.6, 0.9], [0.2, 0.4, 0.1, 0.7]]))
+    P[1, 0] = np.nan
+    with pytest.raises(InversionError, match="1 points still moving after 50 steps") as exc:
+        bare.invert(P)
+    # each point stops on its own step, so the finite one is inverted
+    assert np.max(f1.space.dist(exc.value.best[0], [0.3, 0.1, 0.6, 0.9])) <= 1e-12
+
+
 def test_invert_without_inverse_or_jacobian():
     m = SmoothMap("fwd_only", Space(2), lambda x: x)
     with pytest.raises(InversionError):

@@ -141,10 +141,39 @@ def test_bump_inverse_raises_when_unconverged():
     f = move_points_diffeo([(p, p + [d, 0.0])], 0.02, support_radius=R)
     t = np.linspace(-0.95, 0.95, 39)
     X = p + np.stack([t * R, np.zeros_like(t)], axis=-1)
-    with pytest.raises(InversionError, match=r"\d+ points still moving"):
+    with pytest.raises(InversionError, match=r"\d+ points still moving") as exc:
         f.invert(f(X))
+    # the error carries the last iterate; points that left the loop are
+    # inverted, and the residual is the largest over those still moving
+    res = SP2.dist(f(exc.value.best), f(X))
+    assert exc.value.best.shape == X.shape and np.any(res <= 1e-12)
+    assert np.isfinite(exc.value.residual) and exc.value.residual == np.max(res) > 1e-12
     g = move_points_diffeo([(p, p + [d, 0.0])], 0.02)
     assert np.max(SP2.dist(g.invert(g(X)), X)) <= 1e-12
+
+
+def test_bump_inverse_of_nan_raises():
+    # a NaN step keeps its point moving, so NaN cannot leave the loop unnoticed
+    f = move_points_diffeo([(np.array([0.5, 0.5]), np.array([0.51, 0.5]))], 0.02)
+    with pytest.raises(InversionError, match="1 points still moving") as exc:
+        f.invert(np.array([[0.2, 0.3], [np.nan, 0.5]]))
+    assert np.array_equal(exc.value.best[0], [0.2, 0.3])
+
+
+def test_inverse_lipschitz_estimate_without_jacobian_samples_pair_ratios():
+    cat = CAT.maps[0]
+    m = SmoothMap("cat_no_jac", cat.space, cat.fwd, inv=cat.inv)
+    for seed in (0, 5):
+        # the sampled pair ratios of the inverse, written out
+        rng = np.random.default_rng(seed)
+        X = m.space.uniform(rng, 512)
+        Y = m.space.normalize(X + ball_sample(rng, 512, m.space.dim, 1e-3))
+        dxy = m.space.dist(X, Y)
+        ok = dxy > 0
+        expected = float(np.max(m.space.dist(m.invert(X[ok]), m.invert(Y[ok])) / dxy[ok]))
+        assert perturb.inverse_lipschitz_estimate(m, seed=seed) == expected
+    # the inverse of the cat map stretches by lambda_u as well
+    assert expected == pytest.approx((3 + np.sqrt(5)) / 2, rel=1e-2)
 
 
 # dense reference: every point against every center, summed by einsum

@@ -357,6 +357,19 @@ def test_shadow_auto_dispatch():
     assert shadow_auto(T, t_chain).solver == "newton"
 
 
+def test_shadow_auto_one_map_without_hyperbolic_closed_form_falls_through():
+    # a circle rotation has an integer matrix with eigenvalue 1: the closed
+    # form raises NotHyperbolicError, the isometry is not contracting, and
+    # Gauss-Newton shadows the chain
+    R = build_rotation_ifs([0.1])
+    chain = gen_pseudo_orbit(R, SIG0, [0.3], 1e-3, 50, seed=1)
+    with pytest.raises(NotHyperbolicError):
+        shadow_linear_hyperbolic(R.maps[0], chain)
+    r = shadow_auto(R, chain)
+    assert r.solver == "newton"
+    assert validate_chain(R, r.shadow).is_exact_chain
+
+
 def test_shadow_auto_estimates_each_lipschitz_constant_once(monkeypatch):
     import ifsshadow.shadowing as shadowing
     calls = []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ifsshadow import fd_jacobian, lipschitz_estimate
+from ifsshadow import SymbolSequence, fd_jacobian, iterate_chain, lipschitz_estimate
 from ifsshadow.systems import (CATALOG, CAT_MATRIX, build_bumped_cat_ifs,
                                build_cat_ifs, build_contraction_ifs,
                                build_identity_ifs, build_rotation_ifs,
@@ -96,6 +96,28 @@ def test_contraction_rejects_bad_factor():
         build_contraction_ifs(1.0)
     with pytest.raises(ValueError):
         build_contraction_ifs(-0.1)
+
+
+def test_contraction_default_offsets_keep_the_unit_interval():
+    # x -> 0.8 x + o maps [0, 1] into itself only for o <= 0.2; the library
+    # default and the catalog spec share the offsets (0, 1 - q)
+    F = build_contraction_ifs(0.8)
+    chain = iterate_chain(F, SymbolSequence.constant(1), [1.0], 20)
+    assert np.all((chain.points >= 0.0) & (chain.points <= 1.0))
+    X = np.linspace(0.0, 1.0, 11)[:, None]
+    for m, n in zip(F.maps, build_system("contraction:0.8").maps, strict=True):
+        assert np.array_equal(m(X), n(X))
+    for m, n in zip(build_contraction_ifs(0.5).maps,
+                    build_contraction_ifs(0.5, (0.0, 0.5)).maps, strict=True):
+        assert np.array_equal(m(X), n(X))
+
+
+@pytest.mark.parametrize("offsets", [(-0.1,), (0.0, 0.6), (0.0, float("nan"))])
+def test_contraction_rejects_offsets_leaving_the_unit_interval(offsets):
+    with pytest.raises(ValueError, match="offset"):
+        build_contraction_ifs(0.5, offsets)
+    with pytest.raises(ValueError, match="offset"):
+        build_system("contraction:0.5," + ",".join(map(str, offsets)))
 
 
 def test_rotation_preserves_distances():
