@@ -9,6 +9,7 @@ at most delta.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -112,6 +113,9 @@ class SymbolSequence:
             raise ValueError(f"symbols must be >= 0, got window {self.window} "
                              f"and extension {self.extension!r}")
         object.__setattr__(self, "_fill", fill)
+        array = np.array(self.window, dtype=np.intp)
+        array.flags.writeable = False
+        object.__setattr__(self, "_array", array)  # the window, read-only
 
     @classmethod
     def constant(cls, symbol: int) -> "SymbolSequence":
@@ -138,7 +142,7 @@ class SymbolSequence:
 
     def symbols(self, k_from: int, k_to: int) -> np.ndarray:
         """Symbols for k in [k_from, k_to), as an integer array."""
-        window = np.array(self.window, dtype=np.intp)
+        window = self._array
         i = np.arange(k_from - self.k_min, k_to - self.k_min)
         if self._fill is None:
             return window[i % window.size]
@@ -271,14 +275,15 @@ def validate_chain(F: IFS, chain: ChainRecord,
     return ChainVerdict(worst_val <= tol, worst_val, worst)
 
 
-def _parse_noise(noise: str) -> tuple[str, int]:
+def _parse_noise(noise: str) -> Optional[int]:
+    """The decimals of ``round:D``; None for ``uniform-ball``."""
     if noise == "uniform-ball":
-        return "uniform-ball", 0
+        return None
     if noise.startswith("round:"):
         decimals = int(noise.split(":", 1)[1])
         if decimals < 0:
             raise ValueError("round noise model needs decimals >= 0")
-        return "round", decimals
+        return decimals
     raise ValueError(f"unknown noise model {noise!r}")
 
 
@@ -301,36 +306,15 @@ def gen_pseudo_orbit(
         raise ValueError("delta must be nonnegative")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    kind, decimals = _parse_noise(noise)
-    space = F.space
-    d = space.dim
-    x = space.normalize(_as_points(space, x0))
-    pts = np.empty((steps + 1, d))
-    if kind == "round":
-        x = space.normalize(np.round(x, decimals))
-    pts[0] = x
-    if kind == "uniform-ball" and delta > 0:
-        errs = ball_sample(np.random.default_rng(seed), steps, d, delta)
-    else:
-        errs = np.zeros((steps, d))
-    fwds = [m.fwd for m in F.maps]
-    periodic = space.periodic
-    for k, s in enumerate(_in_family(F, sigma.symbols(0, steps)).tolist()):
-        y = np.asarray(fwds[s](pts[k]), dtype=float)
-        if periodic:
-            y = y - np.floor(y)
-        if kind == "round":
-            y = np.round(y, decimals)
-        y = y + errs[k]
-        if periodic:
-            y = y - np.floor(y)
-        pts[k + 1] = y
-    if kind == "round":
+    decimals = _parse_noise(noise)
+    d = F.space.dim
+    errs, bound = None, delta
+    if decimals is not None:
         bound = 0.5 * 10.0 ** (-decimals) * np.sqrt(d)
-    else:
-        bound = delta
+    elif delta > 0:
+        errs = ball_sample(np.random.default_rng(seed), steps, d, delta)
     return ChainRecord(
-        points=pts,
+        points=_step_chain(F, sigma, x0, steps, errs, decimals),
         sigma=sigma,
         delta=float(bound),
         kind="exact-chain" if bound == 0.0 else "delta-chain",
@@ -339,7 +323,123 @@ def gen_pseudo_orbit(
 
 def iterate_chain(F: IFS, sigma: SymbolSequence, x0, steps: int) -> ChainRecord:
     """Exact chain from x0: plain forward iteration under the schedule."""
-    return gen_pseudo_orbit(F, sigma, x0, 0.0, steps)
+    return ChainRecord(points=_step_chain(F, sigma, x0, steps, None, None),
+                       sigma=sigma, delta=0.0, kind="exact-chain")
+
+
+# largest D for which 10^D is exact in float64: round:D on Python floats
+# then takes the bits of np.round, which is rint(y * 10^D) / 10^D
+_EXACT_POW10 = 22
+
+
+def _step_chain(F: IFS, sigma: SymbolSequence, x0, steps: int,
+                errs: Optional[np.ndarray], decimals: Optional[int]) -> np.ndarray:
+    """Points x_0..x_steps of the one-point chain x_{k+1} = f_{s(k)}(x_k) + e_k.
+
+    x_0 is x0 normalized.  Each image is reduced mod 1 on the torus, rounded
+    to `decimals` places when given (x_0 too), shifted by e_k = errs[k] (zero
+    when errs is None) and reduced again.  A family whose maps all carry
+    ``affine`` is stepped on Python floats (_affine_steps says when its bits
+    can differ from the array loop's); other families, ``round:D`` with
+    D > _EXACT_POW10 and chains that leave the finite floats, on arrays.
+    """
+    space = F.space
+    x = space.normalize(_as_points(space, x0))
+    if decimals is not None:
+        x = space.normalize(np.round(x, decimals))
+    symbols = _in_family(F, sigma.symbols(0, steps))
+    pts = np.empty((steps + 1, space.dim))
+    pts[0] = x
+    if errs is None:
+        errs = np.zeros((steps, space.dim))
+    coefs = [m.affine for m in F.maps]
+    if (all(c is not None for c in coefs)
+            and (decimals is None or decimals <= _EXACT_POW10)
+            and _affine_steps(pts, coefs, symbols, errs, space.periodic, decimals)):
+        return pts
+    fwds = [m.fwd for m in F.maps]
+    periodic = space.periodic
+    for k, s in enumerate(symbols.tolist()):
+        y = np.asarray(fwds[s](pts[k]), dtype=float)
+        if periodic:
+            y = y - np.floor(y)
+        if decimals is not None:
+            y = np.round(y, decimals)
+        y = y + errs[k]
+        if periodic:
+            y = y - np.floor(y)
+        pts[k + 1] = y
+    return pts
+
+
+def _affine_steps(pts: np.ndarray, coefs, symbols: np.ndarray, errs: np.ndarray,
+                  periodic: bool, decimals: Optional[int]) -> bool:
+    """Fill pts[1:] as _step_chain does, on Python floats, for maps with
+    coefficients coefs[s] = (A, b); False, with pts[1:] unspecified, when a
+    value is not finite.
+
+    Each image sums (a_i0 x_0 + a_i1 x_1 + ...) from +0.0 and then adds b_i.
+    BLAS starts the one-point ``x @ A.T`` from zero as well, so neither sum is
+    -0.0 (in the d = 1 form, b + 0.0 keeps a -0.0 offset from giving -0.0).
+    y % 1.0 equals y - floor(y): the remainder is exact, and +0.0 at zero.
+    BLAS may add in another order or with fused multiply-adds, so where a
+    product or a partial sum is not exact (d >= 2) the last bit can differ
+    from ``x @ A.T``; for d = 1, and on the cat and rotation maps, the bits
+    are the same.
+    """
+    n, d = pts.shape
+    scale = None if decimals is None else float(10 ** decimals)
+    rows = [(A.tolist(), [bi + 0.0 for bi in b.tolist()]) for A, b in coefs]
+    syms = symbols.tolist()
+    if d == 1:          # the general loop's operations, without its inner loops
+        ab = [(A[0][0], b[0]) for A, b in rows]
+        x = float(pts[0, 0])
+        out = []
+        for s, e in zip(syms, errs[:, 0].tolist()):
+            a, b = ab[s]
+            y = a * x + b
+            if periodic:
+                y %= 1.0
+            if scale is not None:
+                y = _round_scaled(y, scale)
+            x = y + e
+            if periodic:
+                x %= 1.0
+            out.append(x)
+        pts[1:, 0] = out
+    else:
+        x = pts[0].tolist()
+        out = []
+        for s, e in zip(syms, errs.tolist()):
+            A, b = rows[s]
+            y = []
+            for row, bi, ei in zip(A, b, e):
+                v = 0.0
+                for a, xj in zip(row, x):
+                    v += a * xj
+                v += bi
+                if periodic:
+                    v %= 1.0
+                if scale is not None:
+                    v = _round_scaled(v, scale)
+                v += ei
+                if periodic:
+                    v %= 1.0
+                y.append(v)
+            x = y
+            out += y
+        pts[1:] = np.reshape(out, (n - 1, d))
+    return bool(np.isfinite(pts).all())
+
+
+def _round_scaled(y: float, scale: float) -> float:
+    """np.round(y, D) for scale = 10^D exact: rint(y * scale) / scale, a zero
+    keeping the sign of y * scale."""
+    v = y * scale
+    try:
+        return round(v) / scale or math.copysign(0.0, v)
+    except (OverflowError, ValueError):      # an infinity or a NaN: rint keeps it
+        return v / scale
 
 
 # ---------------------------------------------------------------------------

@@ -168,7 +168,8 @@ def estimate_N_of_mu(
     its orbit distances <= eta for |n| < N; None if saturated.
 
     Pairs are grid points displaced by mu along a direction fan (the slowest
-    separating orientations matter) plus random grid pairs.
+    separating orientations matter; off d = 2 the fan is random directions
+    plus the coordinate axes) plus random grid pairs.
     """
     if mu > F.space.diameter():
         return 1
@@ -181,8 +182,10 @@ def estimate_N_of_mu(
         ang = np.linspace(0.0, np.pi, n_directions, endpoint=False)
         dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     else:
+        # random directions plus the d axes, which a pair split along a
+        # fixed coordinate needs (the axes take no draw from rng)
         dirs = rng.standard_normal((n_directions, d))
-        dirs /= _norms(dirs)[:, None]
+        dirs = np.concatenate([dirs / _norms(dirs)[:, None], np.eye(d)])
     X = np.repeat(base, len(dirs), axis=0)
     Y = F.space.normalize(X + mu * np.tile(dirs, (len(base), 1)))
     i = rng.integers(0, len(pts), size=n_pairs)

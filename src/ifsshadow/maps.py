@@ -34,6 +34,10 @@ class SmoothMap:
     jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
     # integer matrix when the map is a linear toral automorphism x -> A x
     matrix: Optional[np.ndarray] = None
+    # (A, b) when fwd is x @ A.T + b (set by affine_map), for stepping chains
+    # on floats; an init field, so a dataclasses.replace copy keeps it, and a
+    # copy whose fwd computes another formula must pass affine=None
+    affine: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, compare=False)
     # deterministic estimates computed from the map, keyed by their arguments
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -168,4 +172,5 @@ def affine_map(space: Space, A, b, label: str = "affine") -> SmoothMap:
         inv=inv,
         jac=lambda x: np.broadcast_to(A, x.shape + (space.dim,)),
         matrix=np.round(A).astype(int) if (space.periodic and integral) else None,
+        affine=(A, b),
     )

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.linalg.lapack import dpbsv
 
 from .core import (EXACT_CHAIN_TOL, ChainRecord, IFS, SymbolSequence,
-                   _link_errors, orbit_steps, validate_chain)
+                   _link_errors, iterate_chain, validate_chain)
 from .maps import SmoothMap
 from .space import _norms, ball_sample
 
@@ -123,7 +123,7 @@ def shadow_contraction(F: IFS, chain: ChainRecord) -> ShadowResult:
             raise NotContractingError(
                 f"map {m.label!r} is not contracting (Lipschitz estimate {q:.4f})"
             )
-    y = np.array(list(orbit_steps(F, chain.sigma, chain.points[0], chain.n_links)))
+    y = iterate_chain(F, chain.sigma, chain.points[0], chain.n_links).points
     return _finish(F, chain, y, "contraction", 0)
 
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from ifsshadow import (ChainRecord, MetricGrid, SmoothMap, Space,
                        SymbolSequence, dist_D0, dist_D1, gen_pseudo_orbit,
                        identity_map, iterate_chain, make_ifs,
                        move_points_diffeo, orbit_map, orbit_steps, rho0, rho1,
-                       validate_chain)
+                       shadow_contraction, validate_chain)
+from ifsshadow.io import ifs_from_dict
+from ifsshadow.space import ball_sample
 from ifsshadow.systems import (build_cat_ifs, build_contraction_ifs,
                                build_rotation_ifs, build_torus_example)
 
@@ -63,7 +66,10 @@ def test_sigma_symbols_match_lookup(window, constant, k_min, a, length):
     s = SymbolSequence(tuple(window), ext, k_min)
     syms = s.symbols(a, a + length)
     assert syms.dtype.kind == "i"
-    assert syms.tolist() == [s.lookup(k) for k in range(a, a + length)]
+    expected = [s.lookup(k) for k in range(a, a + length)]
+    assert syms.tolist() == expected
+    syms += 7                     # the caller's array, not the cached window
+    assert s.symbols(a, a + length).tolist() == expected
 
 
 @given(window=st.lists(st.integers(0, 5), min_size=1, max_size=8),
@@ -305,6 +311,150 @@ def test_gen_deterministic_in_seed():
     c = gen_pseudo_orbit(CAT, SIG0, [0.2, 0.9], 0.01, 500, seed=78)
     assert np.array_equal(a.points, b.points)
     assert not np.array_equal(a.points, c.points)
+
+
+# --- one-point chains of affine families on Python floats ----------------
+
+def reference_step(F, s, x, e, decimals=None):
+    """One step of the per-step array loop: f_s(x) mod 1, rounded, + e, mod 1."""
+    y = np.asarray(F.maps[s].fwd(x), dtype=float)
+    if F.space.periodic:
+        y = y - np.floor(y)
+    if decimals is not None:
+        y = np.round(y, decimals)
+    y = y + e
+    if F.space.periodic:
+        y = y - np.floor(y)
+    return y
+
+
+def reference_chain(F, sigma, x0, steps, errs=None, decimals=None):
+    """The per-step array loop, one map call per link: the reference for
+    chains stepped on Python floats."""
+    space = F.space
+    x = space.normalize(np.asarray(x0, dtype=float))
+    if decimals is not None:
+        x = space.normalize(np.round(x, decimals))
+    pts = np.empty((steps + 1, space.dim))
+    pts[0] = x
+    if errs is None:
+        errs = np.zeros((steps, space.dim))
+    for k, s in enumerate(sigma.symbols(0, steps).tolist()):
+        pts[k + 1] = reference_step(F, s, pts[k], errs[k], decimals)
+    return pts
+
+
+def same_bits(a, b):
+    return (np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+COORDINATES = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, -1e-20, 1e-300, 0.0005, 0.9995]))
+
+
+@st.composite
+def affine_case(draw):
+    """A catalog affine family (contraction, cat or rotation), a schedule on
+    it and a starting point."""
+    kind = draw(st.sampled_from(["contraction", "cat", "rotation"]))
+    if kind == "contraction":
+        q = draw(st.one_of(st.sampled_from([0.3, 0.8]), st.floats(0.01, 0.99)))
+        offset = st.one_of(st.floats(0.0, 1.0 - q), st.just(-0.0))
+        F = build_contraction_ifs(q, draw(st.lists(offset, min_size=1, max_size=3)))
+    elif kind == "cat":
+        F = CAT
+    else:
+        dim = draw(st.integers(1, 3))
+        angle = st.one_of(st.floats(-2.0, 2.0), st.just(-0.0))
+        angles = draw(st.lists(st.lists(angle, min_size=dim, max_size=dim),
+                               min_size=1, max_size=3))
+        F = build_rotation_ifs(angles)
+    symbol = st.integers(0, len(F) - 1)
+    window = draw(st.lists(symbol, min_size=1, max_size=8))
+    x0 = draw(st.lists(COORDINATES, min_size=F.space.dim, max_size=F.space.dim))
+    return F, SymbolSequence(tuple(window)), x0
+
+
+@settings(deadline=None)
+@given(case=affine_case(), steps=st.integers(0, 60),
+       noise=st.one_of(st.just("uniform-ball"),
+                       st.integers(0, 25).map(lambda D: f"round:{D}")),
+       delta=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+       seed=st.integers(0, 2**16))
+def test_affine_chains_have_the_bits_of_the_array_loop(case, steps, noise, delta, seed):
+    F, sigma, x0 = case
+    d = F.space.dim
+    decimals, errs = None, None
+    if noise.startswith("round:"):
+        decimals = int(noise[6:])
+    elif delta > 0:
+        errs = ball_sample(np.random.default_rng(seed), steps, d, delta)
+    chain = gen_pseudo_orbit(F, sigma, x0, delta, steps, noise, seed)
+    assert same_bits(chain.points, reference_chain(F, sigma, x0, steps, errs, decimals))
+    exact = reference_chain(F, sigma, x0, steps)
+    assert same_bits(iterate_chain(F, sigma, x0, steps).points, exact)
+    if F.space.periodic:
+        return
+    shadow = shadow_contraction(F, chain).shadow.points
+    assert same_bits(shadow, reference_chain(F, sigma, chain.points[0], steps))
+
+
+@pytest.mark.parametrize("x0", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("noise", ["uniform-ball", "round:3"])
+def test_affine_chain_off_the_finite_floats_steps_on_arrays(x0, noise):
+    F = build_contraction_ifs(0.5)
+    sigma = SymbolSequence((0, 1))
+    chain = gen_pseudo_orbit(F, sigma, [x0], 0.0, 5, noise)
+    decimals = 3 if noise == "round:3" else None
+    assert same_bits(chain.points, reference_chain(F, sigma, [x0], 5, None, decimals))
+
+
+# BLAS may add the terms of x @ A.T in another order, or with fused
+# multiply-adds, than the float loop's a_i0 x_0 + a_i1 x_1 + ...; with at
+# most 4 terms below 16 in size, each of the <= 5 roundings of an image and
+# its noise moves it by at most ulp(16) / 2 = 8 eps
+AFFINE_TOL = 64 * np.finfo(float).eps
+
+
+@settings(deadline=None)
+@given(d=st.integers(2, 4), steps=st.integers(1, 60), seed=st.integers(0, 2**16),
+       delta=st.floats(1e-3, 0.1))
+def test_json_affine_chains_agree_with_the_array_loop_to_rounding(d, steps, seed, delta):
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(-0.9, 0.9, (d, d)) / d      # inexact products, |A|_inf < 1
+    b = rng.random(d)
+    F = ifs_from_dict({"space": {"dim": d, "periodic": False},
+                       "maps": [{"kind": "affine",
+                                 "params": {"matrix": A.tolist(), "offset": b.tolist()}}]})
+    chain = gen_pseudo_orbit(F, SIG0, rng.random(d), delta, steps, seed=seed)
+    errs = ball_sample(np.random.default_rng(seed), steps, d, delta)
+    pts = chain.points
+    for k in range(steps):
+        ref = reference_step(F, 0, pts[k], errs[k])
+        assert np.max(np.abs(pts[k + 1] - ref)) <= AFFINE_TOL
+    assert validate_chain(F, chain).max_residual <= delta * (1 + 1e-9)
+
+
+def test_a_replaced_fwd_keeps_the_float_path():
+    # a copy of each map whose fwd counts its calls, as a call-counting
+    # wrapper would make it, keeps the affine coefficients and their path
+    calls = []
+
+    def counting(fwd):
+        return lambda x: calls.append(1) or fwd(x)
+
+    F = build_contraction_ifs(0.3, [0.0, 0.5, 0.7])
+    G = make_ifs([replace(m, fwd=counting(m.fwd)) for m in F.maps])
+    assert all(g.affine is f.affine for f, g in zip(F.maps, G.maps))
+    sigma = SymbolSequence.random(3, 200, seed=1)
+    got = gen_pseudo_orbit(G, sigma, [0.4], 0.01, 200, seed=2)
+    assert not calls
+    assert same_bits(got.points, gen_pseudo_orbit(F, sigma, [0.4], 0.01, 200, seed=2).points)
+    assert same_bits(iterate_chain(G, sigma, [0.4], 200).points,
+                     iterate_chain(F, sigma, [0.4], 200).points)
+    assert not calls
 
 
 # --- map and family distances -------------------------------------------

@@ -159,6 +159,16 @@ def test_n_of_mu_off_the_plane_uses_random_directions():
                             n_cap=10) is None
 
 
+def test_n_of_mu_off_the_plane_displaces_pairs_along_the_axes():
+    # on T^3, [[2,1,0],[1,1,0],[0,0,1]] fixes the third coordinate, so a pair
+    # split along e3 never separates and N(mu) saturates; a random direction
+    # almost surely has a component along the expanding eigenvector
+    A = make_ifs([affine_map(Space(3), [[2, 1, 0], [1, 1, 0], [0, 0, 1]],
+                             np.zeros(3), "cat_x_id")])
+    assert estimate_N_of_mu(A, SIG0, eta=0.1, mu=1e-3,
+                            grid=MetricGrid(A.space, 8), seed=0) is None
+
+
 def test_n_of_mu_identity_saturates():
     I = build_identity_ifs(2)
     grid = MetricGrid(I.space, 32)
