@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .maps import SmoothMap
-from .space import MetricGrid, Space, _as_points, _norms, ball_sample
+from .space import MetricGrid, Space, _as_points, _mod1, _norms, ball_sample
 
 EXACT_CHAIN_TOL = 1e-9   # largest link residual of a chain counted as exact
 
@@ -224,7 +224,7 @@ def orbit_steps(F: IFS, sigma: SymbolSequence, x, k: int) -> Iterator[np.ndarray
         for s in symbols.tolist():
             y = np.asarray(fwds[s](y), dtype=float)
             if periodic:
-                y = y - np.floor(y)
+                y = _mod1(y)
             yield y
     else:
         for s in symbols[::-1].tolist():
@@ -338,10 +338,13 @@ def _step_chain(F: IFS, sigma: SymbolSequence, x0, steps: int,
 
     x_0 is x0 normalized.  Each image is reduced mod 1 on the torus, rounded
     to `decimals` places when given (x_0 too), shifted by e_k = errs[k] (zero
-    when errs is None) and reduced again.  A family whose maps all carry
-    ``affine`` is stepped on Python floats (_affine_steps says when its bits
-    can differ from the array loop's); other families, ``round:D`` with
-    D > _EXACT_POW10 and chains that leave the finite floats, on arrays.
+    when errs is None) and reduced again; a reduction that lands on 1.0 gives
+    0.0, as in Space.normalize.  Families are stepped on Python floats when
+    all their maps carry ``affine`` (_affine_steps says when its bits can
+    differ from the array loop's) or, failing that, all carry ``point``
+    (the bits of the array loop wherever ``point`` has those of ``fwd``).
+    Other families, ``round:D`` with D > _EXACT_POW10 and chains that leave
+    the finite floats step on arrays, one ``fwd`` call per link.
     """
     space = F.space
     x = space.normalize(_as_points(space, x0))
@@ -352,83 +355,113 @@ def _step_chain(F: IFS, sigma: SymbolSequence, x0, steps: int,
     pts[0] = x
     if errs is None:
         errs = np.zeros((steps, space.dim))
-    coefs = [m.affine for m in F.maps]
-    if (all(c is not None for c in coefs)
-            and (decimals is None or decimals <= _EXACT_POW10)
-            and _affine_steps(pts, coefs, symbols, errs, space.periodic, decimals)):
-        return pts
-    fwds = [m.fwd for m in F.maps]
     periodic = space.periodic
+    if decimals is None or decimals <= _EXACT_POW10:
+        coefs = [m.affine for m in F.maps]
+        points = [m.point for m in F.maps]
+        if all(c is not None for c in coefs):
+            if _affine_steps(pts, coefs, symbols, errs, periodic, decimals):
+                return pts
+        elif all(p is not None for p in points):
+            if _float_steps(pts, symbols, errs, periodic, decimals, points=points):
+                return pts
+    fwds = [m.fwd for m in F.maps]
     for k, s in enumerate(symbols.tolist()):
         y = np.asarray(fwds[s](pts[k]), dtype=float)
         if periodic:
-            y = y - np.floor(y)
+            y = _mod1(y)
         if decimals is not None:
             y = np.round(y, decimals)
         y = y + errs[k]
         if periodic:
-            y = y - np.floor(y)
+            y = _mod1(y)
         pts[k + 1] = y
     return pts
 
 
 def _affine_steps(pts: np.ndarray, coefs, symbols: np.ndarray, errs: np.ndarray,
                   periodic: bool, decimals: Optional[int]) -> bool:
-    """Fill pts[1:] as _step_chain does, on Python floats, for maps with
-    coefficients coefs[s] = (A, b); False, with pts[1:] unspecified, when a
-    value is not finite.
+    """_float_steps for maps with coefficients coefs[s] = (A, b).
 
-    Each image sums (a_i0 x_0 + a_i1 x_1 + ...) from +0.0 and then adds b_i.
-    BLAS starts the one-point ``x @ A.T`` from zero as well, so neither sum is
-    -0.0 (in the d = 1 form, b + 0.0 keeps a -0.0 offset from giving -0.0).
+    BLAS starts the one-point ``x @ A.T`` from zero, so its image is never
+    -0.0; neither is the float loop's, as b + 0.0 has no -0.0 offset.  BLAS
+    may add in another order or with fused multiply-adds, so where a product
+    or a partial sum is not exact (d >= 2) the last bit can differ from
+    ``x @ A.T``; for d = 1, and on the cat and rotation maps, the bits are
+    the same.
+    """
+    rows = [(A.tolist(), [bi + 0.0 for bi in b.tolist()]) for A, b in coefs]
+    if pts.shape[1] > 1:
+        return _float_steps(pts, symbols, errs, periodic, decimals, rows=rows)
+    # d = 1: _float_steps' operations, without its inner loops
+    scale = None if decimals is None else float(10 ** decimals)
+    ab = [(A[0][0], b[0]) for A, b in rows]
+    x = float(pts[0, 0])
+    out = []
+    for s, e in zip(symbols.tolist(), errs[:, 0].tolist()):
+        a, b = ab[s]
+        y = a * x + b
+        if periodic:
+            y %= 1.0
+            if y == 1.0:
+                y = 0.0
+        if scale is not None:
+            y = _round_scaled(y, scale)
+        x = y + e
+        if periodic:
+            x %= 1.0
+            if x == 1.0:
+                x = 0.0
+        out.append(x)
+    pts[1:, 0] = out
+    return bool(np.isfinite(pts).all())
+
+
+def _float_steps(pts: np.ndarray, symbols: np.ndarray, errs: np.ndarray,
+                 periodic: bool, decimals: Optional[int],
+                 rows=None, points=None) -> bool:
+    """Fill pts[1:] as _step_chain does, on Python floats; False, with pts[1:]
+    unspecified, when a value is not finite.
+
+    Map s takes x to A x + b with (A, b) = rows[s] as lists or, given
+    ``points``, to b = points[s](x) with no linear part, so an affine map
+    takes no call per link.  Coordinate i sums a_i0 x_0 + a_i1 x_1 + ...
+    from -0.0 and then adds b_i: without a linear part that is b_i exactly,
+    and an affine b_i is never -0.0, so the image is that of a sum from +0.0.
     y % 1.0 equals y - floor(y): the remainder is exact, and +0.0 at zero.
-    BLAS may add in another order or with fused multiply-adds, so where a
-    product or a partial sum is not exact (d >= 2) the last bit can differ
-    from ``x @ A.T``; for d = 1, and on the cat and rotation maps, the bits
-    are the same.
     """
     n, d = pts.shape
     scale = None if decimals is None else float(10 ** decimals)
-    rows = [(A.tolist(), [bi + 0.0 for bi in b.tolist()]) for A, b in coefs]
-    syms = symbols.tolist()
-    if d == 1:          # the general loop's operations, without its inner loops
-        ab = [(A[0][0], b[0]) for A, b in rows]
-        x = float(pts[0, 0])
-        out = []
-        for s, e in zip(syms, errs[:, 0].tolist()):
-            a, b = ab[s]
-            y = a * x + b
-            if periodic:
-                y %= 1.0
-            if scale is not None:
-                y = _round_scaled(y, scale)
-            x = y + e
-            if periodic:
-                x %= 1.0
-            out.append(x)
-        pts[1:, 0] = out
-    else:
-        x = pts[0].tolist()
-        out = []
-        for s, e in zip(syms, errs.tolist()):
+    if points is not None:
+        A = [()] * d
+    x = pts[0].tolist()
+    out = []
+    for s, e in zip(symbols.tolist(), errs.tolist()):
+        if points is None:
             A, b = rows[s]
-            y = []
-            for row, bi, ei in zip(A, b, e):
-                v = 0.0
-                for a, xj in zip(row, x):
-                    v += a * xj
-                v += bi
-                if periodic:
-                    v %= 1.0
-                if scale is not None:
-                    v = _round_scaled(v, scale)
-                v += ei
-                if periodic:
-                    v %= 1.0
-                y.append(v)
-            x = y
-            out += y
-        pts[1:] = np.reshape(out, (n - 1, d))
+        else:
+            b = points[s](x)
+        y = []
+        for row, bi, ei in zip(A, b, e):
+            v = -0.0
+            for a, xj in zip(row, x):
+                v += a * xj
+            v += bi
+            if periodic:
+                v %= 1.0
+                if v == 1.0:
+                    v = 0.0
+            if scale is not None:
+                v = _round_scaled(v, scale)
+            v += ei
+            if periodic:
+                v %= 1.0
+                if v == 1.0:
+                    v = 0.0
+            y.append(v)
+        x = y
+        out += y
+    pts[1:] = np.reshape(out, (n - 1, d))
     return bool(np.isfinite(pts).all())
 
 

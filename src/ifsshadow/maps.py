@@ -38,6 +38,11 @@ class SmoothMap:
     # on floats; an init field, so a dataclasses.replace copy keeps it, and a
     # copy whose fwd computes another formula must pass affine=None
     affine: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, compare=False)
+    # fwd on one point: a list of d Python floats to a list with the bits of
+    # fwd on a one-point array, for stepping chains on floats; an init field
+    # like affine, so a copy whose fwd computes another formula must pass
+    # point=None
+    point: Optional[Callable[[list], list]] = field(default=None, compare=False)
     # deterministic estimates computed from the map, keyed by their arguments
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 

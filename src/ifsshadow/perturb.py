@@ -383,11 +383,8 @@ def _nearest_samples(space: Space, samples: np.ndarray, queries: np.ndarray,
     they cause no ties.  Memory is linear in the numbers of samples and queries.
     """
     keep = np.sort(np.unique(samples, axis=0, return_index=True)[1])
-    data, probes = samples[keep], queries
-    if space.periodic:
-        # normalize may return exactly 1.0 (from -1e-20), which the periodic
-        # tree rejects; a second mod sends it to 0.0, the same torus point
-        data, probes = (np.mod(np.mod(x, 1.0), 1.0) for x in (data, queries))
+    # the periodic tree takes coordinates in [0, 1) only
+    data, probes = space.normalize(samples[keep]), space.normalize(queries)
     tree = cKDTree(data, boxsize=1.0 if space.periodic else None)
     k = min(len(keep), 2 ** space.dim + 1)
     tree_d, cand = (a.reshape(len(queries), -1) for a in tree.query(probes, k=k))

@@ -39,6 +39,14 @@ def _as_points(space: "Space", x) -> np.ndarray:
     return x
 
 
+def _mod1(x: np.ndarray) -> np.ndarray:
+    """x mod 1 in [0, 1): x - floor(x), except that a result of 1.0 (the
+    rounded sum of a tiny negative x and 1) gives 0.0, the same torus point."""
+    r = x - np.floor(x)
+    r[r == 1.0] = 0.0
+    return r
+
+
 def _norms(v: np.ndarray) -> np.ndarray:
     """Row norms over the last axis, bit-identical to np.sqrt(np.sum(v * v, axis=-1)).
 
@@ -67,11 +75,11 @@ class Space:
             raise DimensionError(f"dim must be >= 1, got {self.dim}")
 
     def normalize(self, x) -> np.ndarray:
-        """Map coordinates into the fundamental domain (mod 1 on the torus)."""
+        """Map coordinates into the fundamental domain ([0, 1) on the torus)."""
         x = _as_points(self, x)
         if not self.periodic:
             return x
-        return x - np.floor(x)
+        return _mod1(x)
 
     def displacement(self, p, q) -> np.ndarray:
         """Vector v with p + v = q, shortest representative on the torus.

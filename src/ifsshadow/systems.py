@@ -7,6 +7,7 @@ sample at build time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,22 +52,30 @@ def _torus_f_map(label: str, c_sign: float) -> SmoothMap:
     space = Space(4)
     two_pi = 2.0 * np.pi
 
-    def cval(u, v):
-        return np.cos(np.pi * (u + c_sign * v)) ** 2
+    def cval(u, v, cos=np.cos):
+        # ** 2, not c * c: numpy's ** 2 on one point is a pow, which can
+        # differ from c * c in the last bit, and point has to match it
+        return cos(np.pi * (u + c_sign * v)) ** 2
+
+    def image(x, y, u, v, sin, cos):
+        """The image of (x, y, u, v), from numpy's sin and cos on arrays or
+        math's on Python floats."""
+        cf = cval(u, v, cos) * sin(two_pi * x) / two_pi
+        return [2 * x - cf + y, x - cf + y, 2 * u + v, u + v]
 
     def cgrad(u, v):
         s = -np.pi * np.sin(two_pi * (u + c_sign * v))
         return s, c_sign * s
 
     def fwd(p):
-        x, y, u, v = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
-        cf = cval(u, v) * np.sin(two_pi * x) / two_pi
         out = np.empty(p.shape)
-        out[..., 0] = 2 * x - cf + y
-        out[..., 1] = x - cf + y
-        out[..., 2] = 2 * u + v
-        out[..., 3] = u + v
+        for j, c in enumerate(image(p[..., 0], p[..., 1], p[..., 2], p[..., 3],
+                                    np.sin, np.cos)):
+            out[..., j] = c
         return out
+
+    def point(q):
+        return image(*q, math.sin, math.cos)
 
     def inv(p):
         X, Y, U, V = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
@@ -101,7 +110,7 @@ def _torus_f_map(label: str, c_sign: float) -> SmoothMap:
         J[..., 3, 3] = 1
         return J
 
-    return SmoothMap(label=label, space=space, fwd=fwd, inv=inv, jac=jac)
+    return SmoothMap(label=label, space=space, fwd=fwd, inv=inv, jac=jac, point=point)
 
 
 def build_torus_f1() -> IFS:

@@ -12,9 +12,11 @@ from ifsshadow import (ChainRecord, MetricGrid, SmoothMap, Space,
                        move_points_diffeo, orbit_map, orbit_steps, rho0, rho1,
                        shadow_contraction, validate_chain)
 from ifsshadow.io import ifs_from_dict
+from ifsshadow.maps import compose
 from ifsshadow.space import ball_sample
-from ifsshadow.systems import (build_cat_ifs, build_contraction_ifs,
-                               build_rotation_ifs, build_torus_example)
+from ifsshadow.systems import (build_bumped_cat_ifs, build_cat_ifs,
+                               build_contraction_ifs, build_rotation_ifs,
+                               build_torus_example)
 
 CAT = build_cat_ifs()
 SIG0 = SymbolSequence.constant(0)
@@ -315,16 +317,22 @@ def test_gen_deterministic_in_seed():
 
 # --- one-point chains of affine families on Python floats ----------------
 
+def reference_mod1(y):
+    """y - floor(y), where a result of 1.0 gives 0.0."""
+    y = y - np.floor(y)
+    return np.where(y == 1.0, 0.0, y)
+
+
 def reference_step(F, s, x, e, decimals=None):
     """One step of the per-step array loop: f_s(x) mod 1, rounded, + e, mod 1."""
     y = np.asarray(F.maps[s].fwd(x), dtype=float)
     if F.space.periodic:
-        y = y - np.floor(y)
+        y = reference_mod1(y)
     if decimals is not None:
         y = np.round(y, decimals)
     y = y + e
     if F.space.periodic:
-        y = y - np.floor(y)
+        y = reference_mod1(y)
     return y
 
 
@@ -332,9 +340,13 @@ def reference_chain(F, sigma, x0, steps, errs=None, decimals=None):
     """The per-step array loop, one map call per link: the reference for
     chains stepped on Python floats."""
     space = F.space
-    x = space.normalize(np.asarray(x0, dtype=float))
+    x = np.asarray(x0, dtype=float)
+    if space.periodic:
+        x = reference_mod1(x)
     if decimals is not None:
-        x = space.normalize(np.round(x, decimals))
+        x = np.round(x, decimals)
+        if space.periodic:
+            x = reference_mod1(x)
     pts = np.empty((steps + 1, space.dim))
     pts[0] = x
     if errs is None:
@@ -377,14 +389,15 @@ def affine_case(draw):
     return F, SymbolSequence(tuple(window)), x0
 
 
-@settings(deadline=None)
-@given(case=affine_case(), steps=st.integers(0, 60),
-       noise=st.one_of(st.just("uniform-ball"),
-                       st.integers(0, 25).map(lambda D: f"round:{D}")),
-       delta=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
-       seed=st.integers(0, 2**16))
-def test_affine_chains_have_the_bits_of_the_array_loop(case, steps, noise, delta, seed):
-    F, sigma, x0 = case
+NOISES = st.one_of(st.just("uniform-ball"),
+                   st.integers(0, 25).map(lambda D: f"round:{D}"))
+DELTAS = st.one_of(st.just(0.0), st.floats(0.0, 0.5))
+
+
+def assert_chains_have_the_bits_of_the_array_loop(F, sigma, x0, steps, noise,
+                                                  delta, seed):
+    """gen_pseudo_orbit and iterate_chain against reference_chain; returns
+    the pseudo-orbit."""
     d = F.space.dim
     decimals, errs = None, None
     if noise.startswith("round:"):
@@ -395,6 +408,16 @@ def test_affine_chains_have_the_bits_of_the_array_loop(case, steps, noise, delta
     assert same_bits(chain.points, reference_chain(F, sigma, x0, steps, errs, decimals))
     exact = reference_chain(F, sigma, x0, steps)
     assert same_bits(iterate_chain(F, sigma, x0, steps).points, exact)
+    return chain
+
+
+@settings(deadline=None)
+@given(case=affine_case(), steps=st.integers(0, 60), noise=NOISES, delta=DELTAS,
+       seed=st.integers(0, 2**16))
+def test_affine_chains_have_the_bits_of_the_array_loop(case, steps, noise, delta, seed):
+    F, sigma, x0 = case
+    chain = assert_chains_have_the_bits_of_the_array_loop(F, sigma, x0, steps, noise,
+                                                          delta, seed)
     if F.space.periodic:
         return
     shadow = shadow_contraction(F, chain).shadow.points
@@ -437,24 +460,120 @@ def test_json_affine_chains_agree_with_the_array_loop_to_rounding(d, steps, seed
     assert validate_chain(F, chain).max_residual <= delta * (1 + 1e-9)
 
 
-def test_a_replaced_fwd_keeps_the_float_path():
-    # a copy of each map whose fwd counts its calls, as a call-counting
-    # wrapper would make it, keeps the affine coefficients and their path
-    calls = []
-
+def counted(F, calls):
+    """F with each map's fwd appending to `calls`, as a call-counting wrapper
+    would make it: a dataclasses.replace copy, keeping the other fields."""
     def counting(fwd):
         return lambda x: calls.append(1) or fwd(x)
 
-    F = build_contraction_ifs(0.3, [0.0, 0.5, 0.7])
-    G = make_ifs([replace(m, fwd=counting(m.fwd)) for m in F.maps])
-    assert all(g.affine is f.affine for f, g in zip(F.maps, G.maps))
-    sigma = SymbolSequence.random(3, 200, seed=1)
-    got = gen_pseudo_orbit(G, sigma, [0.4], 0.01, 200, seed=2)
+    return make_ifs([replace(m, fwd=counting(m.fwd)) for m in F.maps])
+
+
+def test_a_replaced_fwd_keeps_the_float_path():
+    # the copy keeps the affine coefficients or the one-point formula, and
+    # so the float path
+    for F, x0 in ((build_contraction_ifs(0.3, [0.0, 0.5, 0.7]), [0.4]),
+                  (FAMILIES[0], [0.1, 0.7, 0.35, 0.9])):
+        calls = []
+        G = counted(F, calls)
+        assert all(g.affine is f.affine and g.point is f.point
+                   for f, g in zip(F.maps, G.maps))
+        sigma = SymbolSequence.random(len(F), 200, seed=1)
+        got = gen_pseudo_orbit(G, sigma, x0, 0.01, 200, seed=2)
+        assert not calls
+        want = gen_pseudo_orbit(F, sigma, x0, 0.01, 200, seed=2)
+        assert same_bits(got.points, want.points)
+        assert same_bits(iterate_chain(G, sigma, x0, 200).points,
+                         iterate_chain(F, sigma, x0, 200).points)
+        assert not calls
+
+
+def test_a_reduction_onto_one_gives_zero():
+    # -1e-20 - floor(-1e-20) rounds to 1.0, outside [0, 1): every reduction,
+    # on arrays and on floats, d = 1 and d = 2, gives 0.0 there instead
+    for angles in ([-1e-20], [[-1e-20, -1e-20]]):
+        F = build_rotation_ifs(angles)
+        d = F.space.dim
+        zero = [0.0] * d
+        assert F.space.normalize([-1e-20] * d).tolist() == zero
+        assert F.maps[0](zero).tolist() == zero
+        assert [y.tolist() for y in orbit_steps(F, SIG0, zero, 2)] == [zero] * 3
+        assert orbit_map(F, SIG0, 1, zero).tolist() == zero
+        on_arrays = make_ifs([replace(F.maps[0], affine=None)])
+        for G in (F, on_arrays):
+            assert iterate_chain(G, SIG0, zero, 2).points.tolist() == [zero] * 3
+            assert gen_pseudo_orbit(G, SIG0, zero, 0.0, 2, "round:3").points.tolist() \
+                == [zero] * 3
+
+
+# --- one-point chains of torus_example on Python floats ------------------
+
+TORUS = FAMILIES[0]
+
+
+@settings(max_examples=500)
+@given(x=st.lists(st.one_of(COORDINATES, st.floats(-1e3, 1e3)), min_size=4, max_size=4))
+def test_torus_point_formula_has_the_bits_of_fwd(x):
+    for m in TORUS.maps:
+        got = m.point(list(x))
+        assert type(got) is list and all(type(v) is float for v in got)
+        assert same_bits(np.array(got), m.fwd(np.array(x)))
+
+
+@settings(deadline=None)
+@given(x0=st.lists(COORDINATES, min_size=4, max_size=4),
+       window=st.lists(st.integers(0, 1), min_size=1, max_size=8),
+       steps=st.integers(0, 60), noise=NOISES, delta=DELTAS,
+       seed=st.integers(0, 2**16))
+def test_torus_chains_have_the_bits_of_the_array_loop(x0, window, steps, noise,
+                                                      delta, seed):
+    assert_chains_have_the_bits_of_the_array_loop(TORUS, SymbolSequence(tuple(window)),
+                                                  x0, steps, noise, delta, seed)
+
+
+def test_torus_chain_from_nan_steps_on_arrays():
+    calls = []
+    sigma, x0 = SymbolSequence((0, 1)), [np.nan, 0.1, 0.2, 0.3]
+    chain = gen_pseudo_orbit(counted(TORUS, calls), sigma, x0, 1e-3, 5, seed=4)
+    assert len(calls) == 5
+    assert np.isnan(chain.points[1:, :2]).all()
+    errs = ball_sample(np.random.default_rng(4), 5, 4, 1e-3)
+    assert same_bits(chain.points, reference_chain(TORUS, sigma, x0, 5, errs))
+
+
+@pytest.mark.parametrize("labels", [False, True])
+def test_json_torus_maps_keep_the_one_point_formula(labels):
+    maps = [{"kind": "torus_F1"}, {"kind": "torus_F2"}]
+    if labels:
+        maps = [dict(m, label=f"G{i}") for i, m in enumerate(maps)]
+    F = ifs_from_dict({"space": {"dim": 4}, "maps": maps})
+    assert all(m.point is not None for m in F.maps)
+    calls = []
+    sigma = SymbolSequence.random(2, 50, seed=3)
+    chain = gen_pseudo_orbit(counted(F, calls), sigma, [0.2, 0.4, 0.6, 0.8], 1e-3, 50)
     assert not calls
-    assert same_bits(got.points, gen_pseudo_orbit(F, sigma, [0.4], 0.01, 200, seed=2).points)
-    assert same_bits(iterate_chain(G, sigma, [0.4], 200).points,
-                     iterate_chain(F, sigma, [0.4], 200).points)
-    assert not calls
+    assert same_bits(chain.points,
+                     gen_pseudo_orbit(TORUS, sigma, [0.2, 0.4, 0.6, 0.8], 1e-3, 50).points)
+
+
+POLY = ifs_from_dict({"space": {"dim": 2, "periodic": False},
+                      "maps": [{"kind": "custom_poly", "params": {"terms": [
+                          [{"coef": 0.5, "powers": [1, 0]}, {"coef": 0.1, "powers": [0, 2]}],
+                          [{"coef": 0.5, "powers": [0, 1]}]]}}]})
+
+
+@pytest.mark.parametrize("F", [
+    build_bumped_cat_ifs(),
+    POLY,
+    make_ifs([compose(TORUS.maps[0], TORUS.maps[1])]),
+], ids=["cat_bumped", "custom_poly", "composition"])
+def test_maps_without_a_one_point_formula_step_on_arrays(F):
+    calls = []
+    x0 = np.linspace(0.2, 0.8, F.space.dim)
+    chain = gen_pseudo_orbit(counted(F, calls), SIG0, x0, 1e-3, 20, seed=5)
+    assert len(calls) == 20
+    errs = ball_sample(np.random.default_rng(5), 20, F.space.dim, 1e-3)
+    assert same_bits(chain.points, reference_chain(F, SIG0, x0, 20, errs))
 
 
 # --- map and family distances -------------------------------------------

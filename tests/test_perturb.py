@@ -471,10 +471,10 @@ def test_nearest_samples_with_repeated_samples_equal_dense_argmin():
 
 
 def test_nearest_samples_accepts_a_sample_normalised_to_one():
+    # samples at 1.0 and -1e-20, outside [0, 1), reach the periodic tree as 0.0
     sp = Space(2)
-    samples = np.vstack([sp.normalize([-1e-20, 0.5]), lattice_samples(20, 2)])
-    assert samples[0, 0] == 1.0
-    queries = np.array([[0.0, 0.5], [0.999, 0.51], [0.4, 0.4]])
+    samples = np.vstack([[[1.0, 0.5], [-1e-20, 0.25]], lattice_samples(20, 2)])
+    queries = np.array([[0.0, 0.5], [0.999, 0.51], [0.4, 0.4], [1e-3, 0.25]])
     idx, dist = _nearest_samples(sp, samples, queries)
     ref_idx, ref_dist = dense_nearest(sp, samples, queries)
     assert idx[0] == 0 and dist[0] == 0.0

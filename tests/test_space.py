@@ -36,9 +36,9 @@ def test_dimension_mismatch_errors():
 
 def test_normalize_into_unit_box():
     sp = Space(2)
-    x = sp.normalize([[1.25, -0.5], [2.0, 0.999]])
+    x = sp.normalize([[1.25, -0.5], [2.0, 0.999], [-1e-20, 0.5]])
     assert np.all(x >= 0.0) and np.all(x < 1.0)
-    assert np.allclose(x, [[0.25, 0.5], [0.0, 0.999]])
+    assert np.allclose(x, [[0.25, 0.5], [0.0, 0.999], [0.0, 0.5]])
 
 
 def test_metric_axioms_on_random_triples():
