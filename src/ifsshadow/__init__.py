@@ -19,9 +19,8 @@ from .shadowing import (NotContractingError, NotHyperbolicError, ProbeReport,
 from .expansive import (ExpansivenessReport, estimate_N_of_mu,
                         estimate_expansive_const, max_orbit_separation,
                         separation_time, separation_times_batch)
-from .perturb import (AdjustedConditions, BumpDiffeo, CoverageError,
-                      CoverReport, PerturbedIFS, SemiConjugacy, SupportError,
-                      adjusted_conditions, adjusted_points, build_semiconj,
+from .perturb import (BumpDiffeo, CoverageError, CoverReport, PerturbedIFS,
+                      SemiConjugacy, SupportError, adjusted_points, build_semiconj,
                       bump_profile, bump_profile_deriv, check_ball_cover,
                       inverse_lipschitz_estimate, move_points_diffeo,
                       perturbed_ifs, semiconj_residual)

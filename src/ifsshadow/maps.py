@@ -51,19 +51,35 @@ class SmoothMap:
         return self.space.normalize(np.asarray(self.fwd(x), dtype=float))
 
     def invert(self, p, tol: float = 1e-12, max_iter: int = 50) -> np.ndarray:
-        """Point q with f(q) = p, via the closed form or Newton's method."""
+        """Point q with f(q) = p, via the closed form or Newton's method.
+
+        Newton starts from q = normalize(p) and steps each point until its own
+        step has dist(q_next, q) <= tol (never for a NaN step).  After
+        max_iter steps, InversionError carries the iterate as ``best`` and the
+        largest dist(f(q), p) among the points still moving as ``residual``.
+        """
         p = _as_points(self.space, p)
         if self.inv is not None:
             return self.space.normalize(np.asarray(self.inv(p), dtype=float))
         if self.jac is None:
             raise InversionError(f"map {self.label!r} has no inverse and no Jacobian")
-
-        def newton_step(q, target):
-            r = self.space.displacement(self(q), target)[..., None]
-            return q + np.linalg.solve(self.jacobian(q), r)[..., 0]
-
-        return _iterate_inverse(self.space, self, p, newton_step, tol, max_iter,
-                                f"Newton inversion of {self.label!r}")
+        space = self.space
+        flat = p.reshape(-1, space.dim)
+        q = space.normalize(flat.copy())
+        active = np.arange(flat.shape[0])
+        for _ in range(max_iter):
+            qa = q[active]
+            r = space.displacement(self(qa), flat[active])[..., None]
+            q_next = space.normalize(qa + np.linalg.solve(self.jacobian(qa), r)[..., 0])
+            moving = ~(space.dist(q_next, qa) <= tol)
+            q[active] = q_next
+            active = active[moving]
+            if active.size == 0:
+                return q.reshape(p.shape)
+        raise InversionError(
+            f"Newton inversion of {self.label!r}: {active.size} points still moving "
+            f"after {max_iter} steps", best=q.reshape(p.shape),
+            residual=float(np.max(space.dist(self(q[active]), flat[active]))))
 
     def jacobian(self, x) -> np.ndarray:
         if self.jac is None:
@@ -74,28 +90,6 @@ class SmoothMap:
     @property
     def invertible(self) -> bool:
         return self.inv is not None or self.jac is not None
-
-
-def _iterate_inverse(space: Space, f, p, update, tol: float, max_iter: int,
-                     what: str) -> np.ndarray:
-    """Preimages of p under f: z = normalize(p), then z <- normalize(update(z, p))
-    on the points still moving, until dist(z_next, z) <= tol (never for a NaN
-    step).  After max_iter steps, InversionError carries the iterate as ``best``
-    and the largest dist(f(z), p) among the moving points as ``residual``."""
-    p = np.asarray(p, dtype=float)
-    flat = p.reshape(-1, space.dim)
-    z = space.normalize(flat.copy())
-    active = np.arange(flat.shape[0])
-    for _ in range(max_iter):
-        z_next = space.normalize(update(z[active], flat[active]))
-        moving = ~(space.dist(z_next, z[active]) <= tol)
-        z[active] = z_next
-        active = active[moving]
-        if active.size == 0:
-            return z.reshape(p.shape)
-    raise InversionError(f"{what}: {active.size} points still moving after {max_iter} steps",
-                         best=z.reshape(p.shape),
-                         residual=float(np.max(space.dist(f(z[active]), flat[active]))))
 
 
 def fd_jacobian(m: SmoothMap, x) -> np.ndarray:

@@ -20,7 +20,7 @@ from scipy.spatial import cKDTree
 
 from .core import (ChainRecord, IFS, SymbolSequence, _link_errors, _require_invertible,
                    _rho0_gap, link_residuals, make_ifs, orbit_steps, validate_chain)
-from .maps import SmoothMap, _iterate_inverse, compose
+from .maps import InversionError, SmoothMap, compose
 from .shadowing import (NEWTON_MAX_ITER, NEWTON_TOL, _gauss_newton, _max_residual,
                         _pair_ratios, lipschitz_estimate)
 from .space import MetricGrid, Space, ball_sample, default_resolution, _as_points, _norms
@@ -57,6 +57,52 @@ def bump_profile_deriv(t: np.ndarray) -> np.ndarray:
 #: sup |d/dt bump_profile|, attained near t = 0.76
 MAX_ABS_PROFILE_DERIV = 2.17035709
 
+#: the bump inverse stops a point when its Newton step moves it by at most
+#: BUMP_INVERSE_TOL; points still moving after BUMP_INVERSE_MAX_ITER steps raise
+BUMP_INVERSE_TOL = 1e-13
+BUMP_INVERSE_MAX_ITER = 60
+
+
+def _profile_roots(c: np.ndarray, b: np.ndarray, a: float, tol: float,
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Root t in [0, 1] of g(t) = t - bump_profile(s(t)) for each entry, where
+    s(t)^2 = c - 2 t b + t^2 a, by Newton's method safeguarded by bisection.
+
+    g is strictly increasing with g(0) <= 0 <= g(1) when sqrt(a) max|profile'|
+    < 1.  Each step shrinks the bracket [lo, hi] of the root to the side of t
+    that g's sign leaves, and a Newton step that leaves the bracket is replaced
+    by its midpoint.  The profile is taken as a function of u = s^2,
+    exp(1 - 1/(1 - u)), so g' has no 1/s at s = 0.  An entry stops once its
+    Newton step g/g' is at most tol (never a NaN one): a step that small lands
+    within tol of the root, or leaves a bracket narrower than itself.  Returns
+    t and the indices still moving after BUMP_INVERSE_MAX_ITER steps.
+    """
+    t = np.zeros_like(c)
+    idx = np.arange(c.size)
+    tt, lo, hi = t.copy(), t.copy(), np.ones_like(c)
+    for _ in range(BUMP_INVERSE_MAX_ITER):
+        u = c + tt * (tt * a - 2.0 * b)
+        # 1 - u < 2**-53 only for u >= 1, outside the support, where the
+        # profile and its slope underflow to 0 as they should
+        r = 1.0 / np.maximum(1.0 - u, 1e-16)
+        phi = np.exp(1.0 - r)
+        g = tt - phi
+        dg = 1.0 + 2.0 * phi * r * r * (tt * a - b)
+        lo = np.where(g < 0.0, tt, lo)
+        hi = np.where(g > 0.0, tt, hi)
+        step = g / dg
+        new = tt - step
+        bisect = (new < lo) | (new > hi)
+        new[bisect] = 0.5 * (lo[bisect] + hi[bisect])
+        t[idx] = new
+        keep = ~(np.abs(step) <= tol)
+        if not keep.all():
+            idx, c, b, new, lo, hi = (v[keep] for v in (idx, c, b, new, lo, hi))
+            if not idx.size:
+                break
+        tt = new
+    return t, idx
+
 
 @dataclass(frozen=True)
 class BumpDiffeo(SmoothMap):
@@ -79,13 +125,18 @@ def move_points_diffeo(
     Requires pairwise-distinct sources and targets with dist(p_i, q_i) < delta
     and dim >= 2.  The perturbation x -> x + sum_i profile(|x-p_i|/R) d_i is a
     contraction of the identity on each support (|d_i| max|profile'| < R), so
-    the inverse exists and is computed by fixed-point iteration.
+    the inverse exists.  In support i every preimage of p is z = p - t d_i,
+    where t in [0, 1] is the one root of t = profile(|w - t d_i|/R) and w is
+    the displacement from p_i to p; ``_profile_roots`` finds it by a
+    safeguarded scalar Newton solve per point.
 
     For k >= 2 the supports are disjoint (else SupportError), so each point
     lies in at most one support and gets at most one nonzero term: the
-    perturbation and Jacobian visit the centers one at a time on (N, d)
-    arrays, with memory linear in N.  Points outside every support are their
-    own preimage and leave the inverse iteration after its first step.
+    perturbation, Jacobian and inverse visit the centers one at a time on
+    (N, d) arrays, with memory linear in N.  Points outside every support are
+    their own preimage.  A point with a non-finite coordinate, or still moving
+    after BUMP_INVERSE_MAX_ITER Newton steps, makes the inverse raise
+    InversionError.
     """
     if space is None:
         if not pairs:
@@ -131,23 +182,56 @@ def move_points_diffeo(
             f"required disjoint supports are smaller"
         )
 
+    R2 = R * R
+
+    def near(i, flat):
+        """Indices of the rows of flat within R of center i, and their
+        displacements from it.  _norms(w) >= |w_0| in floating point
+        (sqrt(fl(x * x)) == |x|), so only rows whose first coordinate is
+        within R can be: that column is wrapped alone first, with the bits
+        of ``space.displacement``, and only those rows get a full one."""
+        r = flat[:, 0] - P[i, 0]
+        if space.periodic:
+            r -= np.floor(r)
+            r -= r > 0.5
+        idx = np.flatnonzero(np.abs(r) < R)
+        w = space.displacement(P[i], flat[idx])
+        inside = _norms(w) < R
+        return idx[inside], w[inside]
+
     def perturbation(x):
         flat = x.reshape(-1, space.dim)
         out = np.zeros_like(flat)
         for i in range(k):
-            dist = space.dist(P[i], flat)
-            inside = dist < R
-            out[inside] += bump_profile(dist[inside] / R)[:, None] * D[i]
+            idx, w = near(i, flat)
+            out[idx] += bump_profile(_norms(w) / R)[:, None] * D[i]
         return out.reshape(x.shape)
 
     def fwd(x):
         return x + perturbation(x)
 
     def inv(p):
-        # fixed-point iteration z <- p - perturbation(z); the perturbation is a
-        # contraction, and points outside every support converge immediately
-        return _iterate_inverse(space, fwd, p, lambda z, q: q - perturbation(z),
-                                1e-13, 120, f"bump inverse of {label!r}")
+        p = np.asarray(p, dtype=float)
+        flat = p.reshape(-1, space.dim)
+        z = flat.copy()             # points outside every support stay put
+        stuck = [np.flatnonzero(~np.isfinite(flat).all(axis=-1))]
+        for i in range(k):
+            idx, w = near(i, flat)                  # from center i to p
+            if not idx.size:
+                continue
+            a = float(D[i] @ D[i])
+            tol = BUMP_INVERSE_TOL / np.sqrt(a) if a else np.inf
+            t, moving = _profile_roots(np.sum(w * w, axis=-1) / R2, (w @ D[i]) / R2,
+                                       a / R2, tol)
+            z[idx] = space.normalize(flat[idx] - t[:, None] * D[i])
+            stuck.append(idx[moving])
+        stuck = np.concatenate(stuck)
+        if stuck.size:
+            raise InversionError(
+                f"bump inverse of {label!r}: {stuck.size} points still moving after "
+                f"{BUMP_INVERSE_MAX_ITER} steps", best=z.reshape(p.shape),
+                residual=float(np.max(space.dist(fwd(z[stuck]), flat[stuck]))))
+        return z.reshape(p.shape)
 
     eye = np.eye(space.dim)
 
@@ -155,37 +239,18 @@ def move_points_diffeo(
         flat = x.reshape(-1, space.dim)
         J = np.broadcast_to(eye, flat.shape + (space.dim,)).copy()
         for i in range(k):
-            v = space.displacement(P[i], flat)          # from center i to x
+            idx, v = near(i, flat)                  # from center i to x
             dist = _norms(v)
-            inside = (dist < R) & (dist > 0.0)
-            di = dist[inside]
-            grads = (bump_profile_deriv(di / R) / (R * di))[:, None] * v[inside]
-            J[inside] += D[i][:, None] * grads[:, None, :]
+            pos = dist > 0.0
+            di = dist[pos]
+            grads = (bump_profile_deriv(di / R) / (R * di))[:, None] * v[pos]
+            J[idx[pos]] += D[i][:, None] * grads[:, None, :]
         return J.reshape(x.shape + (space.dim,))
 
     return BumpDiffeo(
         label=label, space=space, fwd=fwd, inv=inv, jac=jac,
         centers=P, displacements=D, support_radius=R,
     )
-
-
-@dataclass(frozen=True)
-class AdjustedConditions:
-    max_point_dist: float     # max_k dist(x_k, y_k)
-    max_link_residual: float  # max_k dist(y_{k+1}, f_{sigma(k)}(y_k))
-    distinct: bool
-
-
-def adjusted_conditions(F: IFS, chain: ChainRecord, ys: np.ndarray,
-                        ) -> AdjustedConditions:
-    """Measure the three adjusted-point conditions for a candidate set."""
-    m = ys.shape[0] - 1
-    adj = ChainRecord(ys, chain.sigma, delta=0.0, kind="shadow-candidate")
-    max_res = validate_chain(F, adj).max_residual
-    dist = float(np.max(F.space.dist(chain.points[: m + 1], ys)))
-    equal = np.all(ys[:, None, :] == ys[None, :, :], axis=-1)
-    distinct = not np.any(np.triu(equal, 1))
-    return AdjustedConditions(dist, max_res, distinct)
 
 
 def adjusted_points(F: IFS, chain: ChainRecord, m: int, eta: float,

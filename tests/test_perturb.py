@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ifsshadow import (CoverageError, InversionError, MetricGrid, SmoothMap,
-                       Space, SupportError, SymbolSequence,
-                       adjusted_conditions, adjusted_points,
+                       Space, SupportError, SymbolSequence, adjusted_points,
                        ball_sample, build_semiconj, bump_profile,
                        bump_profile_deriv, check_ball_cover, dist_D0,
                        gen_pseudo_orbit, identity_map, iterate_chain,
@@ -133,23 +133,29 @@ def test_bump_jacobian_consistency():
     assert np.max(np.abs(f.jacobian(X) - fd_jacobian(f, X))) <= 1e-4
 
 
-def test_bump_inverse_raises_when_unconverged():
-    # |d| * max|profile'| / R = 0.999: the fixed-point iteration contracts so
-    # slowly near t = 0.76 that 120 steps leave points moving
+def test_bump_inverse_raises_when_unconverged(monkeypatch):
+    # |d| * max|profile'| / R = 0.999: g'(t) falls to about 1e-3 where
+    # |w - t d| / R is near 0.76, and an unguarded Newton step overshoots
+    # there; the bracketed solve still inverts
     p, d = np.array([0.5, 0.5]), 0.01
     R = d * MAX_ABS_PROFILE_DERIV / 0.999
     f = move_points_diffeo([(p, p + [d, 0.0])], 0.02, support_radius=R)
     t = np.linspace(-0.95, 0.95, 39)
     X = p + np.stack([t * R, np.zeros_like(t)], axis=-1)
-    with pytest.raises(InversionError, match=r"\d+ points still moving") as exc:
+    assert np.max(SP2.dist(f.invert(f(X)), X)) <= 1e-12
+    g = move_points_diffeo([(p, p + [d, 0.0])], 0.02)
+    assert np.max(SP2.dist(g.invert(g(X)), X)) <= 1e-12
+    # two steps are too few for the points inside the support; the point
+    # outside it is its own preimage
+    X = np.concatenate([X, [[0.1, 0.1]]])
+    monkeypatch.setattr(perturb, "BUMP_INVERSE_MAX_ITER", 2)
+    with pytest.raises(InversionError, match=r"\d+ points still moving after 2 steps") as exc:
         f.invert(f(X))
     # the error carries the last iterate; points that left the loop are
     # inverted, and the residual is the largest over those still moving
     res = SP2.dist(f(exc.value.best), f(X))
     assert exc.value.best.shape == X.shape and np.any(res <= 1e-12)
     assert np.isfinite(exc.value.residual) and exc.value.residual == np.max(res) > 1e-12
-    g = move_points_diffeo([(p, p + [d, 0.0])], 0.02)
-    assert np.max(SP2.dist(g.invert(g(X)), X)) <= 1e-12
 
 
 def test_bump_inverse_of_nan_raises():
@@ -263,7 +269,11 @@ def test_bump_equals_the_dense_all_centers_formulas(k, seed, support_radius,
     assert np.array_equal(f(X), sp.normalize(fwd))
     assert np.array_equal(f.jacobian(X), dense_jacobian(f, X))
     Y = f(X)
-    assert np.array_equal(f.invert(Y), dense_invert(f, Y))
+    Z = f.invert(Y)
+    # the scalar Newton solve lands closer to the preimage than the dense
+    # fixed point, which stops on a step of 1e-13
+    assert np.max(sp.dist(f(Z), Y)) <= 1e-15
+    assert np.max(sp.dist(Z, dense_invert(f, Y))) <= 1e-13
     # leading axes: a (2, n, d) stack and a single point
     X2 = X[: 2 * (len(X) // 2)].reshape(2, -1, 2)
     assert np.array_equal(f(X2), f(X2.reshape(-1, 2)).reshape(X2.shape))
@@ -274,7 +284,54 @@ def test_bump_equals_the_dense_all_centers_formulas(k, seed, support_radius,
     assert np.array_equal(f.jacobian(X[0]), f.jacobian(X[:1])[0])
 
 
+@settings(deadline=None, max_examples=60)
+@given(ratios=st.lists(st.floats(0.0, 0.999), min_size=1, max_size=5),
+       periodic=st.booleans(), seed=st.integers(0, 2**16))
+def test_bump_inverse_round_trips(ratios, periodic, seed):
+    # k <= 5 centers in distinct cells of a 3 x 2 grid, 0.31 or more apart;
+    # bump i moves its center by ratios[i] * R / max|profile'|
+    sp = Space(2, periodic=periodic)
+    rng = np.random.default_rng(seed)
+    k, R = len(ratios), 0.08
+    cells = rng.permutation(6)[:k]
+    P = np.stack([(cells % 3 + 0.5) / 3, (cells // 3 + 0.5) / 2], axis=-1)
+    P += rng.uniform(-0.01, 0.01, P.shape)
+    ang = rng.random(k) * 2 * np.pi
+    size = np.asarray(ratios) * R / MAX_ABS_PROFILE_DERIV
+    Q = sp.normalize(P + size[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=-1))
+    f = move_points_diffeo(list(zip(P, Q)), 0.1, space=sp, support_radius=R)
+    # the centers (s = 0, where |w - t D| has no derivative in t), the targets,
+    # points on and within 1e-12 of each support boundary, and uniform points
+    ang = rng.random(16) * 2 * np.pi
+    ring = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    X = [P, Q, rng.random((400, 2))]
+    for scale in (R, R * (1 - 1e-12), R * (1 + 1e-12)):
+        X.append((P[:, None, :] + scale * ring).reshape(-1, 2))
+    X = sp.normalize(np.concatenate(X))
+    assert np.max(sp.dist(f(f.invert(X)), X)) <= 1e-15
+    assert np.max(sp.dist(f.invert(f(X)), X)) <= 1e-12
+
+
 # --- adjusted points --------------------------------------------------------
+
+@dataclass(frozen=True)
+class AdjustedConditions:
+    max_point_dist: float     # max_k dist(x_k, y_k)
+    max_link_residual: float  # max_k dist(y_{k+1}, f_{sigma(k)}(y_k))
+    distinct: bool
+
+
+def adjusted_conditions(F: IFS, chain: ChainRecord, ys: np.ndarray,
+                        ) -> AdjustedConditions:
+    """Reference: the three adjusted-point conditions for a candidate set."""
+    m = ys.shape[0] - 1
+    adj = ChainRecord(ys, chain.sigma, delta=0.0, kind="shadow-candidate")
+    max_res = validate_chain(F, adj).max_residual
+    dist = float(np.max(F.space.dist(chain.points[: m + 1], ys)))
+    equal = np.all(ys[:, None, :] == ys[None, :, :], axis=-1)
+    distinct = not np.any(np.triu(equal, 1))
+    return AdjustedConditions(dist, max_res, distinct)
+
 
 def test_adjusted_points_m0_is_anchor():
     chain = gen_pseudo_orbit(CAT, SIG0, [0.3, 0.8], 1e-3, 10, seed=0)
