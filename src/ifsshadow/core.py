@@ -340,11 +340,12 @@ def _step_chain(F: IFS, sigma: SymbolSequence, x0, steps: int,
     to `decimals` places when given (x_0 too), shifted by e_k = errs[k] (zero
     when errs is None) and reduced again; a reduction that lands on 1.0 gives
     0.0, as in Space.normalize.  Families are stepped on Python floats when
-    all their maps carry ``affine`` (_affine_steps says when its bits can
-    differ from the array loop's) or, failing that, all carry ``point``
-    (the bits of the array loop wherever ``point`` has those of ``fwd``).
-    Other families, ``round:D`` with D > _EXACT_POW10 and chains that leave
-    the finite floats step on arrays, one ``fwd`` call per link.
+    all their maps carry ``affine`` (_affine_steps, written out for d = 1 and
+    d = 2, says when its bits can differ from the array loop's) or, failing
+    that, all carry ``point`` (_float_steps: the bits of the array loop
+    wherever ``point`` has those of ``fwd``).  Other families, ``round:D``
+    with D > _EXACT_POW10 and chains that leave the finite floats step on
+    arrays, one ``fwd`` call per link.
     """
     space = F.space
     x = space.normalize(_as_points(space, x0))
@@ -363,7 +364,7 @@ def _step_chain(F: IFS, sigma: SymbolSequence, x0, steps: int,
             if _affine_steps(pts, coefs, symbols, errs, periodic, decimals):
                 return pts
         elif all(p is not None for p in points):
-            if _float_steps(pts, symbols, errs, periodic, decimals, points=points):
+            if _float_steps(pts, points, symbols, errs, periodic, decimals):
                 return pts
     fwds = [m.fwd for m in F.maps]
     for k, s in enumerate(symbols.tolist()):
@@ -381,83 +382,106 @@ def _step_chain(F: IFS, sigma: SymbolSequence, x0, steps: int,
 
 def _affine_steps(pts: np.ndarray, coefs, symbols: np.ndarray, errs: np.ndarray,
                   periodic: bool, decimals: Optional[int]) -> bool:
-    """_float_steps for maps with coefficients coefs[s] = (A, b).
+    """_float_steps for maps with coefficients coefs[s] = (A, b), written out
+    on scalars for d = 1 and d = 2.
 
-    BLAS starts the one-point ``x @ A.T`` from zero, so its image is never
-    -0.0; neither is the float loop's, as b + 0.0 has no -0.0 offset.  BLAS
+    Coordinate i of an image is a_i0 x_0 + a_i1 x_1 + ... + b_i, added left
+    to right.  BLAS starts the one-point ``x @ A.T`` from zero, so its image
+    is never -0.0; neither is this one, as b + 0.0 has no -0.0 offset.  BLAS
     may add in another order or with fused multiply-adds, so where a product
     or a partial sum is not exact (d >= 2) the last bit can differ from
     ``x @ A.T``; for d = 1, and on the cat and rotation maps, the bits are
-    the same.
+    the same.  For d >= 3 each map becomes a one-point formula for
+    _float_steps, which adds in the same order.
     """
+    d = pts.shape[1]
     rows = [(A.tolist(), [bi + 0.0 for bi in b.tolist()]) for A, b in coefs]
-    if pts.shape[1] > 1:
-        return _float_steps(pts, symbols, errs, periodic, decimals, rows=rows)
-    # d = 1: _float_steps' operations, without its inner loops
+    if d > 2:
+        return _float_steps(pts, [_affine_point(A, b) for A, b in rows], symbols,
+                            errs, periodic, decimals)
     scale = None if decimals is None else float(10 ** decimals)
-    ab = [(A[0][0], b[0]) for A, b in rows]
-    x = float(pts[0, 0])
-    out = []
-    for s, e in zip(symbols.tolist(), errs[:, 0].tolist()):
-        a, b = ab[s]
-        y = a * x + b
-        if periodic:
-            y %= 1.0
-            if y == 1.0:
-                y = 0.0
-        if scale is not None:
-            y = _round_scaled(y, scale)
-        x = y + e
-        if periodic:
-            x %= 1.0
-            if x == 1.0:
-                x = 0.0
-        out.append(x)
-    pts[1:, 0] = out
+    # y % 1.0 equals y - floor(y): the remainder is exact, and +0.0 at zero;
+    # the second % 1.0 takes a rounded-up 1.0 to 0.0 and keeps every other value
+    if d == 1:
+        ab = [(A[0][0], b[0]) for A, b in rows]
+        x = float(pts[0, 0])
+        out = []
+        for s, e in zip(symbols.tolist(), errs[:, 0].tolist()):
+            a, b = ab[s]
+            y = a * x + b
+            if periodic:
+                y = y % 1.0 % 1.0
+            if scale is not None:
+                y = _round_scaled(y, scale)
+            x = y + e
+            if periodic:
+                x = x % 1.0 % 1.0
+            out.append(x)
+        pts[1:, 0] = out
+    else:
+        ab = [(a00, a01, a10, a11, b0, b1)
+              for ((a00, a01), (a10, a11)), (b0, b1) in rows]
+        x0, x1 = pts[0].tolist()
+        out0, out1 = [], []
+        for s, e0, e1 in zip(symbols.tolist(), errs[:, 0].tolist(), errs[:, 1].tolist()):
+            a00, a01, a10, a11, b0, b1 = ab[s]
+            y0 = a00 * x0 + a01 * x1 + b0
+            y1 = a10 * x0 + a11 * x1 + b1
+            if periodic:
+                y0 = y0 % 1.0 % 1.0
+                y1 = y1 % 1.0 % 1.0
+            if scale is not None:
+                y0 = _round_scaled(y0, scale)
+                y1 = _round_scaled(y1, scale)
+            x0 = y0 + e0
+            x1 = y1 + e1
+            if periodic:
+                x0 = x0 % 1.0 % 1.0
+                x1 = x1 % 1.0 % 1.0
+            out0.append(x0)
+            out1.append(x1)
+        pts[1:, 0] = out0
+        pts[1:, 1] = out1
     return bool(np.isfinite(pts).all())
 
 
-def _float_steps(pts: np.ndarray, symbols: np.ndarray, errs: np.ndarray,
-                 periodic: bool, decimals: Optional[int],
-                 rows=None, points=None) -> bool:
-    """Fill pts[1:] as _step_chain does, on Python floats; False, with pts[1:]
-    unspecified, when a value is not finite.
+def _affine_point(A: list, b: list):
+    """x -> A x + b on a list of floats, each coordinate added as in
+    _affine_steps."""
+    rows = list(zip(A, b))
 
-    Map s takes x to A x + b with (A, b) = rows[s] as lists or, given
-    ``points``, to b = points[s](x) with no linear part, so an affine map
-    takes no call per link.  Coordinate i sums a_i0 x_0 + a_i1 x_1 + ...
-    from -0.0 and then adds b_i: without a linear part that is b_i exactly,
-    and an affine b_i is never -0.0, so the image is that of a sum from +0.0.
-    y % 1.0 equals y - floor(y): the remainder is exact, and +0.0 at zero.
+    def point(x):
+        y = []
+        for row, bi in rows:
+            v = -0.0                    # -0.0 + p is p, signed zeros included
+            for a, xj in zip(row, x):
+                v += a * xj
+            y.append(v + bi)
+        return y
+
+    return point
+
+
+def _float_steps(pts: np.ndarray, points, symbols: np.ndarray, errs: np.ndarray,
+                 periodic: bool, decimals: Optional[int]) -> bool:
+    """Fill pts[1:] as _step_chain does, on Python floats, taking each image
+    from points[s](x); False, with pts[1:] unspecified, when a value is not
+    finite.  v % 1.0 % 1.0 reduces as in _affine_steps.
     """
     n, d = pts.shape
     scale = None if decimals is None else float(10 ** decimals)
-    if points is not None:
-        A = [()] * d
     x = pts[0].tolist()
     out = []
     for s, e in zip(symbols.tolist(), errs.tolist()):
-        if points is None:
-            A, b = rows[s]
-        else:
-            b = points[s](x)
         y = []
-        for row, bi, ei in zip(A, b, e):
-            v = -0.0
-            for a, xj in zip(row, x):
-                v += a * xj
-            v += bi
+        for v, ei in zip(points[s](x), e):
             if periodic:
-                v %= 1.0
-                if v == 1.0:
-                    v = 0.0
+                v = v % 1.0 % 1.0
             if scale is not None:
                 v = _round_scaled(v, scale)
             v += ei
             if periodic:
-                v %= 1.0
-                if v == 1.0:
-                    v = 0.0
+                v = v % 1.0 % 1.0
             y.append(v)
         x = y
         out += y

@@ -439,32 +439,28 @@ def _nearest_samples(space: Space, samples: np.ndarray, queries: np.ndarray,
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Index of the nearest sample and the distance to it, for each query.
 
-    A k-d tree (periodic with box 1 on the torus) proposes 2^d + 1 candidates
-    per query, enough to hold the 2^d samples equidistant from a lattice cell
-    centre; ``space.dist`` re-ranks them, and among equal distances the lowest
-    sample index wins, as ``np.argmin`` over all samples would choose.  Where
-    the last candidate ties the first, all samples in that ball are re-ranked.
-    Repeated sample rows enter the tree once, under their first index, so
-    they cause no ties.  Memory is linear in the numbers of samples and queries.
+    A k-d tree (periodic with box 1 on the torus) proposes the two nearest
+    samples of each query.  Where the second is as near as the first, up to
+    the tree's rounding, all samples in that ball are re-ranked by
+    ``space.dist``, and among equal distances the lowest sample index wins,
+    as ``np.argmin`` over all samples would choose; elsewhere the first is
+    the nearest.  Repeated sample rows enter the tree once, under their first
+    index, so they cause no ties.  Memory is linear in the numbers of samples
+    and queries.
     """
     keep = np.sort(np.unique(samples, axis=0, return_index=True)[1])
     # the periodic tree takes coordinates in [0, 1) only
     data, probes = space.normalize(samples[keep]), space.normalize(queries)
     tree = cKDTree(data, boxsize=1.0 if space.periodic else None)
-    k = min(len(keep), 2 ** space.dim + 1)
+    k = min(len(keep), 2)
     tree_d, cand = (a.reshape(len(queries), -1) for a in tree.query(probes, k=k))
-    cand = keep[np.sort(cand, axis=1)]      # keep is increasing: original order
-    d = space.dist(queries[:, None, :], samples[cand])
-    best = np.argmin(d, axis=1)
-    rows = np.arange(len(queries))
-    idx, dist = cand[rows, best], d[rows, best]
-    if k < len(keep):
+    idx = keep[cand[:, 0]]
+    if k == 2:
         radius = tree_d[:, 0] * (1.0 + 1e-9) + 1e-12
-        for q in np.flatnonzero(tree_d[:, -1] <= radius):
+        for q in np.flatnonzero(tree_d[:, 1] <= radius):
             ball = keep[np.sort(tree.query_ball_point(probes[q], radius[q]))]
-            dq = space.dist(queries[q], samples[ball])
-            idx[q], dist[q] = ball[np.argmin(dq)], np.min(dq)
-    return idx, dist
+            idx[q] = ball[np.argmin(space.dist(queries[q], samples[ball]))]
+    return idx, space.dist(queries, samples[idx])
 
 
 @dataclass(frozen=True)
@@ -647,26 +643,41 @@ def check_ball_cover(
 ) -> CoverReport:
     """Sample probes Z in the ball of radius eps+delta around F(X) and test
     dist(F^{-1}(Z), X) < eps; report any violations found.
+
+    Raises ValueError unless eps > 0, eps + delta > 0 and there are at least
+    one centre and one probe per centre: an empty probe set passes nothing.
     """
     if not Fi.invertible:
         raise ValueError(f"map {Fi.label!r} must be invertible")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    if not eps + delta > 0:
+        raise ValueError(f"the probe radius eps + delta must be positive, "
+                         f"got {eps + delta}")
+    if n_probes < 1:
+        raise ValueError(f"n_probes must be >= 1, got {n_probes}")
     chunk = 64              # centers per probe batch: fixes the probes a seed draws
     max_recorded = 100      # violations kept (all are counted)
     space = Fi.space
     rng = np.random.default_rng(seed)
-    if centers is None:
-        X = space.uniform(rng, n_centers)
-    else:
+    if centers is not None:
         X = space.normalize(_as_points(space, np.asarray(centers, dtype=float)))
         n_centers = X.shape[0]
+    if n_centers < 1:
+        raise ValueError(f"the ball cover needs at least one centre, got {n_centers}")
+    if centers is None:
+        X = space.uniform(rng, n_centers)
     radius = eps + delta
-    tasks = []
-    for lo in range(0, n_centers, chunk):
-        Xc = X[lo: lo + chunk]
-        balls = ball_sample(rng, Xc.shape[0] * n_probes, space.dim, radius)
-        tasks.append((lo, Xc, balls.reshape(Xc.shape[0], n_probes, space.dim)))
+
+    def tasks():
+        # drawn lazily, in chunk order: the pool checks one chunk while the
+        # next is drawn, and a seed draws the same probes for any thread count
+        for lo in range(0, n_centers, chunk):
+            Xc = X[lo: lo + chunk]
+            balls = ball_sample(rng, Xc.shape[0] * n_probes, space.dim, radius)
+            yield lo, Xc, balls.reshape(Xc.shape[0], n_probes, space.dim)
 
     def run(task):
         lo, Xc, balls = task
@@ -683,9 +694,9 @@ def check_ball_cover(
     # stability benchmark's peak RSS in every paired run (165 MB, not 162-164)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(run, tasks))
+            results = list(ex.map(run, tasks()))
     else:
-        results = [run(t) for t in tasks]
+        results = [run(t) for t in tasks()]
 
     flags = np.zeros(n_centers, dtype=bool)
     total = 0

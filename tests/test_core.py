@@ -12,8 +12,8 @@ from ifsshadow import (ChainRecord, MetricGrid, SmoothMap, Space,
                        move_points_diffeo, orbit_map, orbit_steps, rho0, rho1,
                        shadow_contraction, validate_chain)
 from ifsshadow.io import ifs_from_dict
-from ifsshadow.maps import compose
-from ifsshadow.space import ball_sample
+from ifsshadow.maps import affine_map, compose
+from ifsshadow.space import _mod1, ball_sample
 from ifsshadow.systems import (build_bumped_cat_ifs, build_cat_ifs,
                                build_contraction_ifs, build_rotation_ifs,
                                build_torus_example)
@@ -366,23 +366,40 @@ COORDINATES = st.one_of(
     st.sampled_from([0.0, -0.0, 0.5, 1.0, -1e-20, 1e-300, 0.0005, 0.9995]))
 
 
+# entries whose products with any float are exact, so that BLAS, which may
+# add the products of ``x @ A.T`` with fused multiply-adds, rounds each sum
+# of a d = 2 image as the float loop does
+EXACT_ENTRIES = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+
+
 @st.composite
 def affine_case(draw):
-    """A catalog affine family (contraction, cat or rotation), a schedule on
-    it and a starting point."""
-    kind = draw(st.sampled_from(["contraction", "cat", "rotation"]))
+    """An affine family, a schedule on it and a starting point: a catalog
+    family (contraction, cat or rotation), a family of one or two integral
+    maps of the 2-torus, or one or two maps of the unit square with negative
+    and signed-zero entries."""
+    kind = draw(st.sampled_from(["contraction", "cat", "rotation", "torus2", "square2"]))
     if kind == "contraction":
         q = draw(st.one_of(st.sampled_from([0.3, 0.8]), st.floats(0.01, 0.99)))
         offset = st.one_of(st.floats(0.0, 1.0 - q), st.just(-0.0))
         F = build_contraction_ifs(q, draw(st.lists(offset, min_size=1, max_size=3)))
     elif kind == "cat":
         F = CAT
-    else:
+    elif kind == "rotation":
         dim = draw(st.integers(1, 3))
         angle = st.one_of(st.floats(-2.0, 2.0), st.just(-0.0))
         angles = draw(st.lists(st.lists(angle, min_size=dim, max_size=dim),
                                min_size=1, max_size=3))
         F = build_rotation_ifs(angles)
+    else:
+        periodic = kind == "torus2"
+        space = Space(2, periodic)
+        entry = st.integers(-2, 2).map(float) if periodic else EXACT_ENTRIES
+        offset = st.one_of(st.floats(-1.0, 1.0), st.just(-0.0))
+        matrix = st.lists(st.lists(entry, min_size=2, max_size=2), min_size=2, max_size=2)
+        F = make_ifs(affine_map(space, draw(matrix),
+                                draw(st.lists(offset, min_size=2, max_size=2)))
+                     for _ in range(draw(st.integers(1, 2))))
     symbol = st.integers(0, len(F) - 1)
     window = draw(st.lists(symbol, min_size=1, max_size=8))
     x0 = draw(st.lists(COORDINATES, min_size=F.space.dim, max_size=F.space.dim))
@@ -411,17 +428,48 @@ def assert_chains_have_the_bits_of_the_array_loop(F, sigma, x0, steps, noise,
     return chain
 
 
-@settings(deadline=None)
+@settings(deadline=None, max_examples=300)
 @given(case=affine_case(), steps=st.integers(0, 60), noise=NOISES, delta=DELTAS,
        seed=st.integers(0, 2**16))
 def test_affine_chains_have_the_bits_of_the_array_loop(case, steps, noise, delta, seed):
     F, sigma, x0 = case
     chain = assert_chains_have_the_bits_of_the_array_loop(F, sigma, x0, steps, noise,
                                                           delta, seed)
-    if F.space.periodic:
+    if F.space.periodic or F.space.dim > 1:     # the contractions of [0, 1]
         return
     shadow = shadow_contraction(F, chain).shadow.points
     assert same_bits(shadow, reference_chain(F, sigma, chain.points[0], steps))
+
+
+MOD1_EDGES = [-1e-20, 0.0, -0.0, 5e-324, -5e-324, 1 - 2**-53, -(1 - 2**-53),
+              1e300, -1e300]
+
+
+@pytest.mark.parametrize("y", MOD1_EDGES + [np.inf, -np.inf, np.nan])
+def test_the_float_reduction_has_the_bits_of_mod1(y):
+    # the float loops reduce by y % 1.0 % 1.0: the first remainder is exact
+    # (+0.0 at zero) and may round up to 1.0, which the second takes to 0.0
+    got = np.array([y % 1.0 % 1.0])
+    with np.errstate(invalid="ignore"):
+        want = _mod1(np.array([y]))
+    if np.isfinite(y):
+        assert same_bits(got, want)
+    else:
+        assert np.isnan(got[0]) and np.isnan(want[0])
+
+
+@pytest.mark.parametrize("y", MOD1_EDGES)
+def test_chains_reduce_edge_images_as_the_array_loop(y):
+    # an offset y puts the first image of x0 = 0 on y, on the d = 1 and d = 2
+    # affine loops and the point loop (d = 3), with and without rounding;
+    # noise shows a 1.0 left unreduced, and noise of 1e-20 puts y + e_k on
+    # the edge at y = 0
+    for dim in (1, 2, 3):
+        F = make_ifs([affine_map(Space(dim), np.eye(dim), [y] * dim)])
+        for noise, delta in (("uniform-ball", 0.0), ("uniform-ball", 1e-3),
+                             ("uniform-ball", 1e-20), ("round:3", 0.0)):
+            assert_chains_have_the_bits_of_the_array_loop(F, SIG0, [0.0] * dim, 8,
+                                                          noise, delta, 0)
 
 
 @pytest.mark.parametrize("x0", [np.inf, -np.inf, np.nan])

@@ -357,6 +357,24 @@ def test_cli_cover_map_index_outside_family_is_config_error(index, capsys):
     assert f"--map-index {index}" in err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--centers", "0", "at least one centre, got 0"),
+    ("--centers", "-3", "at least one centre, got -3"),
+    ("--probes", "0", "n_probes must be >= 1, got 0"),
+    ("--eps", "0", "eps must be positive, got 0.0"),
+    ("--delta", "-0.05", "eps + delta must be positive")])
+def test_cli_empty_ball_cover_is_config_error(flag, value, message, tmp_path, capsys):
+    argv = {"--system": "cat", "--eps": "0.05", "--delta": "0.05",
+            "--centers": "4", "--probes": "4"}
+    argv[flag] = value
+    prefix = tmp_path / "c"
+    assert run_cli("cover", *[a for kv in argv.items() for a in kv],
+                   "--out", str(prefix)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:") and message in err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("text", ["", "k,lambda,x0,x1\n"])
 def test_cli_verify_chain_without_points_is_config_error(text, tmp_path, capsys):
     empty = tmp_path / "empty.csv"

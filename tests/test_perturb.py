@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import dataclass
 
@@ -733,6 +734,24 @@ def test_cover_tiny_radius_passes():
                            n_probes=200, seed=1)
     assert rep.passed
     assert rep.n_violations == 0
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(n_centers=0), "at least one centre, got 0"),
+    (dict(n_centers=-3), "at least one centre, got -3"),
+    (dict(centers=np.empty((0, 4))), "at least one centre, got 0"),
+    (dict(n_probes=0), "n_probes must be >= 1, got 0"),
+    (dict(eps=0.0), "eps must be positive, got 0.0"),
+    (dict(eps=-0.1, delta=0.2), "eps must be positive, got -0.1"),
+    (dict(eps=np.nan), "eps must be positive, got nan"),
+    (dict(delta=-0.05), "eps + delta must be positive, got 0.0"),
+])
+def test_cover_without_probes_is_rejected(kwargs, message):
+    # an empty probe set would pass vacuously
+    args = dict(Fi=build_torus_f1().maps[0], eps=0.05, delta=0.05, n_centers=20,
+                n_probes=100, seed=1)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check_ball_cover(**{**args, **kwargs})
 
 
 def test_cover_identity_geometry():
