@@ -9,12 +9,11 @@ from .core import (ChainRecord, ChainVerdict, IFS, SymbolSequence, dist_D0,
                    dist_D1, gen_pseudo_orbit, iterate_chain, link_residuals,
                    make_ifs, orbit_map, orbit_steps, rho0, rho1,
                    validate_chain)
-from .shadowing import (NotContractingError, NotHyperbolicError, ProbeReport,
-                        ShadowResult, ShadowingConvergenceError,
-                        UniquenessVerdict, VerifyVerdict, check_uniqueness,
-                        finite_shadow_probe, hyperbolic_splitting,
+from .shadowing import (NotContractingError, NotHyperbolicError, ShadowResult,
+                        ShadowingConvergenceError, UniquenessVerdict,
+                        VerifyVerdict, check_uniqueness, hyperbolic_splitting,
                         lipschitz_estimate, shadow_auto, shadow_contraction,
-                        shadow_linear_hyperbolic, shadow_newton, split_error,
+                        shadow_linear_hyperbolic, shadow_newton,
                         verify_shadowing)
 from .expansive import (ExpansivenessReport, estimate_N_of_mu,
                         estimate_expansive_const, max_orbit_separation,

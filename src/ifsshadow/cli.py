@@ -38,20 +38,6 @@ CONTRACT_ERRORS = (ShadowingConvergenceError, NotContractingError,
                    InversionError, RuntimeError)
 
 
-def _default_threads() -> int:
-    env = os.environ.get("IFSSHADOW_THREADS")
-    if env:
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ValueError(
-                f"IFSSHADOW_THREADS must be an integer, got {env!r}") from None
-        if threads < 1:
-            raise ValueError(f"IFSSHADOW_THREADS must be >= 1, got {threads}")
-        return threads
-    return os.cpu_count() or 1
-
-
 def _emit(args, result: dict, files: dict | None = None) -> None:
     """Write the primary JSON (plus auxiliary files) and echo it to stdout.
 
@@ -206,8 +192,7 @@ def cmd_movepoints(args) -> int:
     f = move_points_diffeo(pairs, args.delta, support_radius=args.support)
     space = f.space
     grid = grid_for(space, args.grid)
-    interp = max(float(space.dist(f(p), q)) for p, q in
-                 ((np.asarray(p), np.asarray(q)) for p, q in pairs))
+    interp = max(float(space.dist(f(p), q)) for p, q in pairs)
     rng = np.random.default_rng(args.seed)
     X = space.uniform(rng, 4096)
     roundtrip = float(np.max(space.dist(f.invert(f(X)), X)))
@@ -293,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--threads", type=int,
                    help="worker threads for the cover command, >= 1 "
-                        "(default: IFSSHADOW_THREADS or cores)")
+                        "(default: cores)")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -411,7 +396,7 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         if args.threads is None:
-            args.threads = _default_threads()
+            args.threads = os.cpu_count() or 1
         if args.threads < 1:
             raise ValueError(f"threads must be >= 1, got {args.threads}")
         return args.func(args)

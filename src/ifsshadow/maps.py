@@ -15,6 +15,11 @@ import numpy as np
 
 from .space import Space, _as_points
 
+#: Newton inversion stops a point when its step moves it by at most
+#: INVERSE_TOL; points still moving after INVERSE_MAX_ITER steps raise
+INVERSE_TOL = 1e-12
+INVERSE_MAX_ITER = 50
+
 
 class InversionError(RuntimeError):
     """An iterative inversion left points moving; carries its last iterate."""
@@ -50,13 +55,14 @@ class SmoothMap:
         x = _as_points(self.space, x)
         return self.space.normalize(np.asarray(self.fwd(x), dtype=float))
 
-    def invert(self, p, tol: float = 1e-12, max_iter: int = 50) -> np.ndarray:
+    def invert(self, p) -> np.ndarray:
         """Point q with f(q) = p, via the closed form or Newton's method.
 
         Newton starts from q = normalize(p) and steps each point until its own
-        step has dist(q_next, q) <= tol (never for a NaN step).  After
-        max_iter steps, InversionError carries the iterate as ``best`` and the
-        largest dist(f(q), p) among the points still moving as ``residual``.
+        step has dist(q_next, q) <= INVERSE_TOL (never for a NaN step).  After
+        INVERSE_MAX_ITER steps, InversionError carries the iterate as ``best``
+        and the largest dist(f(q), p) among the points still moving as
+        ``residual``.
         """
         p = _as_points(self.space, p)
         if self.inv is not None:
@@ -67,18 +73,18 @@ class SmoothMap:
         flat = p.reshape(-1, space.dim)
         q = space.normalize(flat.copy())
         active = np.arange(flat.shape[0])
-        for _ in range(max_iter):
+        for _ in range(INVERSE_MAX_ITER):
             qa = q[active]
             r = space.displacement(self(qa), flat[active])[..., None]
             q_next = space.normalize(qa + np.linalg.solve(self.jacobian(qa), r)[..., 0])
-            moving = ~(space.dist(q_next, qa) <= tol)
+            moving = ~(space.dist(q_next, qa) <= INVERSE_TOL)
             q[active] = q_next
             active = active[moving]
             if active.size == 0:
                 return q.reshape(p.shape)
         raise InversionError(
             f"Newton inversion of {self.label!r}: {active.size} points still moving "
-            f"after {max_iter} steps", best=q.reshape(p.shape),
+            f"after {INVERSE_MAX_ITER} steps", best=q.reshape(p.shape),
             residual=float(np.max(space.dist(self(q[active]), flat[active]))))
 
     def jacobian(self, x) -> np.ndarray:

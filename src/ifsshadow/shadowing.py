@@ -27,13 +27,13 @@ every chain gets the iterates of a ``shadow_newton`` call on it alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.linalg.lapack import dpbsv
 
 from .core import (EXACT_CHAIN_TOL, ChainRecord, IFS, SymbolSequence,
-                   _link_errors, iterate_chain, validate_chain)
+                   _link_errors, _spectral_norms, iterate_chain, validate_chain)
 from .maps import SmoothMap
 from .space import _norms, ball_sample
 
@@ -101,8 +101,7 @@ def lipschitz_estimate(m: SmoothMap) -> float:
     X = m.space.uniform(rng, n_samples)
     best = 0.0
     if m.jac is not None:
-        J = m.jacobian(X)
-        best = float(np.max(np.linalg.svd(J, compute_uv=False)[..., 0]))
+        best = float(np.max(_spectral_norms(m.jacobian(X))))
     for scale in (1e-4, 1e-2):
         ratios = _pair_ratios(m, m.space, X, rng, scale)
         if ratios.size:
@@ -137,17 +136,6 @@ def hyperbolic_splitting(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.any(np.abs(np.abs(w) - 1.0) < 1e-9):
         raise NotHyperbolicError("matrix has an eigenvalue on the unit circle")
     return w, V
-
-
-def split_error(matrix: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split vectors into their contracting and expanding eigencomponents."""
-    w, V = hyperbolic_splitting(matrix)
-    coeff = np.linalg.solve(V, np.asarray(e, dtype=float).T).T
-    stable = coeff * (np.abs(w) < 1.0)
-    unstable = coeff * (np.abs(w) > 1.0)
-    es = np.real(stable @ V.T)
-    eu = np.real(unstable @ V.T)
-    return es, eu
 
 
 def shadow_linear_hyperbolic(A: SmoothMap, chain: ChainRecord) -> ShadowResult:
@@ -361,43 +349,6 @@ def verify_shadowing(F: IFS, xi: ChainRecord, y: ChainRecord, eps: float,
         max_point_dist=max_dist,
         worst_index=worst,
     )
-
-
-@dataclass(frozen=True)
-class WindowProbe:
-    n_links: int
-    delta: float
-    sup_dist: float
-    passed: bool
-    error: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    windows: tuple[WindowProbe, ...]
-    eps: float
-    all_passed: bool
-
-
-def finite_shadow_probe(F: IFS, windows: list[ChainRecord], eps: float,
-                        solver: Callable[[IFS, ChainRecord], ShadowResult] | None = None,
-                        ) -> ProbeReport:
-    """Shadow each finite window and report sup distances against eps.
-
-    Window-length stability of the sup distances is the finite stand-in for
-    shadowing of bi-infinite chains.
-    """
-    solve = solver or shadow_auto
-    rows = []
-    for win in windows:
-        try:
-            r = solve(F, win)
-            rows.append(WindowProbe(win.n_links, win.delta, r.sup_dist,
-                                    r.sup_dist <= eps))
-        except (ShadowingConvergenceError, NotContractingError,
-                NotHyperbolicError) as exc:
-            rows.append(WindowProbe(win.n_links, win.delta, np.inf, False, str(exc)))
-    return ProbeReport(tuple(rows), eps, all(r.passed for r in rows))
 
 
 @dataclass(frozen=True)

@@ -432,27 +432,13 @@ def test_cli_semiconj_bad_inputs_are_config_errors(flag, value, name, capsys):
     assert err.count("\n") == 1 and err.startswith("config error:") and name in err
 
 
-def test_cli_bad_thread_setting_is_config_error(monkeypatch, capsys):
-    monkeypatch.setenv("IFSSHADOW_THREADS", "abc")
-    assert run_cli("metrics", "--f", "rotation:0.1", "--g", "rotation:0.12",
-                   "--metric", "rho0", "--grid", "16") == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "IFSSHADOW_THREADS" in err
-
-
-def test_cli_zero_threads_is_config_error(monkeypatch, capsys):
+def test_cli_zero_threads_is_config_error(capsys):
     cover = ["cover", "--system", "cat", "--eps", "0.05", "--delta", "0.05",
              "--centers", "4", "--probes", "4"]
     assert run_cli("--threads", "0", *cover) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("config error:")
     assert "threads must be >= 1, got 0" in err
-
-    monkeypatch.setenv("IFSSHADOW_THREADS", "0")
-    assert run_cli(*cover) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("config error:")
-    assert "IFSSHADOW_THREADS must be >= 1, got 0" in err
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -573,7 +559,7 @@ def test_cli_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
     assert len(outputs[3][1]) == 3 and "noise" not in json.loads(outputs[3][0])["config"]
 
 
-def test_cli_reads_the_thread_setting_on_every_call(monkeypatch, capsys):
+def test_cli_reads_the_thread_setting_on_every_call(monkeypatch):
     seen = []
 
     def recording_cover(*args, threads, **kwargs):
@@ -584,14 +570,9 @@ def test_cli_reads_the_thread_setting_on_every_call(monkeypatch, capsys):
     monkeypatch.setattr(cli, "check_ball_cover", recording_cover)
     cover = ["cover", "--system", "cat", "--eps", "0.05", "--delta", "0.05",
              "--centers", "4", "--probes", "4"]
-    monkeypatch.setenv("IFSSHADOW_THREADS", "1")
-    assert run_cli(*cover) == 0
-    monkeypatch.setenv("IFSSHADOW_THREADS", "2")
-    assert run_cli(*cover) == 0
-    assert run_cli("--threads", "1", *cover) == 0     # the flag wins over the variable
-    assert seen == [1, 2, 1]
-    monkeypatch.setenv("IFSSHADOW_THREADS", "0")
-    assert run_cli(*cover) == 2
-    assert capsys.readouterr().err.endswith(
-        "config error: IFSSHADOW_THREADS must be >= 1, got 0\n")
-    assert seen == [1, 2, 1]
+    # with no --threads the count is the core count, read on every call
+    for cores in (3, 2, None):
+        monkeypatch.setattr(os, "cpu_count", lambda n=cores: n)
+        assert run_cli(*cover) == 0
+    assert run_cli("--threads", "4", *cover) == 0     # the flag wins over the cores
+    assert seen == [3, 2, 1, 4]

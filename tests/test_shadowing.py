@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from ifsshadow import (ChainRecord, NotContractingError, NotHyperbolicError,
                        ShadowingConvergenceError, Space, SymbolSequence,
                        affine_map, ball_sample, check_uniqueness,
-                       finite_shadow_probe, gen_pseudo_orbit,
-                       hyperbolic_splitting, iterate_chain, lipschitz_estimate,
-                       make_ifs, shadow_auto, shadow_contraction,
-                       shadow_linear_hyperbolic, shadow_newton, split_error,
-                       validate_chain, verify_shadowing)
+                       gen_pseudo_orbit, hyperbolic_splitting, iterate_chain,
+                       lipschitz_estimate, make_ifs, shadow_auto,
+                       shadow_contraction, shadow_linear_hyperbolic,
+                       shadow_newton, validate_chain, verify_shadowing)
 from ifsshadow.core import _link_errors
 from ifsshadow.shadowing import _gauss_newton, _normal_solve
 from ifsshadow.systems import (CAT_MATRIX, build_cat_ifs, build_contraction_ifs,
@@ -114,13 +113,6 @@ def test_hyperbolic_matches_dense_least_squares_oracle():
     chain = gen_pseudo_orbit(CAT, SIG0, [0.42, 0.17], 1e-3, 40, seed=6)
     r = shadow_linear_hyperbolic(CAT.maps[0], chain)
     assert dense_lstsq_gap(CAT, chain, r.shadow) <= 1e-9
-
-
-def test_single_link_error_split_reconstruction():
-    rng = np.random.default_rng(13)
-    e = rng.standard_normal((50, 2)) * 1e-3
-    es, eu = split_error(CAT_MATRIX, e)
-    assert np.max(np.abs(es + eu - e)) <= 1e-12
 
 
 def test_hyperbolic_splitting_eigenvalues():
@@ -279,11 +271,6 @@ def test_newton_stops_at_nonfinite_residual():
     with pytest.raises(ShadowingConvergenceError, match="not finite") as exc:
         shadow_newton(CAT, chain, max_iter=20, initial_points=init)
     assert exc.value.iterations == 0
-    # the probes keep recording such a failure instead of raising
-    rep = finite_shadow_probe(
-        CAT, [chain], eps=1.0,
-        solver=lambda F, c: shadow_newton(F, c, initial_points=init))
-    assert not rep.all_passed and "not finite" in rep.windows[0].error
 
 
 @pytest.mark.parametrize("d", [1, 2, 4])
@@ -443,43 +430,29 @@ def test_verify_needs_common_window():
 # --- finite windows ----------------------------------------------------------
 
 def test_probe_single_points_trivially_shadowed():
-    windows = [ChainRecord(np.array([[0.1 * i, 0.2]]), SIG0, 0.0, "exact-chain")
-               for i in range(5)]
-    rep = finite_shadow_probe(CAT, windows, eps=1e-9)
-    assert rep.all_passed
-    assert all(w.sup_dist == 0.0 for w in rep.windows)
+    for i in range(5):
+        win = ChainRecord(np.array([[0.1 * i, 0.2]]), SIG0, 0.0, "exact-chain")
+        assert shadow_auto(CAT, win).sup_dist == 0.0
 
 
 def test_probe_contraction_windows_all_pass():
     q = 0.5
     F = build_contraction_ifs(q)
     eps = 0.01 / (1 - q)
-    windows = [gen_pseudo_orbit(F, SymbolSequence.random(2, 100, s), [0.3],
-                                0.01, 100, seed=s) for s in range(50)]
-    rep = finite_shadow_probe(F, windows, eps=eps)
-    assert rep.all_passed
+    for s in range(50):
+        win = gen_pseudo_orbit(F, SymbolSequence.random(2, 100, s), [0.3],
+                               0.01, 100, seed=s)
+        assert shadow_auto(F, win).sup_dist <= eps
 
 
 def test_probe_window_length_stability_on_cat():
     bound = 1e-3 * CAT_BOUND_CONST + 1e-9
-    sups = []
     for n in (25, 50, 100, 200):
-        windows = [gen_pseudo_orbit(CAT, SIG0,
-                                    np.random.default_rng(300 + n + s).random(2),
-                                    1e-3, n, seed=s) for s in range(5)]
-        rep = finite_shadow_probe(CAT, windows, eps=bound)
-        assert rep.all_passed
-        sups.append(max(w.sup_dist for w in rep.windows))
-    assert max(sups) <= bound          # length-independent bound
-
-
-def test_probe_reports_solver_errors_per_window():
-    R = build_rotation_ifs([0.1])
-    win = gen_pseudo_orbit(R, SIG0, [0.2], 1e-3, 20, seed=0)
-    rep = finite_shadow_probe(R, [win], eps=0.01,
-                              solver=lambda F, c: shadow_linear_hyperbolic(F.maps[0], c))
-    assert not rep.all_passed
-    assert rep.windows[0].error is not None
+        for s in range(5):
+            win = gen_pseudo_orbit(CAT, SIG0,
+                                   np.random.default_rng(300 + n + s).random(2),
+                                   1e-3, n, seed=s)
+            assert shadow_auto(CAT, win).sup_dist <= bound   # length-independent
 
 
 # --- uniqueness --------------------------------------------------------------
