@@ -476,6 +476,10 @@ class SemiConjugacy:
     chain_delta: np.ndarray      # (n,) measured slack of each pseudo-orbit
     flagged: tuple[int, ...]     # samples whose shadowing solve failed
     two_sided: bool = True
+    # the samples' G-orbit windows (n, window, d) and the family G they were
+    # stepped in, for semiconj_residual to reuse
+    windows: np.ndarray | None = field(default=None, compare=False, repr=False)
+    G: IFS | None = field(default=None, compare=False, repr=False)
 
     @property
     def _usable(self) -> np.ndarray:
@@ -553,6 +557,7 @@ def build_semiconj(
         samples=X, images=shadows[:, lo].copy(), epsilon=eps, K=K, sigma=sigma,
         residuals=F.space.dist(windows, shadows), chain_delta=chain_delta,
         flagged=tuple(np.flatnonzero(failed).tolist()), two_sided=two_sided,
+        windows=windows, G=G,
     )
 
 
@@ -570,8 +575,11 @@ def semiconj_residual(
     (or coverage_tol) from every sample.  The nearest sample comes from a k-d
     tree, so memory is linear in the number of samples.  `sigma` must agree
     with the table's own schedule on every link either window uses
-    (ValueError otherwise).
+    (ValueError otherwise).  For the G the table was built with and
+    K <= h.K, the G-orbit windows are the table's own, trimmed to [-K, K].
     """
+    if K < 0:
+        raise ValueError(f"K must be >= 0, got {K}")
     hi = max(K, h.K)
     lo = hi if h.two_sided else 0
     if not np.array_equal(sigma.symbols(-lo, hi), h.sigma.symbols(-lo, hi)):
@@ -583,7 +591,11 @@ def semiconj_residual(
     samples = h.samples[ok]
     images = h.images[ok]
     space = F.space
-    PG = _orbit_window(G, sigma, samples, K, h.two_sided)
+    if G is h.G and K <= h.K:
+        # the table's windows hold k in [-h.K, h.K], or [0, h.K] one-sided
+        PG = h.windows[ok, lo - K if h.two_sided else 0:lo + K + 1]
+    else:
+        PG = _orbit_window(G, sigma, samples, K, h.two_sided)
     nearest, dist = _nearest_samples(space, samples, PG.reshape(-1, space.dim))
     coverage = float(np.max(dist))
     if coverage > tol:

@@ -21,7 +21,10 @@ minimal-correction chain.  ``check_uniqueness`` (multi-start trials) and
 ``perturb.build_semiconj`` (one window per sample) each run one batched
 Gauss-Newton solve: each sweep steps every active chain with one map call
 per symbol and solves all their normal systems with one banded Cholesky, and
-every chain gets the iterates of a ``shadow_newton`` call on it alone.
+every chain gets the iterates of a ``shadow_newton`` call on it alone.  When
+every chain's link Jacobians are equal bit for bit, as on affine families,
+the sweep factors one chain's normal matrix and solves it for all chains as
+many right-hand sides, with the same bits.
 """
 
 from __future__ import annotations
@@ -198,32 +201,36 @@ def shadow_linear_hyperbolic(A: SmoothMap, chain: ChainRecord) -> ShadowResult:
 def _normal_solve(jacs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (J_b J_b^T) u_b = rhs_b for a stack of chain Jacobians J_b.
 
-    `jacs` (B, m, d, d) holds the link blocks A_k of each chain and `rhs` is
-    (B, m, d).  Row k of J_b is [-A_k at y_k, I at y_{k+1}], so J_b J_b^T is
-    block tridiagonal with diagonal blocks I + A_k A_k^T and super-diagonal
-    blocks -A_{k+1}^T.  The chains are put one after another, with zero
-    coupling blocks at chain boundaries, in one upper-banded matrix,
-    ab[p + i - j, j] = M[i, j] with p = 2d - 1 super-diagonals, and factored
-    by one banded Cholesky (LAPACK pbsv).  For p below LAPACK's block size
-    pbsv factors column by column, so the zero couplings add exact zeros and
-    each chain's solution has the bits of a solve on its own.  pbsv is
-    called directly: scipy's solveh_banded hands two-row storage (d = 1) to
-    ptsv instead, which rejects a 1 x 1 system.
+    `rhs` is (B, m, d), and `jacs` (B_j, m, d, d) holds the link blocks A_k
+    of each chain, B_j = B, or B_j = 1 when all B chains share one J.  Row k
+    of J_b is [-A_k at y_k, I at y_{k+1}], so J_b J_b^T is block tridiagonal
+    with diagonal blocks I + A_k A_k^T and super-diagonal blocks -A_{k+1}^T.
+    The B_j chains are put one after another, with zero coupling blocks at
+    chain boundaries, in one upper-banded matrix, ab[p + i - j, j] = M[i, j]
+    with p = 2d - 1 super-diagonals, factored once by a banded Cholesky
+    (LAPACK pbsv) and solved for B // B_j right-hand sides.  For p below
+    LAPACK's block size pbsv factors column by column, so the zero couplings
+    add exact zeros, and its solve (pbtrs) runs the same two triangular
+    solves on each right-hand side: every chain's solution has the bits of a
+    solve on its own, whether its J is shared or stacked.  pbsv is called
+    directly: scipy's solveh_banded hands two-row storage (d = 1) to ptsv
+    instead, which rejects a 1 x 1 system.
     """
-    B, m, d, _ = jacs.shape
+    Bj, m, d, _ = jacs.shape
+    B = rhs.shape[0]
     p = 2 * d - 1
-    ab = np.zeros((p + 1, B * m * d))
+    ab = np.zeros((p + 1, Bj * m * d))
     a, b = np.triu_indices(d)
     D = np.eye(d) + jacs @ np.swapaxes(jacs, -1, -2)
-    ab[p + a - b, np.arange(B * m)[:, None] * d + b] = D.reshape(-1, d, d)[:, a, b]
+    ab[p + a - b, np.arange(Bj * m)[:, None] * d + b] = D.reshape(-1, d, d)[:, a, b]
     if m > 1:
         a, b = np.indices((d, d)).reshape(2, -1)
-        blocks = (np.arange(B)[:, None] * m + np.arange(1, m)).reshape(-1, 1)
+        blocks = (np.arange(Bj)[:, None] * m + np.arange(1, m)).reshape(-1, 1)
         ab[d - 1 + a - b, blocks * d + b] = -jacs[:, 1:, b, a].reshape(-1, d * d)
-    _, u, info = dpbsv(ab, rhs.reshape(-1, 1), overwrite_ab=1)
+    _, u, info = dpbsv(ab, rhs.reshape(B // Bj, Bj * m * d).T, overwrite_ab=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"banded Cholesky failed (LAPACK info {info})")
-    return u.reshape(B, m, d)
+    return u.T.reshape(B, m, d)
 
 
 def _max_residual(R: np.ndarray) -> np.ndarray:
@@ -265,7 +272,10 @@ def _gauss_newton(F: IFS, symbols: np.ndarray, Y: np.ndarray, tol: float,
             break
         jacs = F.jacobians(np.tile(symbols, active.size),
                            y[:, :-1].reshape(-1, d)).reshape(-1, m, d, d)
-        u = _normal_solve(jacs, -R)
+        # chains whose link blocks all have the first chain's bits (signed
+        # zeros and NaN payloads included) share one factorization
+        bits = jacs.reshape(active.size, -1).view(np.uint64)
+        u = _normal_solve(jacs[:1] if np.all(bits[1:] == bits[0]) else jacs, -R)
         delta = np.zeros_like(y)
         delta[:, 0] = -(np.swapaxes(jacs[:, 0], 1, 2) @ u[:, 0, :, None])[..., 0]
         if m > 1:
@@ -383,8 +393,13 @@ def check_uniqueness(
     ends, where finite-window solutions legitimately differ by decaying
     exact-orbit modes even when the bi-infinite shadow is unique.  Trials
     that stop unconverged are counted in `unconverged`.  `sigma` must agree
-    with the chain's own schedule on its links (ValueError otherwise).
+    with the chain's own schedule on its links, `trials` be at least 1 and
+    `eps` positive (ValueError otherwise).
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     n = len(chain)
     symbols = sigma.symbols(0, chain.n_links)
     if not np.array_equal(symbols, chain.sigma.symbols(0, chain.n_links)):

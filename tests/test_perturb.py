@@ -602,6 +602,34 @@ def test_semiconj_residual_below_twice_eps_and_monotone_in_K():
     assert vals[2] < 2 * 0.05
 
 
+@pytest.mark.parametrize("two_sided", [True, False])
+def test_semiconj_residual_reuses_the_tables_windows(monkeypatch, two_sided):
+    G = build_bumped_cat_ifs(1e-3)
+    sc = build_semiconj(CAT, G, SIG0, eps=0.05, samples=lattice_samples(200, 2), K=6,
+                        two_sided=two_sided)
+    calls = []
+
+    def window(G, *a):
+        calls.append(G)
+        return _orbit_window(G, *a)
+    monkeypatch.setattr(perturb, "_orbit_window", window)
+    for K in (0, 1, sc.K, sc.K + 2):
+        calls.clear()
+        reused = semiconj_residual(CAT, G, SIG0, sc, K=K, coverage_tol=0.5)
+        # the G-orbit windows are stepped anew only beyond the table's K
+        assert any(g is G for g in calls) == (K > sc.K)
+        rebuilt = semiconj_residual(CAT, build_bumped_cat_ifs(1e-3), SIG0, sc, K=K,
+                                    coverage_tol=0.5)
+        assert reused == rebuilt
+
+
+def test_semiconj_residual_rejects_a_negative_K():
+    G = build_bumped_cat_ifs(1e-3)
+    sc = build_semiconj(CAT, G, SIG0, eps=0.05, samples=lattice_samples(200, 2), K=5)
+    with pytest.raises(ValueError, match=re.escape("K must be >= 0, got -1")):
+        semiconj_residual(CAT, G, SIG0, sc, K=-1)
+
+
 def test_semiconj_coverage_error_on_sparse_samples():
     G = build_bumped_cat_ifs(1e-3)
     sparse = lattice_samples(10, 2)

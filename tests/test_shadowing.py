@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -6,12 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ifsshadow import (ChainRecord, NotContractingError, NotHyperbolicError,
-                       ShadowingConvergenceError, Space, SymbolSequence,
+                       ShadowingConvergenceError, SmoothMap, Space, SymbolSequence,
                        affine_map, ball_sample, check_uniqueness,
                        gen_pseudo_orbit, hyperbolic_splitting, iterate_chain,
                        lipschitz_estimate, make_ifs, shadow_auto,
                        shadow_contraction, shadow_linear_hyperbolic,
                        shadow_newton, validate_chain, verify_shadowing)
+from ifsshadow import shadowing
 from ifsshadow.core import _link_errors
 from ifsshadow.shadowing import _gauss_newton, _normal_solve
 from ifsshadow.systems import (CAT_MATRIX, build_cat_ifs, build_contraction_ifs,
@@ -298,6 +300,47 @@ def test_normal_solve_matches_dense(d, m):
         assert np.array_equal(u3[b], _normal_solve(stack_j[b:b + 1], stack_r[b:b + 1])[0])
 
 
+@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize("m", [1, 2, 50])
+@pytest.mark.parametrize("B", [1, 3])
+def test_normal_solve_with_one_shared_jacobian_matches_one_chain_solves(d, m, B):
+    rng = np.random.default_rng(100 * d + 10 * m + B)
+    jacs = rng.normal(size=(1, m, d, d))
+    rhs = rng.normal(size=(B, m, d))
+    u = _normal_solve(jacs, rhs)
+    assert u.shape == (B, m, d)
+    for b in range(B):
+        assert np.array_equal(u[b], _normal_solve(jacs, rhs[b:b + 1])[0])
+        assert np.array_equal(u[b], _normal_solve(np.repeat(jacs, B, axis=0), rhs)[b])
+
+
+def skew_ifs(value: float, at: np.ndarray):
+    """x -> [[2, 1], [0, 1]] x on the torus, with Jacobian entry (1, 0) set to
+    `value` at the point `at` only."""
+    A = np.array([[2.0, 1.0], [0.0, 1.0]])
+
+    def jac(x):
+        J = np.array(np.broadcast_to(A, x.shape + (2,)))
+        J[np.all(x == at, axis=-1), 1, 0] = value
+        return J
+    return make_ifs([SmoothMap("skew", Space(2), lambda x: x @ A.T, jac=jac)])
+
+
+@pytest.mark.parametrize("value, n_factored", [(0.0, 1), (-0.0, 3), (np.nan, 3)])
+def test_gauss_newton_shares_the_factorization_only_for_equal_bits(monkeypatch,
+                                                                   value, n_factored):
+    Y = np.random.default_rng(3).random((3, 11, 2))
+    F = skew_ifs(value, Y[1, 0])
+    shapes = []
+
+    def spy(jacs, rhs):
+        shapes.append((jacs.shape[0], rhs.shape[0]))
+        return np.zeros_like(rhs)
+    monkeypatch.setattr(shadowing, "_normal_solve", spy)
+    _gauss_newton(F, np.zeros(10, dtype=int), Y, 1e-10, 1)
+    assert shapes == [(n_factored, 3)]
+
+
 @st.composite
 def hyperbolic_sl2z(draw):
     """Products of elementary shears [[1, k], [0, 1]] / [[1, 0], [k, 1]] with
@@ -558,6 +601,56 @@ def test_uniqueness_trials_match_one_newton_solve_each():
                  for i, a in enumerate(candidates) for b in candidates[i + 1:])
     assert (v.n_candidates, v.unconverged, v.core_spread) == (
         len(candidates), unconverged, spread)
+
+
+def test_uniqueness_trials_on_cat_share_one_factorization(monkeypatch):
+    chain = gen_pseudo_orbit(CAT, SIG0, [0.38, 0.59], 1e-3, 300, seed=2)
+    eps, trials, scale, max_iter = 0.2, 12, 0.05, 30
+    rng = np.random.default_rng(7)
+    starts = [CAT.space.normalize(chain.points + ball_sample(rng, len(chain), 2, scale))
+              for _ in range(trials)]
+    # an exact chain as one more start stops at sweep 0, the others after 1
+    starts.append(shadow_newton(CAT, chain).shadow.points)
+    runs = [shadow_newton(CAT, chain, max_iter=max_iter, initial_points=init)
+            for init in starts]
+    solve = shadowing._normal_solve
+    shapes = []
+
+    def spy(jacs, rhs):
+        shapes.append((jacs.shape[0], rhs.shape[0]))
+        return solve(jacs, rhs)
+    monkeypatch.setattr(shadowing, "_normal_solve", spy)
+    best, res, sweeps, finite = _gauss_newton(CAT, SIG0.symbols(0, chain.n_links),
+                                              np.array(starts), 1e-10, max_iter)
+    assert shapes[0] == (1, trials)          # the exact chain left before sweep 1
+    assert np.array_equal(best, np.array([r.shadow.points for r in runs]))
+    assert np.array_equal(sweeps, [r.iterations for r in runs])
+    assert sorted(set(sweeps.tolist())) == [0, 1] and np.all(finite)
+
+    shapes.clear()
+    v = check_uniqueness(CAT, SIG0, chain, eps, trials=trials, seed=7, init_scale=scale,
+                         max_iter=max_iter)
+    assert shapes and all(j == 1 for j, _ in shapes) and shapes[0][1] == trials
+    core = slice(v.margin, len(chain) - v.margin)
+    points = [r.shadow.points for r in runs[:trials]]
+    spread = max(float(np.max(CAT.space.dist(a[core], b[core])))
+                 for i, a in enumerate(points) for b in points[i + 1:])
+    assert (v.status, v.n_candidates, v.unconverged, v.core_spread) == (
+        "unique", trials, 0, spread)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(trials=0), "trials must be >= 1, got 0"),
+    (dict(trials=-1), "trials must be >= 1, got -1"),
+    (dict(eps=0.0), "eps must be positive, got 0.0"),
+    (dict(eps=-0.1), "eps must be positive, got -0.1"),
+    (dict(eps=np.nan), "eps must be positive, got nan"),
+])
+def test_uniqueness_rejects_config_errors(kwargs, message):
+    # each of these used to come back as an "inconclusive" verdict
+    chain = gen_pseudo_orbit(CAT, SIG0, [0.3, 0.3], 1e-3, 50, seed=4)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check_uniqueness(CAT, SIG0, chain, **{"eps": 0.2, "trials": 3, **kwargs})
 
 
 def test_lipschitz_estimates():
