@@ -9,7 +9,6 @@ at most delta.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -327,11 +326,6 @@ def iterate_chain(F: IFS, sigma: SymbolSequence, x0, steps: int) -> ChainRecord:
                        sigma=sigma, delta=0.0, kind="exact-chain")
 
 
-# largest D for which 10^D is exact in float64: round:D on Python floats
-# then takes the bits of np.round, which is rint(y * 10^D) / 10^D
-_EXACT_POW10 = 22
-
-
 def _step_chain(F: IFS, sigma: SymbolSequence, x0, steps: int,
                 errs: Optional[np.ndarray], decimals: Optional[int]) -> np.ndarray:
     """Points x_0..x_steps of the one-point chain x_{k+1} = f_{s(k)}(x_k) + e_k.
@@ -339,13 +333,12 @@ def _step_chain(F: IFS, sigma: SymbolSequence, x0, steps: int,
     x_0 is x0 normalized.  Each image is reduced mod 1 on the torus, rounded
     to `decimals` places when given (x_0 too), shifted by e_k = errs[k] (zero
     when errs is None) and reduced again; a reduction that lands on 1.0 gives
-    0.0, as in Space.normalize.  Families are stepped on Python floats when
-    all their maps carry ``affine`` (_affine_steps, written out for d = 1 and
-    d = 2, says when its bits can differ from the array loop's) or, failing
-    that, all carry ``point`` (_float_steps: the bits of the array loop
-    wherever ``point`` has those of ``fwd``).  Other families, ``round:D``
-    with D > _EXACT_POW10 and chains that leave the finite floats step on
-    arrays, one ``fwd`` call per link.
+    0.0, as in Space.normalize.  Unrounded chains step on Python floats when
+    d <= 2 and all maps carry ``affine`` (_affine_steps says when its bits can
+    differ from the array loop's) or, failing that, all carry ``point``
+    (_float_steps: the bits of the array loop wherever ``point`` has those of
+    ``fwd``).  Other families, ``round:D`` chains and chains that leave the
+    finite floats step on arrays, one ``fwd`` call per link.
     """
     space = F.space
     x = space.normalize(_as_points(space, x0))
@@ -357,14 +350,14 @@ def _step_chain(F: IFS, sigma: SymbolSequence, x0, steps: int,
     if errs is None:
         errs = np.zeros((steps, space.dim))
     periodic = space.periodic
-    if decimals is None or decimals <= _EXACT_POW10:
+    if decimals is None:
         coefs = [m.affine for m in F.maps]
         points = [m.point for m in F.maps]
-        if all(c is not None for c in coefs):
-            if _affine_steps(pts, coefs, symbols, errs, periodic, decimals):
+        if space.dim <= 2 and all(c is not None for c in coefs):
+            if _affine_steps(pts, coefs, symbols, errs, periodic):
                 return pts
         elif all(p is not None for p in points):
-            if _float_steps(pts, points, symbols, errs, periodic, decimals):
+            if _float_steps(pts, points, symbols, errs, periodic):
                 return pts
     fwds = [m.fwd for m in F.maps]
     for k, s in enumerate(symbols.tolist()):
@@ -381,28 +374,22 @@ def _step_chain(F: IFS, sigma: SymbolSequence, x0, steps: int,
 
 
 def _affine_steps(pts: np.ndarray, coefs, symbols: np.ndarray, errs: np.ndarray,
-                  periodic: bool, decimals: Optional[int]) -> bool:
-    """_float_steps for maps with coefficients coefs[s] = (A, b), written out
-    on scalars for d = 1 and d = 2.
+                  periodic: bool) -> bool:
+    """_float_steps for d = 1 or d = 2 maps with coefficients coefs[s] = (A, b),
+    written out on scalars.
 
-    Coordinate i of an image is a_i0 x_0 + a_i1 x_1 + ... + b_i, added left
-    to right.  BLAS starts the one-point ``x @ A.T`` from zero, so its image
-    is never -0.0; neither is this one, as b + 0.0 has no -0.0 offset.  BLAS
-    may add in another order or with fused multiply-adds, so where a product
-    or a partial sum is not exact (d >= 2) the last bit can differ from
+    Coordinate i of an image is a_i0 x_0 + a_i1 x_1 + b_i, added left to
+    right.  BLAS starts the one-point ``x @ A.T`` from zero, so its image is
+    never -0.0; neither is this one, as b + 0.0 has no -0.0 offset.  BLAS may
+    add in another order or with fused multiply-adds, so where a product or a
+    partial sum is not exact (d = 2) the last bit can differ from
     ``x @ A.T``; for d = 1, and on the cat and rotation maps, the bits are
-    the same.  For d >= 3 each map becomes a one-point formula for
-    _float_steps, which adds in the same order.
+    the same.
     """
-    d = pts.shape[1]
     rows = [(A.tolist(), [bi + 0.0 for bi in b.tolist()]) for A, b in coefs]
-    if d > 2:
-        return _float_steps(pts, [_affine_point(A, b) for A, b in rows], symbols,
-                            errs, periodic, decimals)
-    scale = None if decimals is None else float(10 ** decimals)
     # y % 1.0 equals y - floor(y): the remainder is exact, and +0.0 at zero;
     # the second % 1.0 takes a rounded-up 1.0 to 0.0 and keeps every other value
-    if d == 1:
+    if pts.shape[1] == 1:
         ab = [(A[0][0], b[0]) for A, b in rows]
         x = float(pts[0, 0])
         out = []
@@ -411,8 +398,6 @@ def _affine_steps(pts: np.ndarray, coefs, symbols: np.ndarray, errs: np.ndarray,
             y = a * x + b
             if periodic:
                 y = y % 1.0 % 1.0
-            if scale is not None:
-                y = _round_scaled(y, scale)
             x = y + e
             if periodic:
                 x = x % 1.0 % 1.0
@@ -430,9 +415,6 @@ def _affine_steps(pts: np.ndarray, coefs, symbols: np.ndarray, errs: np.ndarray,
             if periodic:
                 y0 = y0 % 1.0 % 1.0
                 y1 = y1 % 1.0 % 1.0
-            if scale is not None:
-                y0 = _round_scaled(y0, scale)
-                y1 = _round_scaled(y1, scale)
             x0 = y0 + e0
             x1 = y1 + e1
             if periodic:
@@ -445,31 +427,13 @@ def _affine_steps(pts: np.ndarray, coefs, symbols: np.ndarray, errs: np.ndarray,
     return bool(np.isfinite(pts).all())
 
 
-def _affine_point(A: list, b: list):
-    """x -> A x + b on a list of floats, each coordinate added as in
-    _affine_steps."""
-    rows = list(zip(A, b))
-
-    def point(x):
-        y = []
-        for row, bi in rows:
-            v = -0.0                    # -0.0 + p is p, signed zeros included
-            for a, xj in zip(row, x):
-                v += a * xj
-            y.append(v + bi)
-        return y
-
-    return point
-
-
 def _float_steps(pts: np.ndarray, points, symbols: np.ndarray, errs: np.ndarray,
-                 periodic: bool, decimals: Optional[int]) -> bool:
+                 periodic: bool) -> bool:
     """Fill pts[1:] as _step_chain does, on Python floats, taking each image
     from points[s](x); False, with pts[1:] unspecified, when a value is not
     finite.  v % 1.0 % 1.0 reduces as in _affine_steps.
     """
     n, d = pts.shape
-    scale = None if decimals is None else float(10 ** decimals)
     x = pts[0].tolist()
     out = []
     for s, e in zip(symbols.tolist(), errs.tolist()):
@@ -477,8 +441,6 @@ def _float_steps(pts: np.ndarray, points, symbols: np.ndarray, errs: np.ndarray,
         for v, ei in zip(points[s](x), e):
             if periodic:
                 v = v % 1.0 % 1.0
-            if scale is not None:
-                v = _round_scaled(v, scale)
             v += ei
             if periodic:
                 v = v % 1.0 % 1.0
@@ -487,16 +449,6 @@ def _float_steps(pts: np.ndarray, points, symbols: np.ndarray, errs: np.ndarray,
         out += y
     pts[1:] = np.reshape(out, (n - 1, d))
     return bool(np.isfinite(pts).all())
-
-
-def _round_scaled(y: float, scale: float) -> float:
-    """np.round(y, D) for scale = 10^D exact: rint(y * scale) / scale, a zero
-    keeping the sign of y * scale."""
-    v = y * scale
-    try:
-        return round(v) / scale or math.copysign(0.0, v)
-    except (OverflowError, ValueError):      # an infinity or a NaN: rint keeps it
-        return v / scale
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,13 @@ from .core import IFS, SymbolSequence, orbit_steps
 from .space import MetricGrid, _as_points, _norms
 
 
+def _check_n_cap(n_cap: int) -> None:
+    """Raise ValueError for a negative search horizon, which would otherwise
+    read as a saturated (never separating) pair."""
+    if n_cap < 0:
+        raise ValueError(f"n_cap must be >= 0, got {n_cap}")
+
+
 def separation_time(F: IFS, sigma: SymbolSequence, x, y, eta: float,
                     n_cap: int) -> Optional[int]:
     """Smallest |n| <= n_cap with dist(O(n)x, O(n)y) > eta, or None if saturated.
@@ -34,6 +41,7 @@ def separation_time(F: IFS, sigma: SymbolSequence, x, y, eta: float,
 def _separations(F: IFS, sigma: SymbolSequence, X, Y,
                  n_cap: int) -> Iterator[np.ndarray]:
     """Yield max(dist(O(n)x, O(n)y), dist(O(-n)x, O(-n)y)) per pair, n = 0..n_cap."""
+    _check_n_cap(n_cap)
     space = F.space
     XY = np.stack([_as_points(space, X), _as_points(space, Y)])
     for f, b in zip(orbit_steps(F, sigma, XY, n_cap),
@@ -131,6 +139,7 @@ def estimate_expansive_const(
     within n_cap steps.  The candidate constant is the largest Delta without
     sampled violations - an estimate, not a proof.
     """
+    _check_n_cap(n_cap)
     max_recorded = 16                  # violating pairs kept (all are counted)
     X, Y = _sample_pairs(F, grid, pair_tolerance, n_pairs, seed)
     deltas = sorted(set(float(d) for d in delta_grid), reverse=True)
@@ -171,6 +180,7 @@ def estimate_N_of_mu(
     separating orientations matter; off d = 2 the fan is random directions
     plus the coordinate axes) plus random grid pairs.
     """
+    _check_n_cap(n_cap)
     if mu > F.space.diameter():
         return 1
     n_pairs, n_directions = 256, 16

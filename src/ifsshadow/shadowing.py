@@ -247,8 +247,13 @@ def _gauss_newton(F: IFS, symbols: np.ndarray, Y: np.ndarray, tol: float,
     when its largest link residual is at most `tol` or is not finite.
     Returns, per chain, the best iterate (B, m+1, d), its residual (B,), the
     sweep at which the chain stopped (`max_iter` if it never did) and
-    whether its last residual was finite.
+    whether its last residual was finite.  Raises ValueError for max_iter < 0
+    or a tol that is not >= 0 (NaN included).
     """
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     for m_ in F.maps:
         if m_.jac is None:
             raise ValueError(f"shadow_newton needs Jacobians (map {m_.label!r})")
@@ -393,13 +398,15 @@ def check_uniqueness(
     ends, where finite-window solutions legitimately differ by decaying
     exact-orbit modes even when the bi-infinite shadow is unique.  Trials
     that stop unconverged are counted in `unconverged`.  `sigma` must agree
-    with the chain's own schedule on its links, `trials` be at least 1 and
-    `eps` positive (ValueError otherwise).
+    with the chain's own schedule on its links, `trials` be at least 1,
+    `eps` positive and `init_scale` finite and >= 0 (ValueError otherwise).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
+    if init_scale is not None and not (np.isfinite(init_scale) and init_scale >= 0):
+        raise ValueError(f"init_scale must be finite and >= 0, got {init_scale}")
     n = len(chain)
     symbols = sigma.symbols(0, chain.n_links)
     if not np.array_equal(symbols, chain.sigma.symbols(0, chain.n_links)):

@@ -461,9 +461,9 @@ def test_the_float_reduction_has_the_bits_of_mod1(y):
 @pytest.mark.parametrize("y", MOD1_EDGES)
 def test_chains_reduce_edge_images_as_the_array_loop(y):
     # an offset y puts the first image of x0 = 0 on y, on the d = 1 and d = 2
-    # affine loops and the point loop (d = 3), with and without rounding;
-    # noise shows a 1.0 left unreduced, and noise of 1e-20 puts y + e_k on
-    # the edge at y = 0
+    # affine loops and the array loop (d = 3, and every rounded chain); noise
+    # shows a 1.0 left unreduced, and noise of 1e-20 puts y + e_k on the edge
+    # at y = 0
     for dim in (1, 2, 3):
         F = make_ifs([affine_map(Space(dim), np.eye(dim), [y] * dim)])
         for noise, delta in (("uniform-ball", 0.0), ("uniform-ball", 1e-3),
@@ -483,9 +483,9 @@ def test_affine_chain_off_the_finite_floats_steps_on_arrays(x0, noise):
 
 
 # BLAS may add the terms of x @ A.T in another order, or with fused
-# multiply-adds, than the float loop's a_i0 x_0 + a_i1 x_1 + ...; with at
-# most 4 terms below 16 in size, each of the <= 5 roundings of an image and
-# its noise moves it by at most ulp(16) / 2 = 8 eps
+# multiply-adds, than the d = 2 float loop's a_i0 x_0 + a_i1 x_1 + b_i; with
+# 3 terms below 16 in size, each of the <= 5 roundings of an image and its
+# noise moves it by at most ulp(16) / 2 = 8 eps
 AFFINE_TOL = 64 * np.finfo(float).eps
 
 
@@ -499,12 +499,16 @@ def test_json_affine_chains_agree_with_the_array_loop_to_rounding(d, steps, seed
     F = ifs_from_dict({"space": {"dim": d, "periodic": False},
                        "maps": [{"kind": "affine",
                                  "params": {"matrix": A.tolist(), "offset": b.tolist()}}]})
-    chain = gen_pseudo_orbit(F, SIG0, rng.random(d), delta, steps, seed=seed)
+    x0 = rng.random(d)
+    chain = gen_pseudo_orbit(F, SIG0, x0, delta, steps, seed=seed)
     errs = ball_sample(np.random.default_rng(seed), steps, d, delta)
     pts = chain.points
-    for k in range(steps):
-        ref = reference_step(F, 0, pts[k], errs[k])
-        assert np.max(np.abs(pts[k + 1] - ref)) <= AFFINE_TOL
+    if d >= 3:                 # d >= 3 affine families step on the array loop
+        assert same_bits(pts, reference_chain(F, SIG0, x0, steps, errs))
+    else:
+        for k in range(steps):
+            ref = reference_step(F, 0, pts[k], errs[k])
+            assert np.max(np.abs(pts[k + 1] - ref)) <= AFFINE_TOL
     assert validate_chain(F, chain).max_residual <= delta * (1 + 1e-9)
 
 

@@ -189,3 +189,30 @@ def test_empty_delta_grid_is_inconclusive():
     rep = estimate_expansive_const(CAT, SIG0, MetricGrid(CAT.space, 16), delta_grid=())
     assert rep.verdict == "inconclusive"
     assert rep.candidate_delta is None and rep.verdicts == ()
+
+
+@pytest.mark.parametrize("n_cap", [-1, -3])
+def test_negative_n_cap_is_rejected(n_cap):
+    # a negative horizon used to read as a saturated pair or as
+    # "expansive-at-Delta"; mu = 1 and an empty delta grid take the early
+    # returns of estimate_N_of_mu and estimate_expansive_const
+    grid = MetricGrid(CAT.space, 16)
+    x, y = unstable_pair(0)
+    calls = [
+        lambda: separation_time(CAT, SIG0, x, y, 0.1, n_cap),
+        lambda: separation_times_batch(CAT, SIG0, x[None], y[None], 0.1, n_cap),
+        lambda: max_orbit_separation(CAT, SIG0, x[None], y[None], n_cap),
+        lambda: estimate_expansive_const(CAT, SIG0, grid, n_cap=n_cap),
+        lambda: estimate_expansive_const(CAT, SIG0, grid, n_cap=n_cap, delta_grid=()),
+        lambda: estimate_N_of_mu(CAT, SIG0, eta=0.1, mu=1e-3, grid=grid, n_cap=n_cap),
+        lambda: estimate_N_of_mu(CAT, SIG0, eta=0.1, mu=1.0, grid=grid, n_cap=n_cap),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"n_cap must be >= 0, got {n_cap}"):
+            call()
+
+
+def test_zero_n_cap_compares_the_pair_itself():
+    x, y = unstable_pair(0)
+    assert separation_time(CAT, SIG0, x, y, 0.1, 0) is None
+    assert separation_time(CAT, SIG0, x, y, 1e-4, 0) == 0

@@ -332,6 +332,17 @@ def test_cli_exit_codes(tmp_path):
                    "contraction") == 1
 
 
+def test_cli_negative_ncap_exits_2(capsys):
+    # a negative search horizon is a config error, not "no separation found"
+    # or an "expansive-at-Delta" verdict
+    assert run_cli("septime", "--system", "cat", "--sigma", "constant:0",
+                   "--x", "0,0", "--y", "0.1,0", "--eta", "0.1", "--ncap", "-1") == 2
+    assert run_cli("expansive", "--system", "cat", "--sigma", "constant:0",
+                   "--grid", "8", "--ncap", "-1") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: n_cap must be >= 0, got -1"] * 2
+
+
 @pytest.mark.parametrize("argv, message", [
     (["generate", "--system", "torus_example", "--sigma", "constant:5"],
      "symbol 5 is outside the family of 2 maps"),

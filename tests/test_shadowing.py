@@ -266,6 +266,18 @@ def test_newton_nonconvergence_carries_best():
     assert exc.value.residual > 0
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(max_iter=-1), "max_iter must be >= 0, got -1"),
+    (dict(tol=-1e-12), "tol must be >= 0, got -1e-12"),
+    (dict(tol=np.nan), "tol must be >= 0, got nan"),
+])
+def test_newton_rejects_config_errors(kwargs, message):
+    # max_iter=-1 used to raise ShadowingConvergenceError "in -1 iterations"
+    chain = gen_pseudo_orbit(CAT, SIG0, [0.2, 0.7], 1e-3, 20, seed=1)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        shadow_newton(CAT, chain, **kwargs)
+
+
 def test_newton_stops_at_nonfinite_residual():
     chain = gen_pseudo_orbit(CAT, SIG0, [0.2, 0.7], 1e-3, 20, seed=1)
     init = chain.points.copy()
@@ -645,6 +657,12 @@ def test_uniqueness_trials_on_cat_share_one_factorization(monkeypatch):
     (dict(eps=0.0), "eps must be positive, got 0.0"),
     (dict(eps=-0.1), "eps must be positive, got -0.1"),
     (dict(eps=np.nan), "eps must be positive, got nan"),
+    (dict(init_scale=np.nan), "init_scale must be finite and >= 0, got nan"),
+    (dict(init_scale=np.inf), "init_scale must be finite and >= 0, got inf"),
+    (dict(init_scale=-0.1), "init_scale must be finite and >= 0, got -0.1"),
+    (dict(max_iter=-1), "max_iter must be >= 0, got -1"),
+    (dict(tol=-1.0), "tol must be >= 0, got -1.0"),
+    (dict(tol=np.nan), "tol must be >= 0, got nan"),
 ])
 def test_uniqueness_rejects_config_errors(kwargs, message):
     # each of these used to come back as an "inconclusive" verdict
