@@ -131,13 +131,7 @@ class SymbolSequence:
         return cls(window=tuple(w.tolist()), extension="periodic")
 
     def lookup(self, k: int) -> int:
-        i = k - self.k_min
-        n = len(self.window)
-        if 0 <= i < n:
-            return self.window[i]
-        if self._fill is None:
-            return self.window[i % n]
-        return self._fill
+        return int(self.symbols(k, k + 1)[0])
 
     def symbols(self, k_from: int, k_to: int) -> np.ndarray:
         """Symbols for k in [k_from, k_to), as an integer array."""
@@ -167,21 +161,17 @@ class SymbolSequence:
                    k_min=int(d.get("k_min", 0)))
 
 
-CHAIN_KINDS = ("exact-chain", "delta-chain", "shadow-candidate")
-
-
 @dataclass(frozen=True, eq=False)
 class ChainRecord:
     """Finite window of points x_0..x_m with its symbol schedule.
 
-    ``delta`` is the claimed slack (0 for exact chains); ``kind`` tags how
-    the chain was produced, not a verified property - use validate_chain.
+    ``delta`` is the claimed slack (0 for exact chains), not a verified
+    property - use validate_chain.
     """
 
     points: np.ndarray  # shape (m+1, d)
     sigma: SymbolSequence
     delta: float = 0.0
-    kind: str = "delta-chain"
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -189,8 +179,6 @@ class ChainRecord:
             raise ValueError("chain needs a (m+1, d) array with m >= 0")
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
-        if self.kind not in CHAIN_KINDS:
-            raise ValueError(f"unknown chain kind {self.kind!r}")
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
@@ -316,14 +304,13 @@ def gen_pseudo_orbit(
         points=_step_chain(F, sigma, x0, steps, errs, decimals),
         sigma=sigma,
         delta=float(bound),
-        kind="exact-chain" if bound == 0.0 else "delta-chain",
     )
 
 
 def iterate_chain(F: IFS, sigma: SymbolSequence, x0, steps: int) -> ChainRecord:
     """Exact chain from x0: plain forward iteration under the schedule."""
     return ChainRecord(points=_step_chain(F, sigma, x0, steps, None, None),
-                       sigma=sigma, delta=0.0, kind="exact-chain")
+                       sigma=sigma, delta=0.0)
 
 
 def _step_chain(F: IFS, sigma: SymbolSequence, x0, steps: int,

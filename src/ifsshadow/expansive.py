@@ -25,6 +25,13 @@ def _check_n_cap(n_cap: int) -> None:
         raise ValueError(f"n_cap must be >= 0, got {n_cap}")
 
 
+def _check_eta(eta: float) -> None:
+    """Raise ValueError for a separation threshold that is not >= 0 (NaN
+    included), which identical points would already exceed at n = 0."""
+    if not eta >= 0:
+        raise ValueError(f"eta must be >= 0, got {eta}")
+
+
 def separation_time(F: IFS, sigma: SymbolSequence, x, y, eta: float,
                     n_cap: int) -> Optional[int]:
     """Smallest |n| <= n_cap with dist(O(n)x, O(n)y) > eta, or None if saturated.
@@ -52,6 +59,7 @@ def _separations(F: IFS, sigma: SymbolSequence, X, Y,
 def separation_times_batch(F: IFS, sigma: SymbolSequence, X, Y, eta: float,
                            n_cap: int) -> np.ndarray:
     """Vectorized separation times for pair arrays (inf where saturated)."""
+    _check_eta(eta)
     times = np.full(len(X), np.inf)
     for n, sep in enumerate(_separations(F, sigma, X, Y, n_cap)):
         times[np.isinf(times) & (sep > eta)] = n
@@ -140,9 +148,14 @@ def estimate_expansive_const(
     sampled violations - an estimate, not a proof.
     """
     _check_n_cap(n_cap)
+    if not pair_tolerance >= 0:
+        raise ValueError(f"pair_tolerance must be >= 0, got {pair_tolerance}")
+    deltas = sorted(set(float(d) for d in delta_grid), reverse=True)
+    bad = [d for d in deltas if not d > 0]
+    if bad:
+        raise ValueError(f"every Delta must be > 0, got {bad[0]}")
     max_recorded = 16                  # violating pairs kept (all are counted)
     X, Y = _sample_pairs(F, grid, pair_tolerance, n_pairs, seed)
-    deltas = sorted(set(float(d) for d in delta_grid), reverse=True)
     if X.shape[0] == 0 or not deltas:
         return ExpansivenessReport(sigma, None, n_cap, pair_tolerance,
                                    tuple(DeltaVerdict(d, False, 0) for d in deltas),
@@ -181,6 +194,7 @@ def estimate_N_of_mu(
     plus the coordinate axes) plus random grid pairs.
     """
     _check_n_cap(n_cap)
+    _check_eta(eta)
     if mu > F.space.diameter():
         return 1
     n_pairs, n_directions = 256, 16

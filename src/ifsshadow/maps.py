@@ -37,11 +37,10 @@ class SmoothMap:
     fwd: Callable[[np.ndarray], np.ndarray]
     inv: Optional[Callable[[np.ndarray], np.ndarray]] = None
     jac: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    # integer matrix when the map is a linear toral automorphism x -> A x
-    matrix: Optional[np.ndarray] = None
     # (A, b) when fwd is x @ A.T + b (set by affine_map), for stepping chains
-    # on floats; an init field, so a dataclasses.replace copy keeps it, and a
-    # copy whose fwd computes another formula must pass affine=None
+    # on floats and for the closed-form shadow; an init field, so a
+    # dataclasses.replace copy keeps it, and a copy whose fwd computes another
+    # formula must pass affine=None
     affine: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, compare=False)
     # fwd on one point: a list of d Python floats to a list with the bits of
     # fwd on a one-point array, for stepping chains on floats; an init field
@@ -150,7 +149,6 @@ def identity_map(space: Space) -> SmoothMap:
         fwd=lambda x: x,
         inv=lambda p: p,
         jac=lambda x: np.broadcast_to(eye, x.shape + (space.dim,)),
-        matrix=np.eye(space.dim, dtype=int) if space.periodic else None,
     )
 
 
@@ -160,8 +158,7 @@ def affine_map(space: Space, A, b, label: str = "affine") -> SmoothMap:
     b = np.asarray(b, dtype=float)
     if A.shape != (space.dim, space.dim) or b.shape != (space.dim,):
         raise ValueError("affine parameters do not match the space dimension")
-    integral = np.allclose(A, np.round(A), atol=0.0)
-    if space.periodic and not integral:
+    if space.periodic and not np.array_equal(A, np.round(A)):
         raise ValueError(
             f"matrix of {label!r} is not integral; the map does not descend to the torus"
         )
@@ -176,6 +173,5 @@ def affine_map(space: Space, A, b, label: str = "affine") -> SmoothMap:
         fwd=lambda x: x @ A.T + b,
         inv=inv,
         jac=lambda x: np.broadcast_to(A, x.shape + (space.dim,)),
-        matrix=np.round(A).astype(int) if (space.periodic and integral) else None,
         affine=(A, b),
     )

@@ -405,7 +405,7 @@ def perturbed_ifs(
     symbols = (blocks * N + sigma.symbols(0, n_sym)).tolist()
     ysigma = SymbolSequence(window=tuple(symbols),
                             extension=f"constant:{symbols[-1]}")
-    ychain = ChainRecord(ypts, ysigma, delta=0.0, kind="exact-chain")
+    ychain = ChainRecord(ypts, ysigma, delta=0.0)
 
     verdict = validate_chain(gs, ychain)
     if not verdict.is_exact_chain:

@@ -75,7 +75,7 @@ class ShadowResult:
 
 def _finish(F: IFS, chain: ChainRecord, ypts: np.ndarray, solver: str,
             iterations: int) -> ShadowResult:
-    shadow = ChainRecord(points=ypts, sigma=chain.sigma, delta=0.0, kind="exact-chain")
+    shadow = ChainRecord(points=ypts, sigma=chain.sigma, delta=0.0)
     residual = validate_chain(F, shadow).max_residual
     sup = float(np.max(F.space.dist(chain.points, ypts)))
     return ShadowResult(shadow=shadow, sup_dist=sup, solver=solver,
@@ -142,14 +142,14 @@ def hyperbolic_splitting(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def shadow_linear_hyperbolic(A: SmoothMap, chain: ChainRecord) -> ShadowResult:
-    """Minimal-correction exact orbit of a hyperbolic toral automorphism."""
-    if A.matrix is None:
+    """Minimal-correction exact orbit of the hyperbolic torus map A.affine."""
+    if A.affine is None or not A.space.periodic:
         raise NotHyperbolicError(f"map {A.label!r} is not a linear toral automorphism")
     symbols = chain.sigma.symbols(0, chain.n_links)
     if np.any(symbols != 0):
         raise NotHyperbolicError("the closed form needs symbol 0 on every link")
     F = IFS((A,))
-    w, V = hyperbolic_splitting(A.matrix)
+    w, V = hyperbolic_splitting(A.affine[0])
     pts = chain.points
     m = chain.n_links
     if m == 0:

@@ -178,7 +178,7 @@ def test_criterion_6_shadowing_uniqueness():
     I = build_identity_ifs(2)
     const_pts = np.tile([0.4, 0.6], (101, 1))
     from ifsshadow import ChainRecord
-    const = ChainRecord(const_pts, SIG0, 0.0, "exact-chain")
+    const = ChainRecord(const_pts, SIG0, 0.0)
     vi = check_uniqueness(I, SIG0, const, eps=0.1, trials=20, seed=1)
     elapsed = time.perf_counter() - t0
     ok = (max(spreads) <= 1e-8 and vi.status == "not-unique"

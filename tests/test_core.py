@@ -250,15 +250,41 @@ def test_displaced_point_residual_band():
 
 
 def test_single_point_chain_vacuously_exact():
-    v = validate_chain(CAT, ChainRecord(np.array([[0.1, 0.2]]), SIG0, 0.0,
-                                        "exact-chain"))
+    v = validate_chain(CAT, ChainRecord(np.array([[0.1, 0.2]]), SIG0, 0.0))
     assert v.is_exact_chain and v.max_residual == 0.0 and v.worst_k is None
 
 
 def test_gen_zero_delta_is_exact():
     chain = gen_pseudo_orbit(CAT, SIG0, [0.3, 0.7], 0.0, 100, seed=1)
-    assert chain.kind == "exact-chain"
+    assert chain.delta == 0.0
     assert validate_chain(CAT, chain).max_residual <= 1e-12
+
+
+NOJAC = SmoothMap("nojac", Space(2), lambda x: x, inv=lambda p: p)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: make_ifs([]), "an IFS needs at least one map"),
+    (lambda: make_ifs([identity_map(Space(2)), identity_map(Space(2, periodic=False))]),
+     "all maps of an IFS must share one space"),
+    (lambda: SymbolSequence(()), "symbol window must be nonempty"),
+    (lambda: ChainRecord(np.zeros(3), SIG0), r"chain needs a \(m\+1, d\) array"),
+    (lambda: ChainRecord(np.zeros((0, 2)), SIG0), r"chain needs a \(m\+1, d\) array"),
+    (lambda: ChainRecord(np.zeros((2, 2)), SIG0, -1e-3), "delta must be nonnegative"),
+    (lambda: gen_pseudo_orbit(CAT, SIG0, [0.1, 0.2], -0.1, 5),
+     "delta must be nonnegative"),
+    (lambda: gen_pseudo_orbit(CAT, SIG0, [0.1, 0.2], 0.1, -1),
+     "steps must be nonnegative"),
+    (lambda: gen_pseudo_orbit(CAT, SIG0, [0.1, 0.2], 0.1, 5, noise="round:-1"),
+     "round noise model needs decimals >= 0"),
+    (lambda: dist_D0(CAT, build_rotation_ifs([[0.1, 0.2]]), MetricGrid(CAT.space, 8),
+                     mode="nearest"), "unknown mode 'nearest'"),
+    (lambda: rho1(NOJAC, CAT.maps[0], MetricGrid(CAT.space, 8)),
+     "rho1 needs Jacobians on both maps"),
+])
+def test_malformed_families_schedules_and_chains_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_gen_uniform_ball_respects_delta():

@@ -216,3 +216,44 @@ def test_zero_n_cap_compares_the_pair_itself():
     x, y = unstable_pair(0)
     assert separation_time(CAT, SIG0, x, y, 0.1, 0) is None
     assert separation_time(CAT, SIG0, x, y, 1e-4, 0) == 0
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(delta_grid=(-0.1, -0.2)), "every Delta must be > 0, got -0.1"),
+    (dict(delta_grid=(0.2, 0.0)), "every Delta must be > 0, got 0.0"),
+    (dict(delta_grid=(0.2, np.nan)), "every Delta must be > 0, got nan"),
+    (dict(pair_tolerance=-1.0), "pair_tolerance must be >= 0, got -1.0"),
+    (dict(pair_tolerance=np.nan), "pair_tolerance must be >= 0, got nan"),
+    # a tolerance above the diameter samples no pair: the early return
+    (dict(pair_tolerance=10.0, delta_grid=(0.2, -0.1)), "every Delta must be > 0"),
+])
+def test_expansive_config_errors_are_rejected(kwargs, message):
+    # these used to read as "expansive-at-Delta" (Delta <= 0) or "violated"
+    # (identical pairs, kept by a negative tolerance, never separate)
+    with pytest.raises(ValueError, match=message):
+        estimate_expansive_const(CAT, SIG0, MetricGrid(CAT.space, 16), **kwargs)
+
+
+@pytest.mark.parametrize("eta", [-0.1, np.nan])
+def test_negative_eta_is_rejected(eta):
+    # identical points used to "separate" at n = 0; mu = 1 takes the early
+    # return of estimate_N_of_mu
+    grid = MetricGrid(CAT.space, 16)
+    x = np.array([0.3, 0.4])
+    calls = [
+        lambda: separation_time(CAT, SIG0, x, x, eta, 30),
+        lambda: separation_times_batch(CAT, SIG0, x[None], x[None], eta, 30),
+        lambda: estimate_N_of_mu(CAT, SIG0, eta=eta, mu=1e-3, grid=grid),
+        lambda: estimate_N_of_mu(CAT, SIG0, eta=eta, mu=1.0, grid=grid),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"eta must be >= 0, got {eta}"):
+            call()
+
+
+def test_zero_eta_and_tolerance_are_valid():
+    x, y = unstable_pair(0)
+    assert separation_time(CAT, SIG0, x, y, 0.0, 5) == 0
+    rep = estimate_expansive_const(CAT, SIG0, MetricGrid(CAT.space, 16),
+                                   pair_tolerance=0.0, n_cap=5)
+    assert rep.pair_tolerance == 0.0

@@ -147,12 +147,20 @@ def test_catalog_kind_keeps_a_given_label():
     x = np.array([[0.25, 0.5], [0.7, 0.1]])
     assert np.array_equal(F.maps[0](x), CAT.maps[0](x))
     assert np.array_equal(F.maps[0].invert(x), CAT.maps[0].invert(x))
-    assert F.maps[0].matrix is not None
+    assert F.maps[0].affine is not None
 
 
 def test_unknown_map_kind():
     with pytest.raises(ValueError, match="kind"):
         ifsio.ifs_from_dict({"space": {"dim": 1}, "maps": [{"kind": "henon"}]})
+
+
+def test_custom_poly_needs_one_term_list_per_coordinate():
+    terms = [[{"coef": 0.5, "powers": [1, 0]}]]
+    with pytest.raises(ValueError, match="one term list per output coordinate"):
+        ifsio.ifs_from_dict({"space": {"dim": 2, "periodic": False},
+                             "maps": [{"kind": "custom_poly",
+                                       "params": {"terms": terms}}]})
 
 
 @pytest.mark.parametrize("space, kind", [
@@ -441,6 +449,42 @@ def test_cli_semiconj_bad_inputs_are_config_errors(flag, value, name, capsys):
     assert run_cli("semiconj", *[a for kv in argv.items() for a in kv]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("config error:") and name in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("shadow", "--system", "{spec}", "--sigma", "constant:0", "--delta", "0.001",
+     "--len", "10"),
+    ("generate", "--system", "{spec}", "--sigma", "constant:0", "--delta", "0.001",
+     "--len", "10"),
+    ("expansive", "--system", "{spec}", "--sigma", "constant:0", "--grid", "8"),
+    ("metrics", "--f", "{spec}", "--g", "cat", "--metric", "D0", "--grid", "4"),
+])
+def test_cli_near_integer_torus_matrix_is_config_error(argv, tmp_path, capsys):
+    # the closed form used to solve the rounded matrix [[2, 1], [1, 1]]
+    spec = tmp_path / "near.json"
+    ifsio.write_json(spec, {"space": {"dim": 2}, "maps": [
+        {"kind": "affine", "params": {"matrix": [[2.00001, 1], [1, 1]],
+                                      "offset": [0.0, 0.0]}}]})
+    assert run_cli(*[a.format(spec=f"@{spec}") for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert "not integral" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("expansive", "--deltas=-0.1,-0.2"), "every Delta must be > 0"),
+    (("expansive", "--pair-tol", "-1"), "pair_tolerance must be >= 0"),
+    (("septime", "--x", "0.2,0.7", "--y", "0.2,0.7", "--eta", "-0.1"),
+     "eta must be >= 0"),
+])
+def test_cli_expansiveness_misconfigurations_are_config_errors(argv, message, capsys):
+    # each used to exit 0 with a verdict: "expansive-at-Delta" with a negative
+    # candidate, "violated" from identical pairs, or separation time 0
+    command, *rest = argv
+    assert run_cli(command, "--system", "cat", "--sigma", "constant:0",
+                   "--grid", "8", "--ncap", "5", *rest) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:") and message in err
 
 
 def test_cli_zero_threads_is_config_error(capsys):

@@ -98,12 +98,38 @@ def test_compose_chain_rule_and_inverse():
     assert np.max(g.space.dist(g.invert(g(X)), X)) < 1e-10
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: compose(identity_map(Space(2)), identity_map(Space(3))),
+     "composition requires a common space"),
+    (lambda: affine_map(Space(2), np.eye(3), np.zeros(2)),
+     "affine parameters do not match the space dimension"),
+    (lambda: affine_map(Space(2), np.eye(2), np.zeros(3)),
+     "affine parameters do not match the space dimension"),
+])
+def test_maps_on_mismatched_spaces_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_affine_matrix_metadata():
-    assert np.array_equal(cat_map().matrix, CAT_MATRIX)
+    A, b = cat_map().affine
+    assert A.dtype == float and np.array_equal(A, CAT_MATRIX)
+    assert np.array_equal(b, np.zeros(2))
     rot = affine_map(Space(2), np.eye(2), [0.1, 0.2], "rot")
-    assert np.array_equal(rot.matrix, np.eye(2, dtype=int))
+    assert np.array_equal(rot.affine[0], np.eye(2))
+    assert np.array_equal(rot.affine[1], [0.1, 0.2])
     contr = affine_map(Space(1, periodic=False), [[0.5]], [0.0])
-    assert contr.matrix is None
+    assert np.array_equal(contr.affine[0], [[0.5]])
+    assert identity_map(Space(2)).affine is None
+
+
+@pytest.mark.parametrize("entry", [2.00001, 2.0 + 1e-12, np.nextafter(2.0, 3.0)])
+def test_near_integer_torus_matrix_is_rejected(entry):
+    with pytest.raises(ValueError, match="not integral"):
+        affine_map(Space(2), [[entry, 1], [1, 1]], np.zeros(2), "near")
+    # the same matrix is a well-defined map of the square
+    square = affine_map(Space(2, periodic=False), [[entry, 1], [1, 1]], np.zeros(2))
+    assert square.affine[0][0, 0] == entry
 
 
 def torus2_maps():

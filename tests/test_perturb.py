@@ -326,7 +326,7 @@ def adjusted_conditions(F: IFS, chain: ChainRecord, ys: np.ndarray,
                         ) -> AdjustedConditions:
     """Reference: the three adjusted-point conditions for a candidate set."""
     m = ys.shape[0] - 1
-    adj = ChainRecord(ys, chain.sigma, delta=0.0, kind="shadow-candidate")
+    adj = ChainRecord(ys, chain.sigma, delta=0.0)
     max_res = validate_chain(F, adj).max_residual
     dist = float(np.max(F.space.dist(chain.points[: m + 1], ys)))
     equal = np.all(ys[:, None, :] == ys[None, :, :], axis=-1)
@@ -363,7 +363,7 @@ def test_adjusted_points_resolves_collisions():
     I = build_identity_ifs(2)
     pts = np.tile(np.array([0.5, 0.5]), (6, 1))
     chain = gen_pseudo_orbit(I, SIG0, [0.5, 0.5], 1e-4, 0, seed=0)
-    chain = chain.__class__(pts, SIG0, 1e-4, "delta-chain")
+    chain = chain.__class__(pts, SIG0, 1e-4)
     ys = adjusted_points(I, chain, 5, eta=1e-3, seed=1)
     cond = adjusted_conditions(I, chain, ys)
     assert cond.distinct
@@ -422,7 +422,7 @@ def test_perturbed_ifs_two_map_family_members():
     exact = iterate_chain(F, sig, [0.3, 0.4], 12)
     pts = exact.points.copy()
     pts[3] += [1e-4, -5e-5]              # only links 2 and 3 need a bump
-    chain = ChainRecord(pts, sig, 0.0, "delta-chain")
+    chain = ChainRecord(pts, sig, 0.0)
     m = 6
     res = perturbed_ifs(F, chain, m=m, Delta=0.02, seed=1)
     labels = [g.label for g in res.gs.maps]
@@ -459,6 +459,17 @@ def test_perturbed_ifs_rejects_oversized_slack():
     chain = gen_pseudo_orbit(CAT, SIG0, [0.37, 0.52], 0.02, 30, seed=1)
     with pytest.raises(ValueError, match="slack"):
         perturbed_ifs(CAT, chain, m=10, Delta=0.05, seed=1)
+
+
+@pytest.mark.parametrize("F, Delta, message", [
+    (CAT, 0.0, "Delta must be positive"),
+    (CAT, -0.05, "Delta must be positive"),
+    (build_contraction_ifs(0.5), 0.05, "needs dim >= 2 (bump constructions)"),
+])
+def test_perturbed_ifs_rejects_config_errors(F, Delta, message):
+    chain = iterate_chain(F, SIG0, np.full(F.space.dim, 0.25), 5)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        perturbed_ifs(F, chain, m=2, Delta=Delta)
 
 
 # --- nearest-sample lookup ---------------------------------------------------
@@ -703,7 +714,7 @@ def test_semiconj_rows_equal_shadow_newton_per_window(name, sigma, n, K):
     P = _orbit_window(G, sigma, sc.samples, K)
     sweeps = set()
     for i in range(n):
-        window = ChainRecord(P[i], sigma.shift(-K), kind="shadow-candidate")
+        window = ChainRecord(P[i], sigma.shift(-K))
         r = shadow_newton(F, window)
         sweeps.add(r.iterations)
         assert np.array_equal(sc.images[i], r.shadow.points[K])
@@ -732,7 +743,7 @@ def test_semiconj_flags_windows_that_do_not_converge():
     assert np.all(np.isnan(sc.residuals[flagged]))
     P = _orbit_window(G, SIG0, sc.samples, 2)
     with pytest.raises(ShadowingConvergenceError):
-        shadow_newton(F, ChainRecord(P[flagged[0]], SIG0, kind="shadow-candidate"))
+        shadow_newton(F, ChainRecord(P[flagged[0]], SIG0))
     # the other samples keep the bits of a run without the flagged ones
     keep = np.setdiff1d(np.arange(60), flagged)
     rest = build_semiconj(F, G, SIG0, eps=0.05, samples=samples[keep], K=2)
@@ -752,6 +763,17 @@ def test_semiconj_linalg_error_flags_every_sample(monkeypatch):
     assert sc.flagged == tuple(range(40))
     assert np.all(np.isnan(sc.images)) and np.all(np.isnan(sc.residuals))
     assert sc.max_residual == np.inf and sc.max_image_dist(CAT.space) == np.inf
+
+
+def test_semiconj_residual_rejects_an_all_flagged_table(monkeypatch):
+    def failing(jacs, rhs):
+        raise np.linalg.LinAlgError("banded Cholesky failed")
+    monkeypatch.setattr(shadowing, "_normal_solve", failing)
+    G = build_bumped_cat_ifs(1e-3)
+    sc = build_semiconj(CAT, G, SIG0, eps=0.05, samples=lattice_samples(16, 2), K=5)
+    assert sc.flagged == tuple(range(16))
+    with pytest.raises(ValueError, match="semiconjugacy table is empty"):
+        semiconj_residual(CAT, G, SIG0, sc, K=5)
 
 
 # --- ball-cover probe --------------------------------------------------------
@@ -780,6 +802,13 @@ def test_cover_without_probes_is_rejected(kwargs, message):
                 n_probes=100, seed=1)
     with pytest.raises(ValueError, match=re.escape(message)):
         check_ball_cover(**{**args, **kwargs})
+
+
+def test_cover_rejects_a_non_invertible_map():
+    noinv = SmoothMap("noinv", SP2, lambda x: x)
+    with pytest.raises(ValueError, match="map 'noinv' must be invertible"):
+        check_ball_cover(noinv, eps=0.05, delta=0.05, n_centers=20, n_probes=100,
+                         seed=1)
 
 
 def test_cover_identity_geometry():

@@ -18,7 +18,7 @@ from ifsshadow.core import _link_errors
 from ifsshadow.shadowing import _gauss_newton, _normal_solve
 from ifsshadow.systems import (CAT_MATRIX, build_cat_ifs, build_contraction_ifs,
                                build_identity_ifs, build_rotation_ifs,
-                               build_torus_example)
+                               build_torus_example, build_torus_f1)
 
 CAT = build_cat_ifs()
 SIG0 = SymbolSequence.constant(0)
@@ -99,7 +99,7 @@ def dense_lstsq_gap(F, chain, shadow):
     correction from a dense lstsq solve of the stacked linearized chain
     constraints of the linear map F.maps[0]."""
     m, d = chain.n_links, F.space.dim
-    A = F.maps[0].matrix.astype(float)
+    A = F.maps[0].affine[0]
     space = F.space
     E = space.displacement(F.maps[0](chain.points[:-1]), chain.points[1:])
     J = np.zeros((m * d, (m + 1) * d))
@@ -129,6 +129,25 @@ def test_not_hyperbolic_rejected():
     chain = iterate_chain(R, SIG0, [0.2], 5)
     with pytest.raises(NotHyperbolicError):
         shadow_linear_hyperbolic(R.maps[0], chain)
+
+
+def _cube_cat_map():
+    return affine_map(Space(2, periodic=False), CAT_MATRIX, np.zeros(2), "cube_cat")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_torus_f1().maps[0],
+    lambda: build_identity_ifs(2).maps[0],
+    _cube_cat_map,
+])
+def test_closed_form_needs_an_affine_torus_map(build):
+    # torus_F1 is not affine, the identity carries no affine record, and the
+    # cat matrix on the cube (not the torus) is no toral automorphism
+    A = build()
+    chain = ChainRecord(np.full((3, A.space.dim), 0.25), SIG0)
+    with pytest.raises(NotHyperbolicError,
+                       match=f"map {A.label!r} is not a linear toral automorphism"):
+        shadow_linear_hyperbolic(A, chain)
 
 
 def test_hyperbolic_nonsymmetric_matrix():
@@ -163,7 +182,7 @@ def test_hyperbolic_complex_eigenvalue_pair():
     # companion matrix of x^3 - x - 1: det 1, one real expanding eigenvalue
     # (1.3247) and a complex contracting pair (|w| = 0.8688)
     A = affine_map(Space(3), [[0, 0, 1], [1, 0, 1], [0, 1, 0]], np.zeros(3), "cubic")
-    w, _ = hyperbolic_splitting(A.matrix)
+    w, _ = hyperbolic_splitting(A.affine[0])
     assert np.count_nonzero(np.abs(w.imag) > 1e-12) == 2
     F = make_ifs([A])
     chain = gen_pseudo_orbit(F, SIG0, [0.31, 0.58, 0.77], 1e-4, 200, seed=4)
@@ -180,7 +199,7 @@ def lfilter_closed_form(A, chain):
     recurrences: coefficients [0, -1] / [1, -w] for contracting modes,
     [0, 1/w] / [1, -1/w] over the reversed errors for expanding ones."""
     from scipy.signal import lfilter
-    w, V = hyperbolic_splitting(A.matrix)
+    w, V = hyperbolic_splitting(A.affine[0])
     m, pts = chain.n_links, chain.points
     E = _link_errors(make_ifs([A]), chain.sigma.symbols(0, m), pts)
     Et = np.linalg.solve(V, E.T).T
@@ -469,7 +488,7 @@ def test_verify_flags_displaced_point():
     eps = 0.01
     pts = chain.points.copy()
     pts[17] = CAT.space.normalize(pts[17] + np.array([2 * eps, 0.0]))
-    bad = ChainRecord(pts, SIG0, 0.0, "shadow-candidate")
+    bad = ChainRecord(pts, SIG0, 0.0)
     v = verify_shadowing(CAT, chain, bad, eps=eps)
     assert not v.ok
     assert v.worst_index == 17
@@ -486,7 +505,7 @@ def test_verify_needs_common_window():
 
 def test_probe_single_points_trivially_shadowed():
     for i in range(5):
-        win = ChainRecord(np.array([[0.1 * i, 0.2]]), SIG0, 0.0, "exact-chain")
+        win = ChainRecord(np.array([[0.1 * i, 0.2]]), SIG0, 0.0)
         assert shadow_auto(CAT, win).sup_dist == 0.0
 
 
@@ -603,7 +622,7 @@ def test_uniqueness_trials_match_one_newton_solve_each():
     assert np.all(finite)
 
     candidates = [p for p in points
-                  if verify_shadowing(T, chain, ChainRecord(p, sig, 0.0, "exact-chain"),
+                  if verify_shadowing(T, chain, ChainRecord(p, sig, 0.0),
                                       eps).ok]
     assert 2 <= len(candidates) < len(points)
     v = check_uniqueness(T, sig, chain, eps, trials=trials, seed=7, init_scale=scale,
