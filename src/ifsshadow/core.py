@@ -177,8 +177,8 @@ class ChainRecord:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ValueError("chain needs a (m+1, d) array with m >= 0")
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        if not self.delta >= 0:
+            raise ValueError(f"delta must be nonnegative, got {self.delta}")
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
@@ -289,8 +289,8 @@ def gen_pseudo_orbit(
     rounds every image (and x_0) to D decimals, for which the recorded slack
     is the rounding bound 0.5 * 10^-D * sqrt(d).
     """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    if not delta >= 0:
+        raise ValueError(f"delta must be nonnegative, got {delta}")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     decimals = _parse_noise(noise)

@@ -195,6 +195,8 @@ def estimate_N_of_mu(
     """
     _check_n_cap(n_cap)
     _check_eta(eta)
+    if not mu > 0:
+        raise ValueError(f"mu must be positive, got {mu}")
     if mu > F.space.diameter():
         return 1
     n_pairs, n_directions = 256, 16

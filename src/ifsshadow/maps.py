@@ -158,6 +158,8 @@ def affine_map(space: Space, A, b, label: str = "affine") -> SmoothMap:
     b = np.asarray(b, dtype=float)
     if A.shape != (space.dim, space.dim) or b.shape != (space.dim,):
         raise ValueError("affine parameters do not match the space dimension")
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        raise ValueError(f"affine parameters of {label!r} must be finite")
     if space.periodic and not np.array_equal(A, np.round(A)):
         raise ValueError(
             f"matrix of {label!r} is not integral; the map does not descend to the torus"

@@ -21,8 +21,8 @@ from scipy.spatial import cKDTree
 from .core import (ChainRecord, IFS, SymbolSequence, _link_errors, _require_invertible,
                    _rho0_gap, link_residuals, make_ifs, orbit_steps, validate_chain)
 from .maps import InversionError, SmoothMap, compose
-from .shadowing import (NEWTON_MAX_ITER, NEWTON_TOL, _gauss_newton, _max_residual,
-                        _pair_ratios, lipschitz_estimate)
+from .shadowing import (NEWTON_TOL, _gauss_newton, _max_residual, _pair_ratios,
+                        lipschitz_estimate)
 from .space import MetricGrid, Space, ball_sample, default_resolution, _as_points, _norms
 
 
@@ -138,6 +138,8 @@ def move_points_diffeo(
     after BUMP_INVERSE_MAX_ITER Newton steps, makes the inverse raise
     InversionError.
     """
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
     if space is None:
         if not pairs:
             raise ValueError("an empty pair list needs an explicit space")
@@ -264,8 +266,8 @@ def adjusted_points(F: IFS, chain: ChainRecord, m: int, eta: float,
     """
     if not 0 <= m < len(chain):
         raise ValueError(f"m = {m} outside the chain window of {len(chain)} points")
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not eta > 0:
+        raise ValueError(f"eta must be positive, got {eta}")
     res = link_residuals(F, chain)
     delta = max(chain.delta, float(np.max(res[:m])) if m else 0.0)
     L = max(lipschitz_estimate(f) for f in F.maps)
@@ -338,8 +340,8 @@ def perturbed_ifs(
     on a grid (by default of resolution min(64, default_resolution(dim)))
     and errors if the measurement fails.
     """
-    if Delta <= 0:
-        raise ValueError("Delta must be positive")
+    if not Delta > 0:
+        raise ValueError(f"Delta must be positive, got {Delta}")
     if F.space.dim < 2:
         raise ValueError("needs dim >= 2 (bump constructions)")
     sigma = chain.sigma
@@ -532,7 +534,8 @@ def build_semiconj(
     windows, so F needs Jacobians, and each row has the bits of
     ``shadow_newton`` on its window.  Samples whose window misses NEWTON_TOL
     are flagged, with NaN rows; a LinAlgError of the stacked solve flags them
-    all.
+    all.  `eps` is the table's epsilon, the coverage tolerance of
+    ``semiconj_residual``.
     Residuals store dist(G-orbit_k(x), F-orbit_k(h(x))).  Use one-sided
     windows (``two_sided=False``) for families whose inverses blow orbits
     up, e.g. contractions.
@@ -547,8 +550,7 @@ def build_semiconj(
     symbols = sigma.symbols(-lo, K)
     chain_delta = _max_residual(_link_errors(F, symbols, windows))   # window slacks
     try:
-        shadows, res, _, _ = _gauss_newton(F, symbols, windows, NEWTON_TOL,
-                                           NEWTON_MAX_ITER)
+        shadows, res, _, _ = _gauss_newton(F, symbols, windows)
         failed = ~(res <= NEWTON_TOL)
     except np.linalg.LinAlgError:
         shadows, failed = np.empty_like(windows), np.ones(X.shape[0], dtype=bool)
@@ -567,12 +569,11 @@ def semiconj_residual(
     sigma: SymbolSequence,
     h: SemiConjugacy,
     K: int,
-    coverage_tol: float | None = None,
 ) -> float:
     """Defect of the conjugation identity, max over samples and |k| <= K of
     dist(F-orbit_k(h(x)), h(G-orbit_k(x))), with h read off at the nearest
-    sample.  Raises CoverageError if a queried point is farther than epsilon
-    (or coverage_tol) from every sample.  The nearest sample comes from a k-d
+    sample.  Raises CoverageError if a queried point is farther than the
+    table's epsilon from every sample.  The nearest sample comes from a k-d
     tree, so memory is linear in the number of samples.  `sigma` must agree
     with the table's own schedule on every link either window uses
     (ValueError otherwise).  For the G the table was built with and
@@ -584,7 +585,6 @@ def semiconj_residual(
     lo = hi if h.two_sided else 0
     if not np.array_equal(sigma.symbols(-lo, hi), h.sigma.symbols(-lo, hi)):
         raise ValueError("sigma differs from the semiconjugacy table's schedule")
-    tol = h.epsilon if coverage_tol is None else coverage_tol
     ok = h._usable
     if ok.size == 0:
         raise ValueError("semiconjugacy table is empty")
@@ -598,9 +598,9 @@ def semiconj_residual(
         PG = _orbit_window(G, sigma, samples, K, h.two_sided)
     nearest, dist = _nearest_samples(space, samples, PG.reshape(-1, space.dim))
     coverage = float(np.max(dist))
-    if coverage > tol:
+    if coverage > h.epsilon:
         raise CoverageError(
-            f"nearest-sample distance {coverage:.4f} exceeds {tol:.4f}; "
+            f"nearest-sample distance {coverage:.4f} exceeds {h.epsilon:.4f}; "
             f"sample the space more densely"
         )
     h_of_queries = images[nearest].reshape(PG.shape)

@@ -17,7 +17,9 @@ Three solvers cover the systems in the catalog:
   banded Cholesky solve (O(window length)).
 
 On linear systems the Newton and closed-form solvers converge to the same
-minimal-correction chain.  ``check_uniqueness`` (multi-start trials) and
+minimal-correction chain.  Every Gauss-Newton solve stops by one rule, read at
+call time: a largest link residual at most NEWTON_TOL, or NEWTON_MAX_ITER
+sweeps.  ``check_uniqueness`` (multi-start trials) and
 ``perturb.build_semiconj`` (one window per sample) each run one batched
 Gauss-Newton solve: each sweep steps every active chain with one map call
 per symbol and solves all their normal systems with one banded Cholesky, and
@@ -238,22 +240,18 @@ def _max_residual(R: np.ndarray) -> np.ndarray:
     return np.max(_norms(R), axis=1, initial=0.0)
 
 
-def _gauss_newton(F: IFS, symbols: np.ndarray, Y: np.ndarray, tol: float,
-                  max_iter: int):
+def _gauss_newton(F: IFS, symbols: np.ndarray, Y: np.ndarray):
     """Gauss-Newton sweeps on a stack Y (B, m+1, d) of chains on one schedule.
 
     Each sweep makes one IFS.step call, one IFS.jacobians call and one
     _normal_solve over all active chains.  A chain leaves the active set
-    when its largest link residual is at most `tol` or is not finite.
-    Returns, per chain, the best iterate (B, m+1, d), its residual (B,), the
-    sweep at which the chain stopped (`max_iter` if it never did) and
-    whether its last residual was finite.  Raises ValueError for max_iter < 0
-    or a tol that is not >= 0 (NaN included).
+    when its largest link residual is at most NEWTON_TOL or is not finite;
+    after NEWTON_MAX_ITER sweeps every chain stops.  Returns, per chain, the
+    best iterate (B, m+1, d), its residual (B,), the sweep at which the chain
+    stopped (NEWTON_MAX_ITER if it never did) and whether its last residual
+    was finite.
     """
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
-    if not tol >= 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
+    tol, max_iter = NEWTON_TOL, NEWTON_MAX_ITER
     for m_ in F.maps:
         if m_.jac is None:
             raise ValueError(f"shadow_newton needs Jacobians (map {m_.label!r})")
@@ -290,27 +288,21 @@ def _gauss_newton(F: IFS, symbols: np.ndarray, Y: np.ndarray, tol: float,
     return best, best_res, sweeps, finite
 
 
-def shadow_newton(
-    F: IFS,
-    chain: ChainRecord,
-    tol: float = NEWTON_TOL,
-    max_iter: int = NEWTON_MAX_ITER,
-    initial_points: np.ndarray | None = None,
-) -> ShadowResult:
-    """Gauss-Newton chain-residual minimization with minimal-norm steps.
+def shadow_newton(F: IFS, chain: ChainRecord) -> ShadowResult:
+    """Gauss-Newton chain-residual minimization with minimal-norm steps,
+    started at the chain's own points.
 
     Each sweep linearises the link residuals R around the iterate, takes the
     minimal-norm step J^T u with (J J^T) u = -R (one banded Cholesky solve),
-    and stops once the largest link residual is at most `tol`.  Raises
-    ShadowingConvergenceError after `max_iter` sweeps, or at once when the
-    residual is not finite.
+    and stops once the largest link residual is at most NEWTON_TOL.  Raises
+    ShadowingConvergenceError after NEWTON_MAX_ITER sweeps, or at once when
+    the residual is not finite.  To start elsewhere, shadow
+    ChainRecord(start, chain.sigma).
     """
-    y = np.array(initial_points if initial_points is not None else chain.points,
-                 dtype=float)
     best, res, sweeps, finite = _gauss_newton(
-        F, chain.sigma.symbols(0, chain.n_links), y[None], tol, max_iter)
+        F, chain.sigma.symbols(0, chain.n_links), chain.points[None])
     best_y, best_res, it = best[0], float(res[0]), int(sweeps[0])
-    if best_res <= tol:
+    if best_res <= NEWTON_TOL:
         return _finish(F, chain, best_y, "newton", it)
     if not finite[0]:
         raise ShadowingConvergenceError(
@@ -319,9 +311,9 @@ def shadow_newton(
             best_points=best_y, residual=best_res, iterations=it,
         )
     raise ShadowingConvergenceError(
-        f"Gauss-Newton did not reach residual {tol:.1e} in {max_iter} iterations "
+        f"Gauss-Newton did not reach residual {NEWTON_TOL:.1e} in {it} iterations "
         f"(best {best_res:.3e})",
-        best_points=best_y, residual=best_res, iterations=max_iter,
+        best_points=best_y, residual=best_res, iterations=it,
     )
 
 
@@ -374,7 +366,7 @@ class UniquenessVerdict:
     core_spread: float           # max pointwise gap between candidates on the core
     margin: int                  # window entries trimmed at each end
     eps: float
-    unconverged: int = 0         # trials stopped at max_iter or a non-finite residual
+    unconverged: int = 0         # trials that stopped without converging
 
 
 def check_uniqueness(
@@ -384,46 +376,41 @@ def check_uniqueness(
     eps: float,
     trials: int = 20,
     seed: int = 0,
-    init_scale: float | None = None,
-    tol: float = NEWTON_TOL,
-    max_iter: int = 30,
 ) -> UniquenessVerdict:
     """Multi-start statistical probe of shadowing uniqueness.
 
-    Runs the Newton solver from `trials` perturbed initializations, all in
-    one batched solve to `tol` (by default NEWTON_TOL), keeps the converged
-    candidates that eps-shadow the chain (verify_shadowing's tests:
-    exact-chain residual <= EXACT_CHAIN_TOL and sup distance <= eps), and
-    compares them pointwise on the window core.  The margin trims the window
-    ends, where finite-window solutions legitimately differ by decaying
-    exact-orbit modes even when the bi-infinite shadow is unique.  Trials
-    that stop unconverged are counted in `unconverged`.  `sigma` must agree
-    with the chain's own schedule on its links, `trials` be at least 1,
-    `eps` positive and `init_scale` finite and >= 0 (ValueError otherwise).
+    Runs the Newton solver from `trials` initializations, each the chain
+    displaced by a ball sample of radius eps/4, all in one batched solve with
+    ``shadow_newton``'s stopping rule (NEWTON_TOL, at most NEWTON_MAX_ITER
+    sweeps).  It keeps the converged candidates that stay within eps of the
+    chain (a residual at most NEWTON_TOL passes verify_shadowing's
+    exact-chain test too) and compares them pointwise on the window core.
+    The margin trims the window ends, where finite-window solutions
+    legitimately differ by decaying exact-orbit modes even when the
+    bi-infinite shadow is unique.  Trials that stop unconverged are counted
+    in `unconverged`.  `sigma` must agree with the chain's own schedule on
+    its links, `trials` be at least 1 and `eps` positive (ValueError
+    otherwise).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    if init_scale is not None and not (np.isfinite(init_scale) and init_scale >= 0):
-        raise ValueError(f"init_scale must be finite and >= 0, got {init_scale}")
     n = len(chain)
     symbols = sigma.symbols(0, chain.n_links)
     if not np.array_equal(symbols, chain.sigma.symbols(0, chain.n_links)):
         raise ValueError("sigma differs from the chain's schedule on its links")
     margin = min(chain.n_links // 4, 40)
-    scale = eps / 4.0 if init_scale is None else init_scale
     rng = np.random.default_rng(seed)
     space = F.space
-    noise = np.array([ball_sample(rng, n, space.dim, scale) for _ in range(trials)])
+    noise = np.array([ball_sample(rng, n, space.dim, eps / 4.0) for _ in range(trials)])
     starts = space.normalize(chain.points + noise.reshape(trials, n, space.dim))
-    best, res, _, _ = _gauss_newton(F, symbols, starts, tol, max_iter)
-    converged = res <= tol
+    best, res, _, _ = _gauss_newton(F, symbols, starts)
     # res is the best iterate's largest link residual, measured by the solve
-    ok = converged & (res <= EXACT_CHAIN_TOL)
+    ok = res <= NEWTON_TOL
+    unconverged = trials - int(np.count_nonzero(ok))
     ok[ok] = np.max(space.dist(chain.points, best[ok]), axis=1) <= eps
     candidates = best[ok]
-    unconverged = trials - int(np.count_nonzero(converged))
     if not len(candidates):
         return UniquenessVerdict("inconclusive", 0, trials, np.inf, margin, eps,
                                  unconverged)

@@ -66,10 +66,16 @@ def test_sigma_roundtrip_dict():
 def test_sigma_symbols_match_lookup(window, constant, k_min, a, length):
     ext = "periodic" if constant is None else f"constant:{constant}"
     s = SymbolSequence(tuple(window), ext, k_min)
+
+    def reference(k):
+        if constant is None:
+            return window[(k - k_min) % len(window)]
+        return window[k - k_min] if 0 <= k - k_min < len(window) else constant
+    expected = [reference(k) for k in range(a, a + length)]
     syms = s.symbols(a, a + length)
     assert syms.dtype.kind == "i"
-    expected = [s.lookup(k) for k in range(a, a + length)]
     assert syms.tolist() == expected
+    assert [s.lookup(k) for k in range(a, a + length)] == expected
     syms += 7                     # the caller's array, not the cached window
     assert s.symbols(a, a + length).tolist() == expected
 
@@ -271,8 +277,12 @@ NOJAC = SmoothMap("nojac", Space(2), lambda x: x, inv=lambda p: p)
     (lambda: ChainRecord(np.zeros(3), SIG0), r"chain needs a \(m\+1, d\) array"),
     (lambda: ChainRecord(np.zeros((0, 2)), SIG0), r"chain needs a \(m\+1, d\) array"),
     (lambda: ChainRecord(np.zeros((2, 2)), SIG0, -1e-3), "delta must be nonnegative"),
+    (lambda: ChainRecord(np.zeros((2, 2)), SIG0, np.nan),
+     "delta must be nonnegative, got nan"),
     (lambda: gen_pseudo_orbit(CAT, SIG0, [0.1, 0.2], -0.1, 5),
      "delta must be nonnegative"),
+    (lambda: gen_pseudo_orbit(CAT, SIG0, [0.1, 0.2], np.nan, 5),
+     "delta must be nonnegative, got nan"),
     (lambda: gen_pseudo_orbit(CAT, SIG0, [0.1, 0.2], 0.1, -1),
      "steps must be nonnegative"),
     (lambda: gen_pseudo_orbit(CAT, SIG0, [0.1, 0.2], 0.1, 5, noise="round:-1"),

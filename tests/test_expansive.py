@@ -135,6 +135,12 @@ def test_n_of_mu_vacuous_when_mu_exceeds_diameter():
     assert estimate_N_of_mu(CAT, SIG0, eta=0.1, mu=1.0, grid=grid) == 1
 
 
+@pytest.mark.parametrize("mu", [-0.1, 0.0, np.nan])
+def test_n_of_mu_rejects_a_mu_that_is_not_positive(mu):
+    with pytest.raises(ValueError, match=f"mu must be positive, got {mu}"):
+        estimate_N_of_mu(CAT, SIG0, eta=0.1, mu=mu, grid=MetricGrid(CAT.space, 16))
+
+
 def test_n_of_mu_cat_matches_eigenvalue_prediction():
     grid = MetricGrid(CAT.space, 64)
     N = estimate_N_of_mu(CAT, SIG0, eta=0.1, mu=1e-3, grid=grid, n_cap=30,

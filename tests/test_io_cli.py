@@ -476,6 +476,10 @@ def test_cli_near_integer_torus_matrix_is_config_error(argv, tmp_path, capsys):
     (("expansive", "--pair-tol", "-1"), "pair_tolerance must be >= 0"),
     (("septime", "--x", "0.2,0.7", "--y", "0.2,0.7", "--eta", "-0.1"),
      "eta must be >= 0"),
+    (("septime", "--x", "0.2,0.7", "--y", "0.2009,0.7005", "--eta", "0.1",
+      "--mu", "-0.1"), "mu must be positive, got -0.1"),
+    (("septime", "--x", "0.2,0.7", "--y", "0.2009,0.7005", "--eta", "0.1",
+      "--mu", "nan"), "mu must be positive, got nan"),
 ])
 def test_cli_expansiveness_misconfigurations_are_config_errors(argv, message, capsys):
     # each used to exit 0 with a verdict: "expansive-at-Delta" with a negative
@@ -485,6 +489,34 @@ def test_cli_expansiveness_misconfigurations_are_config_errors(argv, message, ca
                    "--grid", "8", "--ncap", "5", *rest) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("config error:") and message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("generate", "--system", "cat", "--sigma", "constant:0", "--delta", "nan",
+      "--len", "10"), "delta must be nonnegative, got nan"),
+    (("perturb", "--system", "cat", "--sigma", "constant:0", "--delta", "1e-4",
+      "--len", "20", "--m", "5", "--Delta", "nan"), "Delta must be positive, got nan"),
+    (("movepoints", "--pairs", "0.3,0.3:0.31,0.3", "--delta", "nan"),
+     "delta must be positive, got nan"),
+])
+def test_cli_nan_radii_are_config_errors(argv, message, tmp_path, capsys):
+    # a NaN in the JSON report would not be valid JSON
+    assert run_cli(*argv, "--out", str(tmp_path / "run")) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:") and message in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_non_finite_affine_entry_is_config_error(tmp_path, capsys):
+    # JSON reads 1e999 as inf, and np.round(inf) == inf is integral
+    spec = tmp_path / "inf.json"
+    spec.write_text('{"space": {"dim": 2}, "maps": [{"kind": "affine", "params": '
+                    '{"matrix": [[1e999, 1], [1, 1]], "offset": [0, 0]}}]}')
+    assert run_cli("shadow", "--system", f"@{spec}", "--sigma", "constant:0",
+                   "--delta", "0.001", "--len", "10") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert "must be finite" in err
 
 
 def test_cli_zero_threads_is_config_error(capsys):

@@ -132,6 +132,17 @@ def test_near_integer_torus_matrix_is_rejected(entry):
     assert square.affine[0][0, 0] == entry
 
 
+
+@pytest.mark.parametrize("space, A, b", [
+    (Space(2), [[np.inf, 1], [1, 1]], [0.0, 0.0]),     # np.round(inf) == inf
+    (Space(2), [[2, 1], [1, 1]], [np.inf, 0.0]),
+    (Space(2, periodic=False), [[0.5, 0], [0, np.nan]], [0.0, 0.0]),
+    (Space(1, periodic=False), [[0.5]], [np.nan]),
+])
+def test_non_finite_affine_parameters_are_rejected(space, A, b):
+    with pytest.raises(ValueError, match="affine parameters of 'bad' must be finite"):
+        affine_map(space, A, b, "bad")
+
 def torus2_maps():
     """Invertible maps of T^2: rotations, automorphisms and small bumps."""
     T2 = Space(2)

@@ -111,6 +111,15 @@ def test_preconditions_rejected():
                            space=Space(1))
 
 
+@pytest.mark.parametrize("delta", [np.nan, 0.0, -0.01])
+def test_nonpositive_or_nan_delta_rejected(delta):
+    # NaN passes the displacement check, and an empty pair list skips it
+    p, q = np.array([0.3, 0.3]), np.array([0.31, 0.3])
+    for pairs in ([(p, q)], []):
+        with pytest.raises(ValueError, match=f"delta must be positive, got {delta}"):
+            move_points_diffeo(pairs, delta, space=SP2)
+
+
 def test_support_infeasibility_raises():
     # centers 0.02 apart force supports too small for the displacement
     pairs = [(np.array([0.3, 0.3]), np.array([0.307, 0.3])),
@@ -376,6 +385,8 @@ def test_adjusted_points_bad_args():
         adjusted_points(CAT, chain, 9, eta=0.01)
     with pytest.raises(ValueError):
         adjusted_points(CAT, chain, 3, eta=0.0)
+    with pytest.raises(ValueError, match="eta must be positive, got nan"):
+        adjusted_points(CAT, chain, 3, eta=np.nan)
 
 
 # --- perturbed family -------------------------------------------------------
@@ -465,6 +476,7 @@ def test_perturbed_ifs_rejects_oversized_slack():
     (CAT, 0.0, "Delta must be positive"),
     (CAT, -0.05, "Delta must be positive"),
     (build_contraction_ifs(0.5), 0.05, "needs dim >= 2 (bump constructions)"),
+    (CAT, np.nan, "Delta must be positive, got nan"),
 ])
 def test_perturbed_ifs_rejects_config_errors(F, Delta, message):
     chain = iterate_chain(F, SIG0, np.full(F.space.dim, 0.25), 5)
@@ -554,12 +566,13 @@ def test_nearest_samples_accepts_a_sample_normalised_to_one():
 
 def test_semiconj_with_itself_is_identity():
     samples = lattice_samples(40, 2)
-    sc = build_semiconj(CAT, CAT, SIG0, eps=0.01, samples=samples, K=10)
+    # eps = 0.5 is the coverage tolerance: 40 samples are a coarse net
+    sc = build_semiconj(CAT, CAT, SIG0, eps=0.5, samples=samples, K=10)
     assert sc.max_residual <= 1e-9
     assert sc.max_image_dist(CAT.space) <= 1e-9   # h is the identity on samples
     # with h = id the interpolated conjugation defect is pure coverage
     # geometry; recompute it independently from orbits and nearest samples
-    conj = semiconj_residual(CAT, CAT, SIG0, sc, K=10, coverage_tol=0.5)
+    conj = semiconj_residual(CAT, CAT, SIG0, sc, K=10)
     from ifsshadow import orbit_map
     oracle = 0.0
     for x in samples:
@@ -616,7 +629,7 @@ def test_semiconj_residual_below_twice_eps_and_monotone_in_K():
 @pytest.mark.parametrize("two_sided", [True, False])
 def test_semiconj_residual_reuses_the_tables_windows(monkeypatch, two_sided):
     G = build_bumped_cat_ifs(1e-3)
-    sc = build_semiconj(CAT, G, SIG0, eps=0.05, samples=lattice_samples(200, 2), K=6,
+    sc = build_semiconj(CAT, G, SIG0, eps=0.5, samples=lattice_samples(200, 2), K=6,
                         two_sided=two_sided)
     calls = []
 
@@ -626,11 +639,10 @@ def test_semiconj_residual_reuses_the_tables_windows(monkeypatch, two_sided):
     monkeypatch.setattr(perturb, "_orbit_window", window)
     for K in (0, 1, sc.K, sc.K + 2):
         calls.clear()
-        reused = semiconj_residual(CAT, G, SIG0, sc, K=K, coverage_tol=0.5)
+        reused = semiconj_residual(CAT, G, SIG0, sc, K=K)
         # the G-orbit windows are stepped anew only beyond the table's K
         assert any(g is G for g in calls) == (K > sc.K)
-        rebuilt = semiconj_residual(CAT, build_bumped_cat_ifs(1e-3), SIG0, sc, K=K,
-                                    coverage_tol=0.5)
+        rebuilt = semiconj_residual(CAT, build_bumped_cat_ifs(1e-3), SIG0, sc, K=K)
         assert reused == rebuilt
 
 
@@ -647,26 +659,29 @@ def test_semiconj_coverage_error_on_sparse_samples():
     sc = build_semiconj(CAT, G, SIG0, eps=0.05, samples=sparse, K=5)
     with pytest.raises(CoverageError):
         semiconj_residual(CAT, G, SIG0, sc, K=5)
+    # the table's eps is the coverage tolerance: a larger one accepts them
+    loose = build_semiconj(CAT, G, SIG0, eps=0.5, samples=sparse, K=5)
+    assert semiconj_residual(CAT, G, SIG0, loose, K=5) < 0.5
 
 
 def test_semiconj_residual_rejects_a_schedule_the_table_was_not_built_on():
     T = build_torus_example()
     s01 = SymbolSequence.periodic([0, 1])
-    sc = build_semiconj(T, T, s01, eps=0.3, samples=lattice_samples(6, 4), K=3)
+    sc = build_semiconj(T, T, s01, eps=1.0, samples=lattice_samples(6, 4), K=3)
     with pytest.raises(ValueError, match="schedule"):
-        semiconj_residual(T, T, SymbolSequence.constant(1), sc, K=3, coverage_tol=1.0)
+        semiconj_residual(T, T, SymbolSequence.constant(1), sc, K=3)
     # equal on the table's links [-3, 3), other at link 3, which K = 4 also uses
     near = SymbolSequence((1, 0, 1, 0, 1, 0), "constant:0", k_min=-3)
-    assert (semiconj_residual(T, T, near, sc, K=3, coverage_tol=1.0)
-            == semiconj_residual(T, T, s01, sc, K=3, coverage_tol=1.0))
+    assert (semiconj_residual(T, T, near, sc, K=3)
+            == semiconj_residual(T, T, s01, sc, K=3))
     with pytest.raises(ValueError, match="schedule"):
-        semiconj_residual(T, T, near, sc, K=4, coverage_tol=1.0)
+        semiconj_residual(T, T, near, sc, K=4)
     # a one-sided table uses no negative link
-    one = build_semiconj(T, T, s01, eps=0.3, samples=lattice_samples(6, 4), K=3,
+    one = build_semiconj(T, T, s01, eps=1.0, samples=lattice_samples(6, 4), K=3,
                          two_sided=False)
     ahead = SymbolSequence((0, 1, 0), "constant:1")
-    assert (semiconj_residual(T, T, ahead, one, K=3, coverage_tol=1.0)
-            == semiconj_residual(T, T, s01, one, K=3, coverage_tol=1.0))
+    assert (semiconj_residual(T, T, ahead, one, K=3)
+            == semiconj_residual(T, T, s01, one, K=3))
 
 
 def test_semiconj_config_error_is_not_a_flagged_sample():

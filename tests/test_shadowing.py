@@ -277,24 +277,14 @@ def test_newton_on_torus_family_regression():
     assert validate_chain(T, r.shadow).is_exact_chain
 
 
-def test_newton_nonconvergence_carries_best():
+def test_newton_nonconvergence_carries_best(monkeypatch):
     chain = gen_pseudo_orbit(CAT, SIG0, [0.2, 0.7], 1e-2, 50, seed=1)
-    with pytest.raises(ShadowingConvergenceError) as exc:
-        shadow_newton(CAT, chain, tol=1e-12, max_iter=0)
+    monkeypatch.setattr(shadowing, "NEWTON_MAX_ITER", 0)
+    with pytest.raises(ShadowingConvergenceError, match="in 0 iterations") as exc:
+        shadow_newton(CAT, chain)
     assert exc.value.best_points is not None
     assert exc.value.residual > 0
-
-
-@pytest.mark.parametrize("kwargs, message", [
-    (dict(max_iter=-1), "max_iter must be >= 0, got -1"),
-    (dict(tol=-1e-12), "tol must be >= 0, got -1e-12"),
-    (dict(tol=np.nan), "tol must be >= 0, got nan"),
-])
-def test_newton_rejects_config_errors(kwargs, message):
-    # max_iter=-1 used to raise ShadowingConvergenceError "in -1 iterations"
-    chain = gen_pseudo_orbit(CAT, SIG0, [0.2, 0.7], 1e-3, 20, seed=1)
-    with pytest.raises(ValueError, match=re.escape(message)):
-        shadow_newton(CAT, chain, **kwargs)
+    assert exc.value.iterations == 0
 
 
 def test_newton_stops_at_nonfinite_residual():
@@ -302,8 +292,21 @@ def test_newton_stops_at_nonfinite_residual():
     init = chain.points.copy()
     init[5, 0] = np.nan
     with pytest.raises(ShadowingConvergenceError, match="not finite") as exc:
-        shadow_newton(CAT, chain, max_iter=20, initial_points=init)
+        shadow_newton(CAT, ChainRecord(init, chain.sigma))
     assert exc.value.iterations == 0
+
+
+def test_newton_leaves_a_cube_chain_unchanged():
+    # the cube's normalize returns its input, so the solve starts on the
+    # chain's own array and must not write to it
+    F = build_contraction_ifs(0.5, (0.0, 0.5))
+    sig = SymbolSequence.random(2, 60, 3)
+    chain = gen_pseudo_orbit(F, sig, [0.3], 1e-2, 60, seed=3)
+    before = chain.points.copy()
+    r = shadow_newton(F, chain)
+    assert np.array_equal(chain.points, before)
+    assert not np.shares_memory(r.shadow.points, chain.points)
+    assert r.residual <= 1e-10 and r.iterations >= 1
 
 
 @pytest.mark.parametrize("d", [1, 2, 4])
@@ -368,7 +371,8 @@ def test_gauss_newton_shares_the_factorization_only_for_equal_bits(monkeypatch,
         shapes.append((jacs.shape[0], rhs.shape[0]))
         return np.zeros_like(rhs)
     monkeypatch.setattr(shadowing, "_normal_solve", spy)
-    _gauss_newton(F, np.zeros(10, dtype=int), Y, 1e-10, 1)
+    monkeypatch.setattr(shadowing, "NEWTON_MAX_ITER", 1)
+    _gauss_newton(F, np.zeros(10, dtype=int), Y)
     assert shapes == [(n_factored, 3)]
 
 
@@ -558,17 +562,19 @@ def test_uniqueness_identity_control_not_unique():
 
 
 def test_uniqueness_inconclusive_when_no_candidate_shadows():
-    # huge init perturbations push every Newton solution beyond a tiny eps
+    # every trial converges to the shadow, about delta from the chain and so
+    # beyond a tiny eps
     chain = gen_pseudo_orbit(CAT, SIG0, [0.3, 0.3], 1e-3, 100, seed=4)
-    v = check_uniqueness(CAT, SIG0, chain, eps=1e-9, trials=3, seed=4,
-                         init_scale=0.2)
+    v = check_uniqueness(CAT, SIG0, chain, eps=1e-9, trials=3, seed=4)
     assert v.status == "inconclusive"
     assert v.n_candidates == 0
+    assert v.unconverged == 0
 
 
-def test_uniqueness_counts_unconverged_trials():
+def test_uniqueness_counts_unconverged_trials(monkeypatch):
     chain = gen_pseudo_orbit(CAT, SIG0, [0.3, 0.3], 1e-3, 100, seed=4)
-    v = check_uniqueness(CAT, SIG0, chain, eps=0.2, trials=5, seed=4, max_iter=0)
+    monkeypatch.setattr(shadowing, "NEWTON_MAX_ITER", 0)
+    v = check_uniqueness(CAT, SIG0, chain, eps=0.2, trials=5, seed=4)
     assert v.status == "inconclusive"
     assert v.n_candidates == 0
     assert v.unconverged == v.trials == 5
@@ -595,19 +601,24 @@ def test_uniqueness_margin_is_a_quarter_of_the_links_capped_at_40(n_links):
     assert v.margin == min(n_links // 4, 40)
 
 
-def test_uniqueness_trials_match_one_newton_solve_each():
+def test_uniqueness_trials_match_one_newton_solve_each(monkeypatch):
     T = build_torus_example()
     sig = SymbolSequence.random(2, 80, 5)
-    chain = gen_pseudo_orbit(T, sig, [0.1, 0.5, 0.3, 0.8], 1e-3, 80, seed=5)
-    eps, trials, scale, max_iter = 0.5, 12, 0.2, 4
+    pts = gen_pseudo_orbit(T, sig, [0.1, 0.5, 0.3, 0.8], 1e-3, 80, seed=5).points
+    # the last point moved by about 2 eps: each shadow takes half the jump, so
+    # the converged trials end on both sides of eps
+    pts[-1, 0] += 0.19
+    chain = ChainRecord(T.space.normalize(pts), sig)
+    eps, trials = 0.1, 12
+    monkeypatch.setattr(shadowing, "NEWTON_MAX_ITER", 3)
     rng = np.random.default_rng(7)
-    starts = [T.space.normalize(chain.points + ball_sample(rng, len(chain), 4, scale))
+    starts = [T.space.normalize(chain.points + ball_sample(rng, len(chain), 4, eps / 4))
               for _ in range(trials)]
     # reference: the trials as a loop of single solves
     points, iterations, unconverged = [], [], 0
     for init in starts:
         try:
-            r = shadow_newton(T, chain, max_iter=max_iter, initial_points=init)
+            r = shadow_newton(T, ChainRecord(init, sig))
         except ShadowingConvergenceError:
             unconverged += 1
             continue
@@ -615,7 +626,7 @@ def test_uniqueness_trials_match_one_newton_solve_each():
         iterations.append(r.iterations)
     assert 0 < unconverged < trials
     best, res, sweeps, finite = _gauss_newton(T, sig.symbols(0, chain.n_links),
-                                              np.array(starts), 1e-10, max_iter)
+                                              np.array(starts))
     done = res <= 1e-10
     assert np.array_equal(best[done], np.array(points))
     assert np.array_equal(sweeps[done], iterations)
@@ -625,8 +636,7 @@ def test_uniqueness_trials_match_one_newton_solve_each():
                   if verify_shadowing(T, chain, ChainRecord(p, sig, 0.0),
                                       eps).ok]
     assert 2 <= len(candidates) < len(points)
-    v = check_uniqueness(T, sig, chain, eps, trials=trials, seed=7, init_scale=scale,
-                         max_iter=max_iter)
+    v = check_uniqueness(T, sig, chain, eps, trials=trials, seed=7)
     core = slice(v.margin, len(chain) - v.margin)
     spread = max(float(np.max(T.space.dist(a[core], b[core])))
                  for i, a in enumerate(candidates) for b in candidates[i + 1:])
@@ -636,14 +646,13 @@ def test_uniqueness_trials_match_one_newton_solve_each():
 
 def test_uniqueness_trials_on_cat_share_one_factorization(monkeypatch):
     chain = gen_pseudo_orbit(CAT, SIG0, [0.38, 0.59], 1e-3, 300, seed=2)
-    eps, trials, scale, max_iter = 0.2, 12, 0.05, 30
+    eps, trials = 0.2, 12
     rng = np.random.default_rng(7)
-    starts = [CAT.space.normalize(chain.points + ball_sample(rng, len(chain), 2, scale))
+    starts = [CAT.space.normalize(chain.points + ball_sample(rng, len(chain), 2, eps / 4))
               for _ in range(trials)]
     # an exact chain as one more start stops at sweep 0, the others after 1
     starts.append(shadow_newton(CAT, chain).shadow.points)
-    runs = [shadow_newton(CAT, chain, max_iter=max_iter, initial_points=init)
-            for init in starts]
+    runs = [shadow_newton(CAT, ChainRecord(init, SIG0)) for init in starts]
     solve = shadowing._normal_solve
     shapes = []
 
@@ -652,15 +661,14 @@ def test_uniqueness_trials_on_cat_share_one_factorization(monkeypatch):
         return solve(jacs, rhs)
     monkeypatch.setattr(shadowing, "_normal_solve", spy)
     best, res, sweeps, finite = _gauss_newton(CAT, SIG0.symbols(0, chain.n_links),
-                                              np.array(starts), 1e-10, max_iter)
+                                              np.array(starts))
     assert shapes[0] == (1, trials)          # the exact chain left before sweep 1
     assert np.array_equal(best, np.array([r.shadow.points for r in runs]))
     assert np.array_equal(sweeps, [r.iterations for r in runs])
     assert sorted(set(sweeps.tolist())) == [0, 1] and np.all(finite)
 
     shapes.clear()
-    v = check_uniqueness(CAT, SIG0, chain, eps, trials=trials, seed=7, init_scale=scale,
-                         max_iter=max_iter)
+    v = check_uniqueness(CAT, SIG0, chain, eps, trials=trials, seed=7)
     assert shapes and all(j == 1 for j, _ in shapes) and shapes[0][1] == trials
     core = slice(v.margin, len(chain) - v.margin)
     points = [r.shadow.points for r in runs[:trials]]
@@ -676,12 +684,6 @@ def test_uniqueness_trials_on_cat_share_one_factorization(monkeypatch):
     (dict(eps=0.0), "eps must be positive, got 0.0"),
     (dict(eps=-0.1), "eps must be positive, got -0.1"),
     (dict(eps=np.nan), "eps must be positive, got nan"),
-    (dict(init_scale=np.nan), "init_scale must be finite and >= 0, got nan"),
-    (dict(init_scale=np.inf), "init_scale must be finite and >= 0, got inf"),
-    (dict(init_scale=-0.1), "init_scale must be finite and >= 0, got -0.1"),
-    (dict(max_iter=-1), "max_iter must be >= 0, got -1"),
-    (dict(tol=-1.0), "tol must be >= 0, got -1.0"),
-    (dict(tol=np.nan), "tol must be >= 0, got nan"),
 ])
 def test_uniqueness_rejects_config_errors(kwargs, message):
     # each of these used to come back as an "inconclusive" verdict
