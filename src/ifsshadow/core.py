@@ -254,6 +254,9 @@ def link_residuals(F: IFS, chain: ChainRecord) -> np.ndarray:
 
 def validate_chain(F: IFS, chain: ChainRecord,
                    tol: float = EXACT_CHAIN_TOL) -> ChainVerdict:
+    """Whether every link residual is <= tol; raises ValueError unless tol >= 0."""
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     res = link_residuals(F, chain)
     if res.size == 0:
         return ChainVerdict(True, 0.0, None)

@@ -23,7 +23,8 @@ from .core import (ChainRecord, IFS, SymbolSequence, _link_errors, _require_inve
 from .maps import InversionError, SmoothMap, compose
 from .shadowing import (NEWTON_TOL, _gauss_newton, _max_residual, _pair_ratios,
                         lipschitz_estimate)
-from .space import MetricGrid, Space, ball_sample, default_resolution, _as_points, _norms
+from .space import (MetricGrid, Space, _as_points, _ball_points, _mod1, _norms,
+                    ball_sample, default_resolution)
 
 
 class SupportError(ValueError):
@@ -171,6 +172,8 @@ def move_points_diffeo(
             R = min(R, 0.45)
     else:
         R = float(support_radius)
+        if not R > 0:
+            raise ValueError(f"support_radius must be positive, got {R}")
     maxd = float(np.max(_norms(D), initial=0.0))
     if k >= 2 and min_sep <= 2.0 * R:
         raise SupportError(
@@ -656,8 +659,18 @@ def check_ball_cover(
     """Sample probes Z in the ball of radius eps+delta around F(X) and test
     dist(F^{-1}(Z), X) < eps; report any violations found.
 
-    Raises ValueError unless eps > 0, eps + delta > 0 and there are at least
-    one centre and one probe per centre: an empty probe set passes nothing.
+    Raises ValueError unless eps > 0, eps + delta > 0, both are finite, the
+    centres are finite and there are at least one centre and one probe per
+    centre: an empty probe set passes nothing, and an infinite radius or a
+    NaN centre tests nothing.
+
+    The calling thread draws the probes 64 centres at a time, normals then
+    uniforms, so a seed draws the same probes for any thread count.  With
+    threads > 1 each chunk is split into ``threads`` blocks (by centres, or
+    by probes when the chunk has fewer centres than threads), and pool
+    tasks shape, offset, reduce, invert and measure each block in place
+    while the next chunk is drawn.  Violations are counted in full and
+    recorded in (centre, probe) order until 100 are kept.
     """
     if not Fi.invertible:
         raise ValueError(f"map {Fi.label!r} must be invertible")
@@ -668,14 +681,20 @@ def check_ball_cover(
     if not eps + delta > 0:
         raise ValueError(f"the probe radius eps + delta must be positive, "
                          f"got {eps + delta}")
+    if not (np.isfinite(eps) and np.isfinite(delta)):
+        raise ValueError(f"eps and delta must be finite, got eps={eps}, delta={delta}")
     if n_probes < 1:
         raise ValueError(f"n_probes must be >= 1, got {n_probes}")
     chunk = 64              # centers per probe batch: fixes the probes a seed draws
     max_recorded = 100      # violations kept (all are counted)
     space = Fi.space
+    d = space.dim
     rng = np.random.default_rng(seed)
     if centers is not None:
-        X = space.normalize(_as_points(space, np.asarray(centers, dtype=float)))
+        X = _as_points(space, np.asarray(centers, dtype=float))
+        if not np.all(np.isfinite(X)):
+            raise ValueError("ball-cover centres must be finite")
+        X = space.normalize(X)
         n_centers = X.shape[0]
     if n_centers < 1:
         raise ValueError(f"the ball cover needs at least one centre, got {n_centers}")
@@ -683,42 +702,73 @@ def check_ball_cover(
         X = space.uniform(rng, n_centers)
     radius = eps + delta
 
-    def tasks():
-        # drawn lazily, in chunk order: the pool checks one chunk while the
-        # next is drawn, and a seed draws the same probes for any thread count
-        for lo in range(0, n_centers, chunk):
-            Xc = X[lo: lo + chunk]
-            balls = ball_sample(rng, Xc.shape[0] * n_probes, space.dim, radius)
-            yield lo, Xc, balls.reshape(Xc.shape[0], n_probes, space.dim)
-
-    def run(task):
-        lo, Xc, balls = task
-        FX = Fi(Xc)
-        Z = space.normalize(FX[:, None, :] + balls)
-        pre = Fi.invert(Z.reshape(-1, space.dim)).reshape(Z.shape)
-        dd = space.dist(pre, Xc[:, None, :])
-        bad = dd >= eps
-        found = [(Xc[ci].copy(), Z[ci, pi].copy(), float(dd[ci, pi]))
-                 for ci, pi in np.argwhere(bad)[:max_recorded]]
-        return lo, np.any(bad, axis=1), int(np.count_nonzero(bad)), found
-
-    # one thread runs here, not in a pool: a pool worker thread raised the
-    # stability benchmark's peak RSS in every paired run (165 MB, not 162-164)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(run, tasks()))
-    else:
-        results = [run(t) for t in tasks()]
+    def check(Xc, FX, v, u, cs, ps):
+        """Probes v[cs, ps] (normals) and u[cs, ps] (uniforms) of one block
+        become Z = normalize(F(X) + ball point) in v and dist(F^{-1}(Z), X)
+        in u, in place."""
+        vb, ub = v[cs, ps], u[cs, ps]
+        _ball_points(vb, ub, radius)
+        vb += FX[cs, None, :]
+        if space.periodic:
+            _mod1(vb, out=vb)
+        pre = Fi.invert(vb)
+        _norms(space.displacement(pre, Xc[cs, None, :]), out=ub[..., 0])
 
     flags = np.zeros(n_centers, dtype=bool)
     total = 0
     recorded: list[tuple[np.ndarray, np.ndarray, float]] = []
-    for lo, chunk_flags, count, found in results:
-        flags[lo: lo + len(chunk_flags)] = chunk_flags
-        total += count
-        recorded.extend(found[: max_recorded - len(recorded)])
+
+    def collect(lo, Xc, v, u, futures=()):
+        """Wait for a chunk's blocks, then flag, count and record its
+        violations in (centre, probe) order, until max_recorded are kept."""
+        nonlocal total
+        for f in futures:
+            f.result()
+        bad = u[..., 0] >= eps
+        flags[lo: lo + Xc.shape[0]] = np.any(bad, axis=1)
+        total += int(np.count_nonzero(bad))
+        if len(recorded) < max_recorded:
+            recorded.extend((Xc[ci].copy(), v[ci, pi].copy(), float(u[ci, pi, 0]))
+                            for ci, pi in np.argwhere(bad)[:max_recorded - len(recorded)])
+
+    def chunks():
+        for lo in range(0, n_centers, chunk):
+            Xc = X[lo: lo + chunk]
+            m = Xc.shape[0]
+            v = rng.standard_normal((m * n_probes, d)).reshape(m, n_probes, d)
+            u = rng.random((m * n_probes, 1)).reshape(m, n_probes, 1)
+            yield lo, Xc, Fi(Xc), v, u
+
+    whole = slice(None)
+    if threads == 1:
+        # one block per chunk, checked in this thread: no pool
+        for lo, Xc, FX, v, u in chunks():
+            check(Xc, FX, v, u, whole, whole)
+            collect(lo, Xc, v, u)
+    else:
+        # the pool checks one chunk while this thread draws the next; a
+        # chunk is collected once the next is submitted, so two are held
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            pending = None
+            for lo, Xc, FX, v, u in chunks():
+                m = Xc.shape[0]
+                if m >= threads:
+                    blocks = [(slice(a, b), whole) for a, b in _splits(m, threads)]
+                else:
+                    blocks = [(whole, slice(a, b)) for a, b in _splits(n_probes, threads)]
+                futures = [ex.submit(check, Xc, FX, v, u, cs, ps) for cs, ps in blocks]
+                if pending is not None:
+                    collect(*pending)
+                pending = (lo, Xc, v, u, futures)
+            collect(*pending)
     return CoverReport(
         passed=not bool(np.any(flags)), eps=eps, delta=delta,
         n_centers=n_centers, n_probes=n_probes, seed=seed,
         center_flags=flags, violations=tuple(recorded), n_violations=total,
     )
+
+
+def _splits(n: int, parts: int) -> list[tuple[int, int]]:
+    """The nonempty ranges of range(n) cut into ``parts`` near-equal pieces."""
+    edges = [n * i // parts for i in range(parts + 1)]
+    return [(a, b) for a, b in zip(edges, edges[1:]) if a < b]

@@ -342,7 +342,13 @@ class VerifyVerdict:
 
 def verify_shadowing(F: IFS, xi: ChainRecord, y: ChainRecord, eps: float,
                      tol: float = EXACT_CHAIN_TOL) -> VerifyVerdict:
-    """Check that y is an exact chain and stays within eps of xi pointwise."""
+    """Check that y is an exact chain and stays within eps of xi pointwise.
+
+    Raises ValueError unless eps > 0 and tol >= 0, so a NaN is a config
+    error, not a failed verification.
+    """
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     if len(xi) != len(y):
         raise ValueError("chains must share a common window")
     v = validate_chain(F, y, tol)

@@ -39,28 +39,30 @@ def _as_points(space: "Space", x) -> np.ndarray:
     return x
 
 
-def _mod1(x: np.ndarray) -> np.ndarray:
+def _mod1(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """x mod 1 in [0, 1): x - floor(x), except that a result of 1.0 (the
-    rounded sum of a tiny negative x and 1) gives 0.0, the same torus point."""
-    r = x - np.floor(x)
+    rounded sum of a tiny negative x and 1) gives 0.0, the same torus point.
+    Written into ``out`` when given (``out=x`` reduces x in place)."""
+    r = np.subtract(x, np.floor(x), out=out)
     r[r == 1.0] = 0.0
     return r
 
 
-def _norms(v: np.ndarray) -> np.ndarray:
+def _norms(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row norms over the last axis, bit-identical to np.sqrt(np.sum(v * v, axis=-1)).
 
     numpy adds fewer than 8 terms in order, so for d < 8 the squared columns
     are added one by one, without the (..., d) product array; from 8 terms on
-    numpy sums pairwise, so np.sum keeps its order there.
+    numpy sums pairwise, so np.sum keeps its order there.  Written into
+    ``out`` (shape ``v.shape[:-1]``) when given.
     """
     d = v.shape[-1]
     if d >= 8:
-        return np.sqrt(np.sum(v * v, axis=-1))
-    s = v[..., 0] * v[..., 0]
+        return np.sqrt(np.sum(v * v, axis=-1), out=out)
+    s = np.multiply(v[..., 0], v[..., 0], out=out)
     for j in range(1, d):
         s += v[..., j] * v[..., j]
-    return np.sqrt(s)
+    return np.sqrt(s, out=out)
 
 
 @dataclass(frozen=True)
@@ -134,10 +136,21 @@ class Space:
 def ball_sample(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:
     """Uniform samples from the Euclidean ball of the given radius."""
     v = rng.standard_normal((n, dim))
-    norms = _norms(v)[:, None]
+    return _ball_points(v, rng.random((n, 1)), radius)
+
+
+def _ball_points(v: np.ndarray, u: np.ndarray, radius: float) -> np.ndarray:
+    """Turn standard normals v (..., dim) and uniforms u (..., 1) in [0, 1)
+    into uniform points of the ball of the given radius, in place: v becomes
+    the points, scaled to the radius radius * u ** (1/dim), and u that radius.
+    """
+    norms = _norms(v)[..., None]
     norms[norms == 0.0] = 1.0
-    r = radius * rng.random((n, 1)) ** (1.0 / dim)
-    return v / norms * r
+    u **= 1.0 / v.shape[-1]
+    u *= radius
+    v /= norms
+    v *= u
+    return v
 
 
 def lattice_samples(n: int, dim: int) -> np.ndarray:

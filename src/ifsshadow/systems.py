@@ -78,15 +78,16 @@ def _torus_f_map(label: str, c_sign: float) -> SmoothMap:
         return image(*q, math.sin, math.cos)
 
     def inv(p):
-        X, Y, U, V = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
-        u = U - V
-        v = -U + 2 * V
-        x = X - Y
+        # each column is written in place; -U + 2V is the same sum as 2V - U
         out = np.empty(p.shape)
-        out[..., 0] = x
-        out[..., 1] = Y - x + cval(u, v) * np.sin(two_pi * x) / two_pi
-        out[..., 2] = u
-        out[..., 3] = v
+        X, Y, U, V = (p[..., j] for j in range(4))
+        x, y, u, v = (out[..., j] for j in range(4))
+        np.subtract(X, Y, out=x)
+        np.subtract(U, V, out=u)
+        np.multiply(V, 2, out=v)
+        v -= U
+        np.subtract(Y, x, out=y)
+        y += cval(u, v) * np.sin(two_pi * x) / two_pi
         return out
 
     def jac(p):

@@ -498,6 +498,14 @@ def test_cli_expansiveness_misconfigurations_are_config_errors(argv, message, ca
       "--len", "20", "--m", "5", "--Delta", "nan"), "Delta must be positive, got nan"),
     (("movepoints", "--pairs", "0.3,0.3:0.31,0.3", "--delta", "nan"),
      "delta must be positive, got nan"),
+    (("movepoints", "--pairs", "0.3,0.3:0.31,0.3", "--delta", "0.02", "--support",
+      "nan", "--grid", "16"), "support_radius must be positive, got nan"),
+    (("cover", "--system", "torus_F1", "--eps", "inf", "--delta", "0.05",
+      "--centers", "10", "--probes", "10", "--seed", "1"),
+     "eps and delta must be finite, got eps=inf, delta=0.05"),
+    (("cover", "--system", "torus_F1", "--eps", "0.05", "--delta", "inf",
+      "--centers", "10", "--probes", "10", "--seed", "1"),
+     "eps and delta must be finite, got eps=0.05, delta=inf"),
 ])
 def test_cli_nan_radii_are_config_errors(argv, message, tmp_path, capsys):
     # a NaN in the JSON report would not be valid JSON
@@ -505,6 +513,24 @@ def test_cli_nan_radii_are_config_errors(argv, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("config error:") and message in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag, message", [
+    (("--eps", "nan"), "eps must be positive, got nan"),
+    (("--tol", "nan"), "tol must be >= 0, got nan"),
+])
+def test_cli_verify_nan_eps_or_tol_is_config_error(flag, message, tmp_path, capsys):
+    # not exit 1 with a "contract violation" and a NaN in the report
+    assert run_cli("shadow", "--system", "contraction:0.5", "--delta", "0.01",
+                   "--len", "50", "--seed", "1", "--out", str(tmp_path / "s")) == 0
+    capsys.readouterr()
+    assert run_cli("verify", "--system", "contraction:0.5",
+                   "--chain", str(tmp_path / "s_chain.csv"),
+                   "--shadow", str(tmp_path / "s_shadow.csv"), "--eps", "0.02",
+                   *flag, "--out", str(tmp_path / "v")) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:") and message in err
+    assert not list(tmp_path.glob("v*"))
 
 
 def test_cli_non_finite_affine_entry_is_config_error(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import hashlib
 import re
+import struct
 import tracemalloc
 from dataclasses import dataclass
 
@@ -118,6 +120,15 @@ def test_nonpositive_or_nan_delta_rejected(delta):
     for pairs in ([(p, q)], []):
         with pytest.raises(ValueError, match=f"delta must be positive, got {delta}"):
             move_points_diffeo(pairs, delta, space=SP2)
+
+
+@pytest.mark.parametrize("R", [np.nan, 0.0, -0.1])
+def test_nonpositive_or_nan_support_radius_rejected(R):
+    # NaN passes both support checks, and a nonpositive radius is no support
+    p, q = np.array([0.3, 0.3]), np.array([0.31, 0.3])
+    for pairs in ([(p, q)], [(p, q), (q + 0.2, q + 0.21)]):
+        with pytest.raises(ValueError, match=f"support_radius must be positive, got {R}"):
+            move_points_diffeo(pairs, 0.02, space=SP2, support_radius=R)
 
 
 def test_support_infeasibility_raises():
@@ -819,6 +830,21 @@ def test_cover_without_probes_is_rejected(kwargs, message):
         check_ball_cover(**{**args, **kwargs})
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(eps=np.inf), "eps and delta must be finite, got eps=inf, delta=0.05"),
+    (dict(delta=np.inf), "eps and delta must be finite, got eps=0.05, delta=inf"),
+    (dict(centers=[[0.1, 0.2, 0.3, np.nan]]), "ball-cover centres must be finite"),
+    (dict(centers=[[0.1, 0.2, 0.3, 0.4], [np.inf, 0.2, 0.3, 0.4]]),
+     "ball-cover centres must be finite"),
+])
+def test_cover_rejects_non_finite_radii_and_centres(kwargs, message):
+    # an infinite radius passed every centre, and a NaN centre was never flagged
+    args = dict(Fi=build_torus_f1().maps[0], eps=0.05, delta=0.05, n_centers=10,
+                n_probes=10, seed=1)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check_ball_cover(**{**args, **kwargs})
+
+
 def test_cover_rejects_a_non_invertible_map():
     noinv = SmoothMap("noinv", SP2, lambda x: x)
     with pytest.raises(ValueError, match="map 'noinv' must be invertible"):
@@ -855,9 +881,45 @@ def test_cover_thread_count_below_one_is_rejected(threads):
         check_ball_cover(identity_map(SP2), 0.05, 0.0, 4, 4, seed=0, threads=threads)
 
 
+def _cover_bits(rep):
+    """Every field of a CoverReport, arrays and floats as their bytes."""
+    return (rep.passed, rep.eps, rep.delta, rep.n_centers, rep.n_probes, rep.seed,
+            rep.n_violations, rep.center_flags.dtype, rep.center_flags.tobytes(),
+            tuple((x.tobytes(), z.tobytes(), struct.pack("<d", dd))
+                  for x, z, dd in rep.violations))
+
+
 def test_cover_threads_do_not_change_result():
+    # one centre splits a chunk by probes; 65 and 129 leave a short last chunk
     F1 = build_torus_f1().maps[0]
-    a = check_ball_cover(F1, 0.05, 0.05, 100, 50, seed=3, threads=1)
-    b = check_ball_cover(F1, 0.05, 0.05, 100, 50, seed=3, threads=4)
-    assert np.array_equal(a.center_flags, b.center_flags)
-    assert a.n_violations == b.n_violations
+    for n_centers, delta, passed in ((1, 0.05, False), (2, 0.05, False),
+                                     (65, 0.05, False), (129, 0.05, False),
+                                     (129, -0.03, False), (129, -0.05 + 1e-6, True)):
+        reports = [check_ball_cover(F1, 0.05, delta, n_centers, 50, seed=3,
+                                    threads=threads) for threads in (1, 2, 3)]
+        assert reports[0].passed == passed
+        assert reports[0].center_flags.shape == (n_centers,)
+        for rep in reports[1:]:
+            assert _cover_bits(rep) == _cover_bits(reports[0])
+
+
+@pytest.mark.parametrize("delta, n_centers, n_probes, seed, counts, digest", [
+    (0.05, 130, 20, 5, (2474, 100),
+     "7bd548770993e3eabf67ee56338b8d978ac1d113e706218dfbbfeaf39f853396"),
+    # fewer than 100 violations in the first chunk: the records span chunks
+    (-0.03, 129, 50, 3, (203, 100),
+     "bab9bd31107a0d37ad77a13217996af39bb0083ca704abb7e413cba09f97bf2c"),
+])
+def test_cover_report_bits_are_pinned(delta, n_centers, n_probes, seed, counts, digest):
+    # digests of these reports before probes were shaped and checked in place
+    F1 = build_torus_f1().maps[0]
+    for threads in (1, 2):
+        rep = check_ball_cover(F1, 0.05, delta, n_centers, n_probes, seed=seed,
+                               threads=threads)
+        h = hashlib.sha256(rep.center_flags.tobytes())
+        h.update(repr((rep.passed, rep.eps, rep.delta, rep.n_centers, rep.n_probes,
+                       rep.seed, rep.n_violations)).encode())
+        for x, z, dd in rep.violations:
+            h.update(x.tobytes() + z.tobytes() + struct.pack("<d", dd))
+        assert (rep.n_violations, len(rep.violations)) == counts
+        assert h.hexdigest() == digest

@@ -498,6 +498,23 @@ def test_verify_flags_displaced_point():
     assert v.worst_index == 17
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(eps=np.nan), "eps must be positive, got nan"),
+    (dict(eps=0.0), "eps must be positive, got 0.0"),
+    (dict(eps=-0.1), "eps must be positive, got -0.1"),
+    (dict(tol=np.nan), "tol must be >= 0, got nan"),
+    (dict(tol=-1e-12), "tol must be >= 0, got -1e-12"),
+])
+def test_verify_rejects_config_errors(kwargs, message):
+    # a NaN read as a failed verification, not as a misconfiguration
+    chain = iterate_chain(CAT, SIG0, [0.15, 0.25], 10)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify_shadowing(CAT, chain, chain, **{"eps": 0.01, **kwargs})
+    if "tol" in kwargs:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            validate_chain(CAT, chain, kwargs["tol"])
+
+
 def test_verify_needs_common_window():
     a = iterate_chain(CAT, SIG0, [0.1, 0.1], 10)
     b = iterate_chain(CAT, SIG0, [0.1, 0.1], 9)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,6 +132,13 @@ def test_ball_sample_radius_and_determinism():
     r2 = ball_sample(np.random.default_rng(5), 5000, 3, 0.2)
     assert np.array_equal(r1, r2)
     assert np.max(np.linalg.norm(r1, axis=-1)) <= 0.2
+
+
+def test_ball_sample_bits_are_pinned():
+    # the digest of the points drawn before they were shaped in place
+    pts = ball_sample(np.random.default_rng(0), 1000, 4, 0.1)
+    assert (hashlib.sha256(pts.tobytes()).hexdigest()
+            == "9fed117641dfb25abca0b1a3d34f13956c83e49928f1846e87371731dd079b1a")
 
 
 def test_lattice_samples_cover_the_torus():
