@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .space import Space, _as_points, _mod1
+from .space import Space, _as_points
 
 #: Newton inversion stops a point when its step moves it by at most
 #: INVERSE_TOL; points still moving after INVERSE_MAX_ITER steps raise
@@ -65,11 +65,7 @@ class SmoothMap:
         """
         p = _as_points(self.space, p)
         if self.inv is not None:
-            q = np.asarray(self.inv(p), dtype=float)
-            if (self.space.periodic and q.flags.writeable
-                    and not np.may_share_memory(q, p)):
-                return _mod1(q, out=q)      # the inverse's own array, reduced in place
-            return self.space.normalize(q)
+            return self.space.normalize(np.asarray(self.inv(p), dtype=float))
         if self.jac is None:
             raise InversionError(f"map {self.label!r} has no inverse and no Jacobian")
         space = self.space

@@ -666,11 +666,10 @@ def check_ball_cover(
 
     The calling thread draws the probes 64 centres at a time, normals then
     uniforms, so a seed draws the same probes for any thread count.  With
-    threads > 1 each chunk is split into ``threads`` blocks (by centres, or
-    by probes when the chunk has fewer centres than threads), and pool
-    tasks shape, offset, reduce, invert and measure each block in place
-    while the next chunk is drawn.  Violations are counted in full and
-    recorded in (centre, probe) order until 100 are kept.
+    threads > 1 each chunk is split by centres into up to ``threads``
+    blocks, and pool tasks shape, offset, reduce, invert and measure each
+    block in place while the next chunk is drawn.  Violations are counted
+    in full and recorded in (centre, probe) order until 100 are kept.
     """
     if not Fi.invertible:
         raise ValueError(f"map {Fi.label!r} must be invertible")
@@ -702,11 +701,11 @@ def check_ball_cover(
         X = space.uniform(rng, n_centers)
     radius = eps + delta
 
-    def check(Xc, FX, v, u, cs, ps):
-        """Probes v[cs, ps] (normals) and u[cs, ps] (uniforms) of one block
+    def check(Xc, FX, v, u, cs):
+        """Probes v[cs] (normals) and u[cs] (uniforms) of the centres cs
         become Z = normalize(F(X) + ball point) in v and dist(F^{-1}(Z), X)
         in u, in place."""
-        vb, ub = v[cs, ps], u[cs, ps]
+        vb, ub = v[cs], u[cs]
         _ball_points(vb, ub, radius)
         vb += FX[cs, None, :]
         if space.periodic:
@@ -739,11 +738,11 @@ def check_ball_cover(
             u = rng.random((m * n_probes, 1)).reshape(m, n_probes, 1)
             yield lo, Xc, Fi(Xc), v, u
 
-    whole = slice(None)
     if threads == 1:
-        # one block per chunk, checked in this thread: no pool
+        # no pool: a one-worker pool slowed the single-chunk oracle of the
+        # stability benchmark (4 x 20,000 probes) from 35 to 39 ms at p50
         for lo, Xc, FX, v, u in chunks():
-            check(Xc, FX, v, u, whole, whole)
+            check(Xc, FX, v, u, slice(None))
             collect(lo, Xc, v, u)
     else:
         # the pool checks one chunk while this thread draws the next; a
@@ -751,12 +750,8 @@ def check_ball_cover(
         with ThreadPoolExecutor(max_workers=threads) as ex:
             pending = None
             for lo, Xc, FX, v, u in chunks():
-                m = Xc.shape[0]
-                if m >= threads:
-                    blocks = [(slice(a, b), whole) for a, b in _splits(m, threads)]
-                else:
-                    blocks = [(whole, slice(a, b)) for a, b in _splits(n_probes, threads)]
-                futures = [ex.submit(check, Xc, FX, v, u, cs, ps) for cs, ps in blocks]
+                futures = [ex.submit(check, Xc, FX, v, u, slice(a, b))
+                           for a, b in _splits(Xc.shape[0], threads)]
                 if pending is not None:
                     collect(*pending)
                 pending = (lo, Xc, v, u, futures)

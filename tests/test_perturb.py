@@ -890,7 +890,7 @@ def _cover_bits(rep):
 
 
 def test_cover_threads_do_not_change_result():
-    # one centre splits a chunk by probes; 65 and 129 leave a short last chunk
+    # 1 and 2 centres give fewer blocks than threads; 65 and 129 leave a short last chunk
     F1 = build_torus_f1().maps[0]
     for n_centers, delta, passed in ((1, 0.05, False), (2, 0.05, False),
                                      (65, 0.05, False), (129, 0.05, False),
