@@ -21,7 +21,8 @@ import numpy as np
 from . import io as ifsio
 from .core import (EXACT_CHAIN_TOL, SymbolSequence, dist_D0, dist_D1,
                    gen_pseudo_orbit, rho0, validate_chain)
-from .expansive import estimate_expansive_const, estimate_N_of_mu, separation_time
+from .expansive import (DELTA_GRID, N_CAP, N_PAIRS, PAIR_TOLERANCE,
+                        estimate_expansive_const, estimate_N_of_mu, separation_time)
 from .maps import InversionError, identity_map
 from .perturb import (CoverageError, SupportError, build_semiconj,
                       check_ball_cover, move_points_diffeo, perturbed_ifs,
@@ -56,7 +57,11 @@ def _emit(args, result: dict, files: dict | None = None) -> None:
 
 
 def _parse_point(text: str) -> np.ndarray:
-    return np.array([float(c) for c in text.split(",")])
+    """The point of comma-separated coordinates, each finite."""
+    p = np.array([float(c) for c in text.split(",")])
+    if not np.all(np.isfinite(p)):
+        raise ValueError(f"point {text!r} has a non-finite coordinate")
+    return p
 
 
 def _chain(args, noise: str):
@@ -281,9 +286,15 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: cores)")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=0)
+    def command(name, doc, func, seed=True):
+        """The subparser of one command, with --out and, for the commands
+        that draw random numbers, --seed."""
+        sp = sub.add_parser(name, help=doc)
+        sp.set_defaults(func=func)
+        if seed:
+            sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", help="output path prefix")
+        return sp
 
     def chain_options(sp, sigma_required=False, noise=True):
         sp.add_argument("--system", required=True)
@@ -294,94 +305,76 @@ def build_parser() -> argparse.ArgumentParser:
         if noise:
             sp.add_argument("--noise", default="uniform-ball")
 
-    sp = sub.add_parser("generate", help="emit a seeded pseudo-orbit")
+    sp = command("generate", "emit a seeded pseudo-orbit", cmd_generate)
     chain_options(sp, sigma_required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_generate)
 
-    sp = sub.add_parser("shadow", help="generate a pseudo-orbit and shadow it")
+    sp = command("shadow", "generate a pseudo-orbit and shadow it", cmd_shadow)
     chain_options(sp)
     sp.add_argument("--solver", choices=sorted(_SOLVERS), default="auto")
-    common(sp)
-    sp.set_defaults(func=cmd_shadow)
 
-    sp = sub.add_parser("verify", help="verify a shadowing claim from chain files")
+    sp = command("verify", "verify a shadowing claim from chain files", cmd_verify,
+                 seed=False)
     sp.add_argument("--system", required=True)
     sp.add_argument("--chain", required=True)
     sp.add_argument("--shadow", required=True)
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--tol", type=float, default=EXACT_CHAIN_TOL)
-    common(sp)
-    sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("expansive", help="estimate an expansiveness constant")
+    sp = command("expansive", "estimate an expansiveness constant", cmd_expansive)
     sp.add_argument("--system", required=True)
     sp.add_argument("--sigma", required=True)
     sp.add_argument("--grid", type=int)
-    sp.add_argument("--pair-tol", type=float, default=1e-3)
-    sp.add_argument("--ncap", type=int, default=30)
-    sp.add_argument("--deltas", default="0.4,0.3,0.25,0.2,0.15,0.1,0.05,0.02,0.01")
-    sp.add_argument("--pairs", type=int, default=512)
-    common(sp)
-    sp.set_defaults(func=cmd_expansive)
+    sp.add_argument("--pair-tol", type=float, default=PAIR_TOLERANCE)
+    sp.add_argument("--ncap", type=int, default=N_CAP)
+    sp.add_argument("--deltas", default=",".join(map(str, DELTA_GRID)))
+    sp.add_argument("--pairs", type=int, default=N_PAIRS)
 
-    sp = sub.add_parser("septime", help="separation time of a point pair")
+    sp = command("septime", "separation time of a point pair", cmd_septime)
     sp.add_argument("--system", required=True)
     sp.add_argument("--sigma", required=True)
     sp.add_argument("--x", required=True)
     sp.add_argument("--y", required=True)
     sp.add_argument("--eta", type=float, required=True)
     sp.add_argument("--mu", type=float, help="also estimate N(mu)")
-    sp.add_argument("--ncap", type=int, default=30)
+    sp.add_argument("--ncap", type=int, default=N_CAP)
     sp.add_argument("--grid", type=int)
-    common(sp)
-    sp.set_defaults(func=cmd_septime)
 
-    sp = sub.add_parser("perturb", help="perturbed family through adjusted points")
+    sp = command("perturb", "perturbed family through adjusted points", cmd_perturb)
     chain_options(sp, noise=False)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--Delta", type=float, required=True)
     sp.add_argument("--grid", type=int)
-    common(sp)
-    sp.set_defaults(func=cmd_perturb)
 
-    sp = sub.add_parser("movepoints", help="point-moving bump diffeomorphism")
+    sp = command("movepoints", "point-moving bump diffeomorphism", cmd_movepoints)
     sp.add_argument("--pairs", required=True,
                     help="p1:q1;p2:q2 with comma-separated coordinates")
     sp.add_argument("--delta", type=float, required=True)
     sp.add_argument("--support", type=float)
-    sp.add_argument("--grid", type=int, default=256)
-    common(sp)
-    sp.set_defaults(func=cmd_movepoints)
+    sp.add_argument("--grid", type=int)
 
-    sp = sub.add_parser("semiconj", help="sampled semiconjugacy from shadowing")
+    sp = command("semiconj", "sampled semiconjugacy from shadowing", cmd_semiconj,
+                 seed=False)
     sp.add_argument("--f", required=True)
     sp.add_argument("--g", required=True)
     sp.add_argument("--sigma", required=True)
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--K", type=int, required=True)
     sp.add_argument("--samples", type=int, default=200)
-    common(sp)
-    sp.set_defaults(func=cmd_semiconj)
 
-    sp = sub.add_parser("cover", help="ball-cover inclusion probe")
+    sp = command("cover", "ball-cover inclusion probe", cmd_cover)
     sp.add_argument("--system", required=True)
     sp.add_argument("--map-index", type=int, default=0)
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--delta", type=float, required=True)
     sp.add_argument("--centers", type=int, required=True)
     sp.add_argument("--probes", type=int, required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_cover)
 
-    sp = sub.add_parser("metrics", help="map and family distances")
+    sp = command("metrics", "map and family distances", cmd_metrics, seed=False)
     sp.add_argument("--f", required=True)
     sp.add_argument("--g", required=True)
     sp.add_argument("--metric", choices=("rho0", "rho1", "D0", "D1"), required=True)
     sp.add_argument("--mode", choices=("matched", "all-pairs"), default="matched")
     sp.add_argument("--grid", type=int)
-    common(sp)
-    sp.set_defaults(func=cmd_metrics)
     return p
 
 

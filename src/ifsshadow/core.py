@@ -294,6 +294,8 @@ def gen_pseudo_orbit(
     """
     if not delta >= 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
+    if delta == np.inf:
+        raise ValueError(f"delta must be finite, got {delta}")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     decimals = _parse_noise(noise)

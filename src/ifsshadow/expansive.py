@@ -17,6 +17,10 @@ import numpy as np
 from .core import IFS, SymbolSequence, orbit_steps
 from .space import MetricGrid, _as_points, _norms
 
+# defaults of the expansiveness estimates, which the CLI's defaults read too
+PAIR_TOLERANCE, N_CAP, N_PAIRS = 1e-3, 30, 512
+DELTA_GRID = (0.4, 0.3, 0.25, 0.2, 0.15, 0.1, 0.05, 0.02, 0.01)
+
 
 def _check_n_cap(n_cap: int) -> None:
     """Raise ValueError for a negative search horizon, which would otherwise
@@ -134,10 +138,10 @@ def estimate_expansive_const(
     F: IFS,
     sigma: SymbolSequence,
     grid: MetricGrid,
-    pair_tolerance: float = 1e-3,
-    n_cap: int = 30,
-    delta_grid=(0.4, 0.3, 0.25, 0.2, 0.15, 0.1, 0.05, 0.02, 0.01),
-    n_pairs: int = 512,
+    pair_tolerance: float = PAIR_TOLERANCE,
+    n_cap: int = N_CAP,
+    delta_grid=DELTA_GRID,
+    n_pairs: int = N_PAIRS,
     seed: int = 0,
 ) -> ExpansivenessReport:
     """Estimate the expansiveness constant relative to sigma by pair sampling.
@@ -150,6 +154,8 @@ def estimate_expansive_const(
     _check_n_cap(n_cap)
     if not pair_tolerance >= 0:
         raise ValueError(f"pair_tolerance must be >= 0, got {pair_tolerance}")
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     deltas = sorted(set(float(d) for d in delta_grid), reverse=True)
     bad = [d for d in deltas if not d > 0]
     if bad:
@@ -183,7 +189,7 @@ def estimate_N_of_mu(
     eta: float,
     mu: float,
     grid: MetricGrid,
-    n_cap: int = 30,
+    n_cap: int = N_CAP,
     seed: int = 0,
 ) -> Optional[int]:
     """Smallest N <= n_cap such that no sampled pair at distance >= mu keeps all

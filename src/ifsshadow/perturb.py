@@ -24,7 +24,7 @@ from .maps import InversionError, SmoothMap, compose
 from .shadowing import (NEWTON_TOL, _gauss_newton, _max_residual, _pair_ratios,
                         lipschitz_estimate)
 from .space import (MetricGrid, Space, _as_points, _ball_points, _mod1, _norms,
-                    ball_sample, default_resolution)
+                    ball_sample, check_resolution)
 
 
 class SupportError(ValueError):
@@ -297,19 +297,22 @@ def adjusted_points(F: IFS, chain: ChainRecord, m: int, eta: float,
     return ys
 
 
-def inverse_lipschitz_estimate(m: SmoothMap, seed: int = 0) -> float:
+def inverse_lipschitz_estimate(m: SmoothMap) -> float:
     """Lipschitz estimate of the inverse map (uniform-continuity modulus), from
-    512 sampled points."""
-    n_samples = 512
-    rng = np.random.default_rng(seed)
-    X = m.space.uniform(rng, n_samples)
-    if m.jac is not None:
-        svals = np.linalg.svd(m.jacobian(X), compute_uv=False)
-        smin = float(np.min(svals[..., -1]))
-        if smin <= 0:
-            raise ValueError(f"map {m.label!r} has a singular Jacobian on the sample")
-        return 1.0 / smin
-    return float(np.max(_pair_ratios(m.invert, m.space, X, rng, 1e-3)))
+    512 points of a fixed seed, so memoised on the map like lipschitz_estimate."""
+    if "inverse_lipschitz" not in m._memo:
+        rng = np.random.default_rng(0)
+        X = m.space.uniform(rng, 512)
+        if m.jac is None:
+            L = float(np.max(_pair_ratios(m.invert, m.space, X, rng, 1e-3)))
+        else:
+            svals = np.linalg.svd(m.jacobian(X), compute_uv=False)
+            smin = float(np.min(svals[..., -1]))
+            if smin <= 0:
+                raise ValueError(f"map {m.label!r} has a singular Jacobian on the sample")
+            L = 1.0 / smin
+        m._memo["inverse_lipschitz"] = L
+    return m._memo["inverse_lipschitz"]
 
 
 @dataclass(frozen=True)
@@ -340,7 +343,7 @@ def perturbed_ifs(
     f_{sigma(k)}(y_k) to y_{k+1} per link, and the family
     {h_k o f_lambda} u {f_lambda}; the chain continues beyond the window with
     the unperturbed maps.  Verifies the matched family distance against Delta
-    on a grid (by default of resolution min(64, default_resolution(dim)))
+    on a grid (by default of resolution check_resolution(dim))
     and errors if the measurement fails.
     """
     if not Delta > 0:
@@ -349,7 +352,7 @@ def perturbed_ifs(
         raise ValueError("needs dim >= 2 (bump constructions)")
     sigma = chain.sigma
 
-    l_inv = [inverse_lipschitz_estimate(f, seed=seed) for f in F.maps]
+    l_inv = [inverse_lipschitz_estimate(f) for f in F.maps]
     delta0 = min([Delta / 2.0] + [0.95 * Delta / L for L in l_inv])
     delta_max = delta0 / 6.0
     delta_meas = validate_chain(F, chain).max_residual
@@ -362,9 +365,8 @@ def perturbed_ifs(
     ys = adjusted_points(F, chain, m, eta=Delta, seed=seed)
     N = len(F)
     space = F.space
-    if grid_resolution is None:
-        grid_resolution = min(64, default_resolution(space.dim))
-    grid = MetricGrid(space, grid_resolution)
+    grid = MetricGrid(space, check_resolution(space.dim) if grid_resolution is None
+                      else grid_resolution)
     sources = F.step(sigma.symbols(0, m), ys[:m])
     gmaps: list[SmoothMap] = []
     pairing: list[int] = []
@@ -423,7 +425,7 @@ def perturbed_ifs(
     return PerturbedIFS(
         gs=gs, chain=ychain, pairing=tuple(pairing), matched_d0=matched,
         delta_max=delta_max, max_point_dist=max_pd,
-        exact_residual=verdict.max_residual, grid_resolution=grid_resolution,
+        exact_residual=verdict.max_residual, grid_resolution=grid.resolution,
     )
 
 
@@ -502,9 +504,9 @@ class SemiConjugacy:
             return np.inf
         return float(np.max(space.dist(self.samples[ok], self.images[ok])))
 
-    def image_covering_radius(self, space: Space,
-                              probe_resolution: int = 64) -> float:
-        """Covering radius of the image set over a probe grid.
+    def image_covering_radius(self, space: Space) -> float:
+        """Covering radius of the image set over a probe grid of resolution
+        check_resolution(dim), the grid that checks a perturbed family.
 
         Surjectivity of h is only checkable approximately from finite data:
         a value at most 2*epsilon means the images form a 2*epsilon-net.  Each
@@ -514,7 +516,7 @@ class SemiConjugacy:
         ok = self._usable
         if not ok.size:
             return np.inf
-        probes = MetricGrid(space, probe_resolution).points
+        probes = MetricGrid(space, check_resolution(space.dim)).points
         _, dist = _nearest_samples(space, self.images[ok], probes)
         return float(np.max(dist))
 

@@ -183,6 +183,11 @@ def default_resolution(dim: int) -> int:
     return max(2, int(round(3.3e5 ** (1.0 / dim))))
 
 
+def check_resolution(dim: int) -> int:
+    """Resolution of the grids that check a construction: default_resolution capped at 64."""
+    return min(64, default_resolution(dim))
+
+
 @dataclass
 class MetricGrid:
     """A (1/resolution)-net of the space.
@@ -218,4 +223,5 @@ class MetricGrid:
 
 
 def grid_for(space: Space, resolution: int | None = None) -> MetricGrid:
-    return MetricGrid(space, resolution or default_resolution(space.dim))
+    return MetricGrid(space, default_resolution(space.dim) if resolution is None
+                      else resolution)

@@ -28,11 +28,11 @@ def _self_check(F: IFS) -> IFS:
             back = m.invert(m(X))
             rt = float(np.max(F.space.dist(back, X)))
             if rt > 1e-10:
-                raise AssertionError(f"round-trip failure for {m.label!r}: {rt:.3e}")
+                raise ValueError(f"round-trip failure for {m.label!r}: {rt:.3e}")
         if m.jac is not None:
             err = float(np.max(np.abs(m.jacobian(X) - fd_jacobian(m, X))))
             if err > 1e-4:
-                raise AssertionError(f"Jacobian mismatch for {m.label!r}: {err:.3e}")
+                raise ValueError(f"Jacobian mismatch for {m.label!r}: {err:.3e}")
     return F
 
 

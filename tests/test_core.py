@@ -283,6 +283,8 @@ NOJAC = SmoothMap("nojac", Space(2), lambda x: x, inv=lambda p: p)
      "delta must be nonnegative"),
     (lambda: gen_pseudo_orbit(CAT, SIG0, [0.1, 0.2], np.nan, 5),
      "delta must be nonnegative, got nan"),
+    (lambda: gen_pseudo_orbit(CAT, SIG0, [0.1, 0.2], np.inf, 5),
+     "delta must be finite, got inf"),
     (lambda: gen_pseudo_orbit(CAT, SIG0, [0.1, 0.2], 0.1, -1),
      "steps must be nonnegative"),
     (lambda: gen_pseudo_orbit(CAT, SIG0, [0.1, 0.2], 0.1, 5, noise="round:-1"),

@@ -232,6 +232,9 @@ def test_zero_n_cap_compares_the_pair_itself():
     (dict(pair_tolerance=np.nan), "pair_tolerance must be >= 0, got nan"),
     # a tolerance above the diameter samples no pair: the early return
     (dict(pair_tolerance=10.0, delta_grid=(0.2, -0.1)), "every Delta must be > 0"),
+    # no pairs used to read as "inconclusive"
+    (dict(n_pairs=0), "n_pairs must be >= 1, got 0"),
+    (dict(n_pairs=-5), "n_pairs must be >= 1, got -5"),
 ])
 def test_expansive_config_errors_are_rejected(kwargs, message):
     # these used to read as "expansive-at-Delta" (Delta <= 0) or "violated"

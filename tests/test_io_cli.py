@@ -480,6 +480,7 @@ def test_cli_near_integer_torus_matrix_is_config_error(argv, tmp_path, capsys):
       "--mu", "-0.1"), "mu must be positive, got -0.1"),
     (("septime", "--x", "0.2,0.7", "--y", "0.2009,0.7005", "--eta", "0.1",
       "--mu", "nan"), "mu must be positive, got nan"),
+    (("expansive", "--pairs", "0"), "n_pairs must be >= 1, got 0"),
 ])
 def test_cli_expansiveness_misconfigurations_are_config_errors(argv, message, capsys):
     # each used to exit 0 with a verdict: "expansive-at-Delta" with a negative
@@ -506,6 +507,22 @@ def test_cli_expansiveness_misconfigurations_are_config_errors(argv, message, ca
     (("cover", "--system", "torus_F1", "--eps", "0.05", "--delta", "inf",
       "--centers", "10", "--probes", "10", "--seed", "1"),
      "eps and delta must be finite, got eps=0.05, delta=inf"),
+    (("generate", "--system", "cat", "--sigma", "constant:0", "--delta", "inf",
+      "--len", "10"), "delta must be finite, got inf"),
+    # non-finite points used to exit 0, writing NaN or "separation_time": null
+    (("shadow", "--system", "cat", "--sigma", "constant:0", "--delta", "0.001",
+      "--len", "10", "--x0", "nan,0.3"), "point 'nan,0.3' has a non-finite coordinate"),
+    (("perturb", "--system", "cat", "--sigma", "constant:0", "--delta", "1e-4",
+      "--len", "20", "--m", "5", "--Delta", "0.05", "--x0", "0.3,inf"),
+     "point '0.3,inf' has a non-finite coordinate"),
+    (("septime", "--system", "cat", "--sigma", "constant:0", "--x", "nan,0.7",
+      "--y", "0.2009,0.7005", "--eta", "0.1"), "point 'nan,0.7' has a non-finite"),
+    (("septime", "--system", "cat", "--sigma", "constant:0", "--x", "0.2,0.7",
+      "--y", "0.2009,-inf", "--eta", "0.1"), "point '0.2009,-inf' has a non-finite"),
+    (("movepoints", "--pairs", "nan,0.3:0.31,0.3", "--delta", "0.02", "--grid", "16"),
+     "point 'nan,0.3' has a non-finite coordinate"),
+    (("movepoints", "--pairs", "0.3,0.3:0.31,0.3;0.7,0.7:0.7,inf", "--delta", "0.02",
+      "--grid", "16"), "point '0.7,inf' has a non-finite coordinate"),
 ])
 def test_cli_nan_radii_are_config_errors(argv, message, tmp_path, capsys):
     # a NaN in the JSON report would not be valid JSON
@@ -584,6 +601,73 @@ def test_cli_perturb_grid_default_follows_the_dimension(tmp_path):
     rep = json.loads((tmp_path / "p.json").read_text())
     assert rep["grid_resolution"] == 24 and "grid" not in rep["config"]
     assert rep["n_maps"] == 2
+
+
+@pytest.mark.parametrize("pairs, resolution", [
+    ("0.3,0.3:0.31,0.3", 256), ("0.3,0.3,0.3:0.31,0.3,0.3", 64)])
+def test_cli_movepoints_grid_default_follows_the_dimension(pairs, resolution,
+                                                          monkeypatch, tmp_path):
+    # rho0 is stubbed to record its grid, so the grid is never filled (the
+    # old fixed default of 256 would fill 256^3 points on T^3)
+    seen = []
+
+    def recording_rho0(f, g, grid):
+        seen.append(grid.resolution)
+        return 0.0
+
+    monkeypatch.setattr(cli, "rho0", recording_rho0)
+    assert run_cli("movepoints", "--pairs", pairs, "--delta", "0.02",
+                   "--out", str(tmp_path / "mp")) == 0
+    rep = json.loads((tmp_path / "mp.json").read_text())
+    assert seen == [resolution] and rep["grid_resolution"] == resolution
+    assert "grid" not in rep["config"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("metrics", "--f", "rotation:0.1", "--g", "rotation:0.12", "--metric", "rho0"),
+    ("movepoints", "--pairs", "0.3,0.3:0.31,0.3", "--delta", "0.02"),
+    ("expansive", "--system", "cat", "--sigma", "constant:0"),
+    ("septime", "--system", "cat", "--sigma", "constant:0", "--x", "0.2,0.7",
+     "--y", "0.2009,0.7005", "--eta", "0.1", "--mu", "0.001"),
+    ("perturb", "--system", "cat", "--sigma", "constant:0", "--delta", "0.0001",
+     "--len", "20", "--m", "5", "--Delta", "0.05"),
+])
+def test_cli_grid_zero_is_config_error(argv, tmp_path, capsys):
+    # --grid 0 used to run at the default resolution beside "grid": 0
+    assert run_cli(*argv, "--grid", "0", "--out", str(tmp_path / "run")) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: resolution must be >= 1, got 0\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--system", "contraction:0.5", "--chain", "c.csv", "--shadow", "s.csv",
+     "--eps", "0.02"),
+    ("metrics", "--f", "rotation:0.1", "--g", "rotation:0.12", "--metric", "rho0"),
+    ("semiconj", "--f", "cat", "--g", "cat_bumped:1e-3", "--sigma", "constant:0",
+     "--eps", "0.05", "--K", "2", "--samples", "20"),
+])
+def test_cli_commands_without_randomness_take_no_seed(argv, tmp_path, capsys):
+    # these commands draw nothing, so a seed would change no result
+    assert run_cli(*argv, "--seed", "1", "--out", str(tmp_path / "run")) == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_seedless_commands_echo_no_seed(tmp_path):
+    assert run_cli("metrics", "--f", "rotation:0.1", "--g", "rotation:0.12",
+                   "--metric", "rho0", "--grid", "16", "--out", str(tmp_path / "m")) == 0
+    assert "seed" not in json.loads((tmp_path / "m.json").read_text())["config"]
+
+
+def test_cli_catalog_self_check_failure_is_config_error(capsys):
+    # a factor of 1e-12 loses the round trip x -> q x + o -> x; the self-check
+    # used to escape as an AssertionError with a traceback and exit 1
+    assert run_cli("shadow", "--system", "contraction:1e-12", "--delta", "0.01",
+                   "--len", "10") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("config error: round-trip failure for 'contraction_1'")
 
 
 def test_cli_determinism_byte_identical(tmp_path):

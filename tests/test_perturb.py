@@ -187,20 +187,40 @@ def test_bump_inverse_of_nan_raises():
     assert np.array_equal(exc.value.best[0], [0.2, 0.3])
 
 
-def test_inverse_lipschitz_estimate_without_jacobian_samples_pair_ratios():
+def test_inverse_lipschitz_estimate_without_jacobian_samples_pair_ratios(monkeypatch):
     cat = CAT.maps[0]
     m = SmoothMap("cat_no_jac", cat.space, cat.fwd, inv=cat.inv)
-    for seed in (0, 5):
-        # the sampled pair ratios of the inverse, written out
-        rng = np.random.default_rng(seed)
-        X = m.space.uniform(rng, 512)
-        Y = m.space.normalize(X + ball_sample(rng, 512, m.space.dim, 1e-3))
-        dxy = m.space.dist(X, Y)
-        ok = dxy > 0
-        expected = float(np.max(m.space.dist(m.invert(X[ok]), m.invert(Y[ok])) / dxy[ok]))
-        assert perturb.inverse_lipschitz_estimate(m, seed=seed) == expected
+    # the sampled pair ratios of the inverse on the fixed seed-0 sample, written out
+    rng = np.random.default_rng(0)
+    X = m.space.uniform(rng, 512)
+    Y = m.space.normalize(X + ball_sample(rng, 512, m.space.dim, 1e-3))
+    dxy = m.space.dist(X, Y)
+    ok = dxy > 0
+    expected = float(np.max(m.space.dist(m.invert(X[ok]), m.invert(Y[ok])) / dxy[ok]))
+    assert perturb.inverse_lipschitz_estimate(m) == expected
     # the inverse of the cat map stretches by lambda_u as well
     assert expected == pytest.approx((3 + np.sqrt(5)) / 2, rel=1e-2)
+
+    # a second call reads the map's memo and draws no sample
+    def no_sampling(*args):
+        raise AssertionError("the estimate was sampled twice")
+
+    monkeypatch.setattr(perturb, "_pair_ratios", no_sampling)
+    assert perturb.inverse_lipschitz_estimate(m) == expected
+
+
+def test_inverse_lipschitz_estimate_is_a_property_of_the_map():
+    # the Jacobian estimates on the seed-0 sample: lambda_u on the cat map
+    assert perturb.inverse_lipschitz_estimate(build_cat_ifs().maps[0]) == 2.618033988749896
+    F = build_torus_f1()
+    assert perturb.inverse_lipschitz_estimate(F.maps[0]) == 3.848515115944892
+    # so the admissible slack delta(Delta) of perturbed_ifs no longer depends
+    # on its seed (the estimates of seeds 1 and 2 read 3.8642 and 3.8611); m = 0
+    # composes no member, so the 24^4 check grid is never filled
+    chain = gen_pseudo_orbit(F, SIG0, np.full(4, 0.3), 1e-6, 10, seed=0)
+    delta_max = {perturbed_ifs(F, chain, m=0, Delta=0.05, seed=s).delta_max
+                 for s in (0, 1, 2)}
+    assert delta_max == {0.95 * 0.05 / 3.848515115944892 / 6.0}
 
 
 # dense reference: every point against every center, summed by einsum
@@ -611,9 +631,31 @@ def test_semiconj_bumped_cat_conclusions():
 def test_image_covering_radius_equals_dense_oracle():
     G = build_bumped_cat_ifs(1e-3)
     sc = build_semiconj(CAT, G, SIG0, eps=0.05, samples=lattice_samples(60, 2), K=4)
-    probes = MetricGrid(CAT.space, 32).points
+    # the probe grid of T^2 has resolution min(64, 256)
+    probes = MetricGrid(CAT.space, 64).points
     dense = CAT.space.dist(probes[:, None, :], sc.images[None, :, :])
-    assert sc.image_covering_radius(CAT.space, 32) == float(np.max(np.min(dense, axis=1)))
+    assert sc.image_covering_radius(CAT.space) == float(np.max(np.min(dense, axis=1)))
+
+
+def test_image_covering_radius_probe_grid_follows_the_dimension(monkeypatch):
+    # a two-point stand-in records each probe resolution, so no 24^4 (or
+    # 64^4) probe grid is built
+    seen = []
+
+    class RecordingGrid:
+        def __init__(self, space, resolution):
+            seen.append((space.dim, resolution))
+            self.points = np.full((2, space.dim), 0.3)
+
+    monkeypatch.setattr(perturb, "MetricGrid", RecordingGrid)
+    for dim in (2, 3, 4):
+        pts = lattice_samples(8, dim)
+        sc = perturb.SemiConjugacy(
+            samples=pts, images=pts, epsilon=0.1, K=0, sigma=SIG0,
+            residuals=np.zeros((8, 1)), chain_delta=np.zeros(8), flagged=())
+        assert sc.image_covering_radius(Space(dim)) > 0
+    # the capped rule of perturbed_ifs: min(64, default_resolution(dim))
+    assert seen == [(2, 64), (3, 64), (4, 24)]
 
 
 def test_semiconj_residual_memory_is_linear_in_samples():

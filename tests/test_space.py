@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ifsshadow import (AntipodalError, DimensionError, MetricGrid, Space,
-                       ball_sample, default_resolution, lattice_samples)
-from ifsshadow.space import _norms
+                       ball_sample, default_resolution, grid_for, lattice_samples)
+from ifsshadow.space import _norms, check_resolution
 
 
 def test_wraparound_distance():
@@ -125,6 +125,18 @@ def test_default_resolutions():
     assert default_resolution(1) == 4096
     assert default_resolution(2) == 256
     assert default_resolution(4) == 24
+    # the grids that check a construction cap the default at 64
+    assert [check_resolution(d) for d in (1, 2, 3, 4)] == [64, 64, 64, 24]
+
+
+@pytest.mark.parametrize("dim, resolution", [(1, 4096), (2, 256), (3, 64)])
+def test_grid_for_defaults_only_a_missing_resolution(dim, resolution):
+    assert grid_for(Space(dim)).resolution == resolution
+    assert grid_for(Space(dim), 8).resolution == 8
+    # 0 used to fall back to the default; the grid is never filled here
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match=f"resolution must be >= 1, got {bad}"):
+            grid_for(Space(dim), bad)
 
 
 def test_ball_sample_radius_and_determinism():

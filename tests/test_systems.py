@@ -8,6 +8,12 @@ from ifsshadow.systems import (CATALOG, CAT_MATRIX, build_bumped_cat_ifs,
                                build_system, build_torus_example)
 
 
+def test_catalog_self_check_failure_is_a_value_error():
+    # x -> 1e-12 x + o loses x in rounding, so the inverse misses it
+    with pytest.raises(ValueError, match="round-trip failure for 'contraction_1'"):
+        build_system("contraction:1e-12")
+
+
 def test_cat_eigenvalues():
     w = np.linalg.eigvals(CAT_MATRIX.astype(float))
     expect = sorted([(3 - np.sqrt(5)) / 2, (3 + np.sqrt(5)) / 2])
