@@ -31,7 +31,7 @@ from .shadowing import (NotContractingError, NotHyperbolicError,
                         ShadowingConvergenceError, shadow_auto,
                         shadow_contraction, shadow_linear_hyperbolic,
                         shadow_newton, verify_shadowing)
-from .space import grid_for, lattice_samples
+from .space import _check_real, grid_for, lattice_samples
 from .systems import CATALOG
 
 CONTRACT_ERRORS = (ShadowingConvergenceError, NotContractingError,
@@ -42,10 +42,15 @@ CONTRACT_ERRORS = (ShadowingConvergenceError, NotContractingError,
 def _emit(args, result: dict, files: dict | None = None) -> None:
     """Write the primary JSON (plus auxiliary files) and echo it to stdout.
 
-    The JSON is `result` plus the command name and its config echo.
+    The JSON is `result` plus the command name and its config echo.  A
+    result holding NaN or an infinity is a contract violation: strict JSON
+    has no such numbers, and nothing is written.
     """
-    text = ifsio.dump_json({"command": args.command, "config": _config(args),
-                            **result})
+    try:
+        text = ifsio.dump_json({"command": args.command, "config": _config(args),
+                                **result})
+    except ValueError as exc:
+        raise RuntimeError(f"the result is not strict JSON: {exc}") from None
     sys.stdout.write(text)
     if args.out:
         ifsio.atomic_write_text(f"{args.out}.json", text)
@@ -390,8 +395,7 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
         if args.threads is None:
             args.threads = os.cpu_count() or 1
-        if args.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {args.threads}")
+        _check_real("threads", args.threads, 1)
         return args.func(args)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .maps import SmoothMap
-from .space import MetricGrid, Space, _as_points, _mod1, _norms, ball_sample
+from .space import MetricGrid, Space, _as_points, _check_real, _mod1, _norms, ball_sample
 
 EXACT_CHAIN_TOL = 1e-9   # largest link residual of a chain counted as exact
 
@@ -177,8 +177,7 @@ class ChainRecord:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ValueError("chain needs a (m+1, d) array with m >= 0")
-        if not self.delta >= 0:
-            raise ValueError(f"delta must be nonnegative, got {self.delta}")
+        _check_real("delta", self.delta, 0)
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
@@ -254,9 +253,9 @@ def link_residuals(F: IFS, chain: ChainRecord) -> np.ndarray:
 
 def validate_chain(F: IFS, chain: ChainRecord,
                    tol: float = EXACT_CHAIN_TOL) -> ChainVerdict:
-    """Whether every link residual is <= tol; raises ValueError unless tol >= 0."""
-    if not tol >= 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
+    """Whether every link residual is <= tol; raises ValueError unless tol is
+    finite and >= 0."""
+    _check_real("tol", tol, 0)
     res = link_residuals(F, chain)
     if res.size == 0:
         return ChainVerdict(True, 0.0, None)
@@ -292,10 +291,7 @@ def gen_pseudo_orbit(
     rounds every image (and x_0) to D decimals, for which the recorded slack
     is the rounding bound 0.5 * 10^-D * sqrt(d).
     """
-    if not delta >= 0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
-    if delta == np.inf:
-        raise ValueError(f"delta must be finite, got {delta}")
+    _check_real("delta", delta, 0)
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     decimals = _parse_noise(noise)

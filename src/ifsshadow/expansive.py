@@ -15,25 +15,11 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .core import IFS, SymbolSequence, orbit_steps
-from .space import MetricGrid, _as_points, _norms
+from .space import MetricGrid, _as_points, _check_real, _norms
 
 # defaults of the expansiveness estimates, which the CLI's defaults read too
 PAIR_TOLERANCE, N_CAP, N_PAIRS = 1e-3, 30, 512
 DELTA_GRID = (0.4, 0.3, 0.25, 0.2, 0.15, 0.1, 0.05, 0.02, 0.01)
-
-
-def _check_n_cap(n_cap: int) -> None:
-    """Raise ValueError for a negative search horizon, which would otherwise
-    read as a saturated (never separating) pair."""
-    if n_cap < 0:
-        raise ValueError(f"n_cap must be >= 0, got {n_cap}")
-
-
-def _check_eta(eta: float) -> None:
-    """Raise ValueError for a separation threshold that is not >= 0 (NaN
-    included), which identical points would already exceed at n = 0."""
-    if not eta >= 0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
 
 
 def separation_time(F: IFS, sigma: SymbolSequence, x, y, eta: float,
@@ -52,7 +38,7 @@ def separation_time(F: IFS, sigma: SymbolSequence, x, y, eta: float,
 def _separations(F: IFS, sigma: SymbolSequence, X, Y,
                  n_cap: int) -> Iterator[np.ndarray]:
     """Yield max(dist(O(n)x, O(n)y), dist(O(-n)x, O(-n)y)) per pair, n = 0..n_cap."""
-    _check_n_cap(n_cap)
+    _check_real("n_cap", n_cap, 0)  # a negative horizon would read as saturated
     space = F.space
     XY = np.stack([_as_points(space, X), _as_points(space, Y)])
     for f, b in zip(orbit_steps(F, sigma, XY, n_cap),
@@ -63,7 +49,7 @@ def _separations(F: IFS, sigma: SymbolSequence, X, Y,
 def separation_times_batch(F: IFS, sigma: SymbolSequence, X, Y, eta: float,
                            n_cap: int) -> np.ndarray:
     """Vectorized separation times for pair arrays (inf where saturated)."""
-    _check_eta(eta)
+    _check_real("eta", eta, 0)  # identical points would exceed eta < 0 at n = 0
     times = np.full(len(X), np.inf)
     for n, sep in enumerate(_separations(F, sigma, X, Y, n_cap)):
         times[np.isinf(times) & (sep > eta)] = n
@@ -151,15 +137,10 @@ def estimate_expansive_const(
     within n_cap steps.  The candidate constant is the largest Delta without
     sampled violations - an estimate, not a proof.
     """
-    _check_n_cap(n_cap)
-    if not pair_tolerance >= 0:
-        raise ValueError(f"pair_tolerance must be >= 0, got {pair_tolerance}")
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
-    deltas = sorted(set(float(d) for d in delta_grid), reverse=True)
-    bad = [d for d in deltas if not d > 0]
-    if bad:
-        raise ValueError(f"every Delta must be > 0, got {bad[0]}")
+    _check_real("n_cap", n_cap, 0)
+    _check_real("pair_tolerance", pair_tolerance, 0)
+    _check_real("n_pairs", n_pairs, 1)
+    deltas = sorted({_check_real("Delta", float(d)) for d in delta_grid}, reverse=True)
     max_recorded = 16                  # violating pairs kept (all are counted)
     X, Y = _sample_pairs(F, grid, pair_tolerance, n_pairs, seed)
     if X.shape[0] == 0 or not deltas:
@@ -199,10 +180,9 @@ def estimate_N_of_mu(
     separating orientations matter; off d = 2 the fan is random directions
     plus the coordinate axes) plus random grid pairs.
     """
-    _check_n_cap(n_cap)
-    _check_eta(eta)
-    if not mu > 0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    _check_real("n_cap", n_cap, 0)
+    _check_real("eta", eta, 0)
+    _check_real("mu", mu)
     if mu > F.space.diameter():
         return 1
     n_pairs, n_directions = 256, 16

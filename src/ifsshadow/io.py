@@ -38,7 +38,8 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Strict (RFC 8259) JSON: ValueError for a NaN or an infinity."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_json(path, obj) -> None:
@@ -81,6 +82,11 @@ def read_chain(path, delta: float = 0.0) -> ChainRecord:
             raise ValueError(f"chain file {str(path)!r} line {line}: expected "
                              f"{d + 2} fields, got {len(row)}")
     pts = np.array([[float(c) for c in row[2: 2 + d]] for _, row in rows[1:]])
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        line, row = rows[1 + int(np.argmin(finite))]
+        raise ValueError(f"chain file {str(path)!r} line {line}: non-finite "
+                         f"coordinates {row[2: 2 + d]}")
     syms = [int(row[1]) for _, row in rows[1:]]
     window = tuple(syms[:-1]) if len(syms) > 1 else (max(syms[0], 0),)
     sigma = SymbolSequence(window, extension=f"constant:{window[-1]}")

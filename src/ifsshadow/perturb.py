@@ -23,8 +23,8 @@ from .core import (ChainRecord, IFS, SymbolSequence, _link_errors, _require_inve
 from .maps import InversionError, SmoothMap, compose
 from .shadowing import (NEWTON_TOL, _gauss_newton, _max_residual, _pair_ratios,
                         lipschitz_estimate)
-from .space import (MetricGrid, Space, _as_points, _ball_points, _mod1, _norms,
-                    ball_sample, check_resolution)
+from .space import (MetricGrid, Space, _as_points, _ball_points, _check_real, _mod1,
+                    _norms, ball_sample, check_resolution)
 
 
 class SupportError(ValueError):
@@ -139,8 +139,7 @@ def move_points_diffeo(
     after BUMP_INVERSE_MAX_ITER Newton steps, makes the inverse raise
     InversionError.
     """
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    _check_real("delta", delta)
     if space is None:
         if not pairs:
             raise ValueError("an empty pair list needs an explicit space")
@@ -171,9 +170,7 @@ def move_points_diffeo(
         if space.periodic:
             R = min(R, 0.45)
     else:
-        R = float(support_radius)
-        if not R > 0:
-            raise ValueError(f"support_radius must be positive, got {R}")
+        R = _check_real("support_radius", float(support_radius))
     maxd = float(np.max(_norms(D), initial=0.0))
     if k >= 2 and min_sep <= 2.0 * R:
         raise SupportError(
@@ -269,8 +266,7 @@ def adjusted_points(F: IFS, chain: ChainRecord, m: int, eta: float,
     """
     if not 0 <= m < len(chain):
         raise ValueError(f"m = {m} outside the chain window of {len(chain)} points")
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    _check_real("eta", eta)
     res = link_residuals(F, chain)
     delta = max(chain.delta, float(np.max(res[:m])) if m else 0.0)
     L = max(lipschitz_estimate(f) for f in F.maps)
@@ -346,8 +342,7 @@ def perturbed_ifs(
     on a grid (by default of resolution check_resolution(dim))
     and errors if the measurement fails.
     """
-    if not Delta > 0:
-        raise ValueError(f"Delta must be positive, got {Delta}")
+    _check_real("Delta", Delta)
     if F.space.dim < 2:
         raise ValueError("needs dim >= 2 (bump constructions)")
     sigma = chain.sigma
@@ -545,10 +540,8 @@ def build_semiconj(
     windows (``two_sided=False``) for families whose inverses blow orbits
     up, e.g. contractions.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if K < 0:
-        raise ValueError(f"K must be >= 0, got {K}")
+    _check_real("eps", eps)
+    _check_real("K", K, 0)
     X = _as_points(F.space, samples)
     lo = K if two_sided else 0
     windows = _orbit_window(G, sigma, X, K, two_sided)      # (n, window, d)
@@ -584,8 +577,7 @@ def semiconj_residual(
     (ValueError otherwise).  For the G the table was built with and
     K <= h.K, the G-orbit windows are the table's own, trimmed to [-K, K].
     """
-    if K < 0:
-        raise ValueError(f"K must be >= 0, got {K}")
+    _check_real("K", K, 0)
     hi = max(K, h.K)
     lo = hi if h.two_sided else 0
     if not np.array_equal(sigma.symbols(-lo, hi), h.sigma.symbols(-lo, hi)):
@@ -661,10 +653,10 @@ def check_ball_cover(
     """Sample probes Z in the ball of radius eps+delta around F(X) and test
     dist(F^{-1}(Z), X) < eps; report any violations found.
 
-    Raises ValueError unless eps > 0, eps + delta > 0, both are finite, the
-    centres are finite and there are at least one centre and one probe per
-    centre: an empty probe set passes nothing, and an infinite radius or a
-    NaN centre tests nothing.
+    Raises ValueError unless eps > 0 and eps + delta > 0 are finite (so delta
+    is too), the centres are finite and there are at least one centre and one
+    probe per centre: an empty probe set passes nothing, and an infinite
+    radius or a NaN centre tests nothing.
 
     The calling thread draws the probes 64 centres at a time, normals then
     uniforms, so a seed draws the same probes for any thread count.  With
@@ -675,17 +667,10 @@ def check_ball_cover(
     """
     if not Fi.invertible:
         raise ValueError(f"map {Fi.label!r} must be invertible")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if not eps + delta > 0:
-        raise ValueError(f"the probe radius eps + delta must be positive, "
-                         f"got {eps + delta}")
-    if not (np.isfinite(eps) and np.isfinite(delta)):
-        raise ValueError(f"eps and delta must be finite, got eps={eps}, delta={delta}")
-    if n_probes < 1:
-        raise ValueError(f"n_probes must be >= 1, got {n_probes}")
+    _check_real("threads", threads, 1)
+    _check_real("eps", eps)
+    radius = _check_real("the probe radius eps + delta", eps + delta)  # so is delta
+    _check_real("n_probes", n_probes, 1)
     chunk = 64              # centers per probe batch: fixes the probes a seed draws
     max_recorded = 100      # violations kept (all are counted)
     space = Fi.space
@@ -701,7 +686,6 @@ def check_ball_cover(
         raise ValueError(f"the ball cover needs at least one centre, got {n_centers}")
     if centers is None:
         X = space.uniform(rng, n_centers)
-    radius = eps + delta
 
     def check(Xc, FX, v, u, cs):
         """Probes v[cs] (normals) and u[cs] (uniforms) of the centres cs

@@ -40,7 +40,7 @@ from scipy.linalg.lapack import dpbsv
 from .core import (EXACT_CHAIN_TOL, ChainRecord, IFS, SymbolSequence,
                    _link_errors, _spectral_norms, iterate_chain, validate_chain)
 from .maps import SmoothMap
-from .space import _norms, ball_sample
+from .space import _check_real, _norms, ball_sample
 
 # Gauss-Newton's stopping rule: a largest link residual at most NEWTON_TOL,
 # or NEWTON_MAX_ITER sweeps
@@ -344,11 +344,10 @@ def verify_shadowing(F: IFS, xi: ChainRecord, y: ChainRecord, eps: float,
                      tol: float = EXACT_CHAIN_TOL) -> VerifyVerdict:
     """Check that y is an exact chain and stays within eps of xi pointwise.
 
-    Raises ValueError unless eps > 0 and tol >= 0, so a NaN is a config
-    error, not a failed verification.
+    Raises ValueError unless eps > 0 and tol >= 0, both finite, so a NaN or
+    an infinite radius is a config error, not a verdict.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _check_real("eps", eps)
     if len(xi) != len(y):
         raise ValueError("chains must share a common window")
     v = validate_chain(F, y, tol)
@@ -395,13 +394,11 @@ def check_uniqueness(
     legitimately differ by decaying exact-orbit modes even when the
     bi-infinite shadow is unique.  Trials that stop unconverged are counted
     in `unconverged`.  `sigma` must agree with the chain's own schedule on
-    its links, `trials` be at least 1 and `eps` positive (ValueError
-    otherwise).
+    its links, `trials` be at least 1 and `eps` finite and positive
+    (ValueError otherwise).
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _check_real("trials", trials, 1)
+    _check_real("eps", eps)
     n = len(chain)
     symbols = sigma.symbols(0, chain.n_links)
     if not np.array_equal(symbols, chain.sigma.symbols(0, chain.n_links)):

@@ -30,6 +30,22 @@ class AntipodalError(ValueError):
     """Shortest-path displacement is ambiguous (a coordinate gap of exactly 1/2)."""
 
 
+def _check_real(name: str, value, least=None):
+    """Return value if it is finite and > 0, or finite and >= least when
+    least is given; otherwise raise ValueError naming the parameter.
+
+    The one check of the package's radius, tolerance and count arguments: NaN
+    fails the comparison, and an infinite eps, delta or Delta would make a
+    shadowing or stability statement hold for free.
+    """
+    if not (value > 0 if least is None else value >= least):
+        bound = "positive" if least is None else f">= {least}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    if not value < np.inf:
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 def _as_points(space: "Space", x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (space.dim,):
@@ -202,8 +218,7 @@ class MetricGrid:
     _points: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.resolution < 1:
-            raise ValueError(f"resolution must be >= 1, got {self.resolution}")
+        _check_real("resolution", self.resolution, 1)
 
     @property
     def points(self) -> np.ndarray:

@@ -276,13 +276,13 @@ NOJAC = SmoothMap("nojac", Space(2), lambda x: x, inv=lambda p: p)
     (lambda: SymbolSequence(()), "symbol window must be nonempty"),
     (lambda: ChainRecord(np.zeros(3), SIG0), r"chain needs a \(m\+1, d\) array"),
     (lambda: ChainRecord(np.zeros((0, 2)), SIG0), r"chain needs a \(m\+1, d\) array"),
-    (lambda: ChainRecord(np.zeros((2, 2)), SIG0, -1e-3), "delta must be nonnegative"),
+    (lambda: ChainRecord(np.zeros((2, 2)), SIG0, -1e-3), "delta must be >= 0, got -0.001"),
     (lambda: ChainRecord(np.zeros((2, 2)), SIG0, np.nan),
-     "delta must be nonnegative, got nan"),
+     "delta must be >= 0, got nan"),
     (lambda: gen_pseudo_orbit(CAT, SIG0, [0.1, 0.2], -0.1, 5),
-     "delta must be nonnegative"),
+     "delta must be >= 0, got -0.1"),
     (lambda: gen_pseudo_orbit(CAT, SIG0, [0.1, 0.2], np.nan, 5),
-     "delta must be nonnegative, got nan"),
+     "delta must be >= 0, got nan"),
     (lambda: gen_pseudo_orbit(CAT, SIG0, [0.1, 0.2], np.inf, 5),
      "delta must be finite, got inf"),
     (lambda: gen_pseudo_orbit(CAT, SIG0, [0.1, 0.2], 0.1, -1),

@@ -225,13 +225,13 @@ def test_zero_n_cap_compares_the_pair_itself():
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    (dict(delta_grid=(-0.1, -0.2)), "every Delta must be > 0, got -0.1"),
-    (dict(delta_grid=(0.2, 0.0)), "every Delta must be > 0, got 0.0"),
-    (dict(delta_grid=(0.2, np.nan)), "every Delta must be > 0, got nan"),
+    (dict(delta_grid=(-0.1, -0.2)), "Delta must be positive, got -0.1"),
+    (dict(delta_grid=(0.2, 0.0)), "Delta must be positive, got 0.0"),
+    (dict(delta_grid=(0.2, np.nan)), "Delta must be positive, got nan"),
     (dict(pair_tolerance=-1.0), "pair_tolerance must be >= 0, got -1.0"),
     (dict(pair_tolerance=np.nan), "pair_tolerance must be >= 0, got nan"),
     # a tolerance above the diameter samples no pair: the early return
-    (dict(pair_tolerance=10.0, delta_grid=(0.2, -0.1)), "every Delta must be > 0"),
+    (dict(pair_tolerance=10.0, delta_grid=(0.2, -0.1)), "Delta must be positive"),
     # no pairs used to read as "inconclusive"
     (dict(n_pairs=0), "n_pairs must be >= 1, got 0"),
     (dict(n_pairs=-5), "n_pairs must be >= 1, got -5"),

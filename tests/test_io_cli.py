@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -51,6 +52,10 @@ def test_chain_csv_roundtrip_is_lossless(window, constant, k_min, points,
     chain = ChainRecord(points, SymbolSequence(tuple(window), ext, k_min))
     path = tmp_path_factory.getbasetemp() / "roundtrip.csv"
     ifsio.write_chain(path, chain)
+    if not np.isfinite(points).all():      # an infinite coordinate reads back as an error
+        with pytest.raises(ValueError, match="non-finite coordinates"):
+            ifsio.read_chain(path)
+        return
     back = ifsio.read_chain(path)
     assert np.array_equal(back.points.view(np.uint64), points.view(np.uint64))
     assert np.array_equal(back.sigma.symbols(0, chain.n_links),
@@ -409,11 +414,14 @@ def test_cli_verify_chain_without_points_is_config_error(text, tmp_path, capsys)
     assert "empty.csv" in err
 
 
-@pytest.mark.parametrize("row, got", [("", 0), ("1,-1,0.3", 3)])
+@pytest.mark.parametrize("row, got", [("", 0), ("1,-1,0.3", 3), ("1,-1,0.3,inf", None)])
 def test_read_chain_names_a_blank_or_short_row(row, got, tmp_path, capsys):
+    # got None: a non-finite coordinate, which verify used to report as NaN
     bad = tmp_path / "gappy.csv"
     bad.write_text(f"k,lambda,x0,x1\n0,0,0.1,0.2\n{row}\n1,-1,0.3,0.4\n")
-    with pytest.raises(ValueError, match=rf"gappy\.csv' line 3: expected 4 fields, got {got}"):
+    problem = (f"expected 4 fields, got {got}" if got is not None
+               else "non-finite coordinates ['0.3', 'inf']")
+    with pytest.raises(ValueError, match=re.escape(f"gappy.csv' line 3: {problem}")):
         ifsio.read_chain(bad)
     assert run_cli("shadow", "--system", "cat", "--sigma", "constant:0",
                    "--delta", "0.001", "--len", "10",
@@ -424,6 +432,19 @@ def test_read_chain_names_a_blank_or_short_row(row, got, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("config error:")
     assert "gappy.csv' line 3" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_non_finite_result_is_contract_violation(tmp_path, capsys):
+    # 1100 backward steps of x -> x/2 overflow (the RuntimeWarnings this test
+    # lets through), and the chain slack reads NaN; the report used to be
+    # written with "max_chain_delta": NaN and exit 0
+    assert run_cli("semiconj", "--f", "contraction:0.5", "--g", "contraction:0.5",
+                   "--sigma", "constant:0", "--eps", "0.5", "--K", "1100",
+                   "--samples", "20", "--out", str(tmp_path / "sc")) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "contract violation: the result is not strict JSON" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_hyperbolic_solver_on_two_maps_is_contract_violation(tmp_path, capsys):
@@ -472,7 +493,7 @@ def test_cli_near_integer_torus_matrix_is_config_error(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("expansive", "--deltas=-0.1,-0.2"), "every Delta must be > 0"),
+    (("expansive", "--deltas=-0.1,-0.2"), "Delta must be positive"),
     (("expansive", "--pair-tol", "-1"), "pair_tolerance must be >= 0"),
     (("septime", "--x", "0.2,0.7", "--y", "0.2,0.7", "--eta", "-0.1"),
      "eta must be >= 0"),
@@ -494,7 +515,7 @@ def test_cli_expansiveness_misconfigurations_are_config_errors(argv, message, ca
 
 @pytest.mark.parametrize("argv, message", [
     (("generate", "--system", "cat", "--sigma", "constant:0", "--delta", "nan",
-      "--len", "10"), "delta must be nonnegative, got nan"),
+      "--len", "10"), "delta must be >= 0, got nan"),
     (("perturb", "--system", "cat", "--sigma", "constant:0", "--delta", "1e-4",
       "--len", "20", "--m", "5", "--Delta", "nan"), "Delta must be positive, got nan"),
     (("movepoints", "--pairs", "0.3,0.3:0.31,0.3", "--delta", "nan"),
@@ -503,10 +524,10 @@ def test_cli_expansiveness_misconfigurations_are_config_errors(argv, message, ca
       "nan", "--grid", "16"), "support_radius must be positive, got nan"),
     (("cover", "--system", "torus_F1", "--eps", "inf", "--delta", "0.05",
       "--centers", "10", "--probes", "10", "--seed", "1"),
-     "eps and delta must be finite, got eps=inf, delta=0.05"),
+     "eps must be finite, got inf"),
     (("cover", "--system", "torus_F1", "--eps", "0.05", "--delta", "inf",
       "--centers", "10", "--probes", "10", "--seed", "1"),
-     "eps and delta must be finite, got eps=0.05, delta=inf"),
+     "the probe radius eps + delta must be finite, got inf"),
     (("generate", "--system", "cat", "--sigma", "constant:0", "--delta", "inf",
       "--len", "10"), "delta must be finite, got inf"),
     # non-finite points used to exit 0, writing NaN or "separation_time": null
@@ -523,6 +544,24 @@ def test_cli_expansiveness_misconfigurations_are_config_errors(argv, message, ca
      "point 'nan,0.3' has a non-finite coordinate"),
     (("movepoints", "--pairs", "0.3,0.3:0.31,0.3;0.7,0.7:0.7,inf", "--delta", "0.02",
       "--grid", "16"), "point '0.7,inf' has a non-finite coordinate"),
+    # infinite radii and tolerances used to exit 0, writing Infinity or null
+    (("expansive", "--system", "cat", "--sigma", "constant:0", "--grid", "8",
+      "--ncap", "5", "--deltas", "inf,0.1"), "Delta must be finite, got inf"),
+    (("expansive", "--system", "cat", "--sigma", "constant:0", "--grid", "8",
+      "--ncap", "5", "--pair-tol", "inf"), "pair_tolerance must be finite, got inf"),
+    (("septime", "--system", "cat", "--sigma", "constant:0", "--x", "0.2,0.7",
+      "--y", "0.2009,0.7005", "--eta", "inf"), "eta must be finite, got inf"),
+    (("septime", "--system", "cat", "--sigma", "constant:0", "--x", "0.2,0.7",
+      "--y", "0.2009,0.7005", "--eta", "0.1", "--mu", "inf", "--grid", "8"),
+     "mu must be finite, got inf"),
+    (("perturb", "--system", "cat", "--sigma", "constant:0", "--delta", "1e-4",
+      "--len", "20", "--m", "5", "--Delta", "inf"), "Delta must be finite, got inf"),
+    (("movepoints", "--pairs", "0.3,0.3:0.31,0.3", "--delta", "inf"),
+     "delta must be finite, got inf"),
+    (("movepoints", "--pairs", "0.3,0.3:0.31,0.3", "--delta", "0.02", "--support",
+      "inf", "--grid", "16"), "support_radius must be finite, got inf"),
+    (("semiconj", "--f", "cat", "--g", "cat", "--sigma", "constant:0", "--eps", "inf",
+      "--K", "2", "--samples", "4"), "eps must be finite, got inf"),
 ])
 def test_cli_nan_radii_are_config_errors(argv, message, tmp_path, capsys):
     # a NaN in the JSON report would not be valid JSON
@@ -535,6 +574,9 @@ def test_cli_nan_radii_are_config_errors(argv, message, tmp_path, capsys):
 @pytest.mark.parametrize("flag, message", [
     (("--eps", "nan"), "eps must be positive, got nan"),
     (("--tol", "nan"), "tol must be >= 0, got nan"),
+    # an infinite eps or tol used to verify any chain ("ok": true)
+    (("--eps", "inf"), "eps must be finite, got inf"),
+    (("--tol", "inf"), "tol must be finite, got inf"),
 ])
 def test_cli_verify_nan_eps_or_tol_is_config_error(flag, message, tmp_path, capsys):
     # not exit 1 with a "contract violation" and a NaN in the report

@@ -873,8 +873,8 @@ def test_cover_without_probes_is_rejected(kwargs, message):
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    (dict(eps=np.inf), "eps and delta must be finite, got eps=inf, delta=0.05"),
-    (dict(delta=np.inf), "eps and delta must be finite, got eps=0.05, delta=inf"),
+    (dict(eps=np.inf), "eps must be finite, got inf"),
+    (dict(delta=np.inf), "the probe radius eps + delta must be finite, got inf"),
     (dict(centers=[[0.1, 0.2, 0.3, np.nan]]), "ball-cover centres must be finite"),
     (dict(centers=[[0.1, 0.2, 0.3, 0.4], [np.inf, 0.2, 0.3, 0.4]]),
      "ball-cover centres must be finite"),

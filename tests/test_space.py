@@ -2,13 +2,13 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ifsshadow import (AntipodalError, DimensionError, MetricGrid, Space,
                        ball_sample, default_resolution, grid_for, lattice_samples)
-from ifsshadow.space import _norms, check_resolution
+from ifsshadow.space import _check_real, _norms, check_resolution
 
 
 def test_wraparound_distance():
@@ -235,3 +235,21 @@ def test_norms_equal_the_sum_of_squares_in_any_layout(v, layout):
     elif layout == "strided":
         v = np.repeat(v, 2, axis=-1)[..., ::2]
     assert np.array_equal(_norms(v), ref_norms(v))
+
+
+@given(value=st.one_of(st.floats(), st.integers()),
+       least=st.one_of(st.none(), st.integers(-3, 3),
+                       st.floats(allow_nan=False, allow_infinity=False)))
+@example(value=float("inf"), least=None)
+@example(value=float("-inf"), least=0)
+@example(value=float("nan"), least=0)
+@example(value=0.0, least=None)
+@example(value=0.0, least=0)
+@example(value=10 ** 400, least=1)
+def test_check_real_accepts_exactly_the_finite_values_past_the_bound(value, least):
+    finite = isinstance(value, int) or np.isfinite(value)
+    if finite and (value > 0 if least is None else value >= least):
+        assert _check_real("x", value, least) is value
+    else:
+        with pytest.raises(ValueError, match="^x must be (positive|>= .*|finite), got "):
+            _check_real("x", value, least)
