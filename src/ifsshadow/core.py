@@ -60,10 +60,18 @@ class IFS:
             out[idx] = self.maps[s].jacobian(X[idx])
         return out
 
-    def _symbol_groups(self, symbols) -> Iterator[tuple[int, np.ndarray]]:
-        symbols = np.asarray(symbols)
-        for s in _in_family(self, np.unique(symbols)):
-            yield int(s), np.nonzero(symbols == s)[0]
+    def _symbol_groups(self, symbols) -> Iterator[tuple[int, np.ndarray | slice]]:
+        """(s, the indices i with symbols[i] == s) for each symbol present, in
+        increasing order; slice(None) when only one symbol is present."""
+        symbols = _in_family(self, np.asarray(symbols))
+        if symbols.size == 0:
+            return
+        present = np.flatnonzero(np.bincount(symbols, minlength=len(self)))
+        if present.size == 1:
+            yield int(present[0]), slice(None)
+            return
+        for s in present.tolist():
+            yield s, np.nonzero(symbols == s)[0]
 
 
 def _in_family(F: IFS, symbols: np.ndarray) -> np.ndarray:

@@ -9,7 +9,10 @@ Three solvers cover the systems in the catalog:
   toral automorphisms with no eigenvalue on the unit circle: link errors are
   split in the eigenbasis, summed as geometric series (forward along
   contracting modes, backward along expanding ones), then projected to the
-  exact chain of minimal total correction.
+  exact chain of minimal total correction.  Its arrays take the dtype of the
+  spectrum, so a real one (every hyperbolic 2 x 2 spectrum) runs on floats,
+  and a real mode's profile is raised to a power only until it underflows;
+  the bits are those of complex arrays and powers taken on every link.
 * ``shadow_newton`` - Gauss-Newton on the stacked link residuals
   lift(y_{k+1} - f_{sigma(k)}(y_k)) with minimal-norm steps.  The chain
   Jacobian is block bidiagonal, so its normal matrix is symmetric
@@ -31,6 +34,7 @@ many right-hand sides, with the same bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -143,6 +147,26 @@ def hyperbolic_splitting(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, V
 
 
+def _decaying_powers(r, n: int) -> np.ndarray:
+    """r ** k for k = 0..n-1, |r| < 1, with numpy's bits.
+
+    A complex r takes numpy's power on every k.  A real r takes it only while
+    |r|^k >= 2^-1080, 2^-5 of half the smallest subnormal: pow rounds every
+    smaller power to a zero, so those are written without it, -0.0 where r is
+    negative and k odd.
+    """
+    ks = np.arange(n)
+    if np.iscomplexobj(r):
+        return r ** ks
+    a = abs(float(r))
+    live = n if a == 0.0 else min(n, math.ceil(1080.0 / -math.log2(a)))
+    out = np.zeros(n)
+    out[:live] = r ** ks[:live]
+    if np.signbit(r):
+        out[live | 1::2] = -0.0
+    return out
+
+
 def shadow_linear_hyperbolic(A: SmoothMap, chain: ChainRecord) -> ShadowResult:
     """Minimal-correction exact orbit of the hyperbolic torus map A.affine."""
     if A.affine is None or not A.space.periodic:
@@ -151,7 +175,9 @@ def shadow_linear_hyperbolic(A: SmoothMap, chain: ChainRecord) -> ShadowResult:
     if np.any(symbols != 0):
         raise NotHyperbolicError("the closed form needs symbol 0 on every link")
     F = IFS((A,))
-    w, V = hyperbolic_splitting(A.affine[0])
+    if "splitting" not in A._memo:       # a NotHyperbolicError is not kept
+        A._memo["splitting"] = hyperbolic_splitting(A.affine[0])
+    w, V = A._memo["splitting"]
     pts = chain.points
     m = chain.n_links
     if m == 0:
@@ -162,27 +188,32 @@ def shadow_linear_hyperbolic(A: SmoothMap, chain: ChainRecord) -> ShadowResult:
 
     # per mode: the geometric-series correction, and the exact-orbit kernel
     # columns of its anchored profile (w^k if |w| < 1, w^(k-m) if |w| > 1),
-    # real and imaginary parts once per conjugate pair
-    ks = np.arange(m + 1)
-    Wt = np.empty((m + 1, w.size), dtype=complex)
+    # real and imaginary parts once per conjugate pair.  Wt takes the
+    # spectrum's dtype: a real spectrum runs on floats, with the bits of
+    # complex arrays.
+    Wt = np.empty((m + 1, w.size), dtype=w.dtype)
     cols = []
     for j, wj in enumerate(w):
         e = Et[:, j].tolist()
-        v = [0.0]
+        x = 0.0
+        v = [x]
+        put = v.append
         if abs(wj) < 1.0:
             # forward: v[0] = 0, v[k+1] = w v[k] - e[k]
             wk = wj.item()
             for ek in e:
-                v.append(wk * v[-1] - ek)
-            prof = wj ** ks
+                x = wk * x - ek
+                put(x)
+            prof = _decaying_powers(wj, m + 1)
         else:
             # backward: v[m] = 0, v[k] = c e[k] + c v[k+1] with c = 1/w
             # (numpy's complex quotient; Python's gives other bits)
             c = (1.0 / wj).item()
             for ek in reversed(e):
-                v.append(c * ek + c * v[-1])
+                x = c * ek + c * x
+                put(x)
             v.reverse()
-            prof = (1.0 / wj) ** (m - ks)
+            prof = _decaying_powers(1.0 / wj, m + 1)[::-1]
         Wt[:, j] = v
         col = prof[:, None] * V[:, j]                   # (m+1, d)
         if abs(wj.imag) < 1e-12:

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -125,6 +126,73 @@ def test_ifs_step_checks_both_ends_of_the_symbols(symbols, bad):
     two, X = build_torus_example(), np.full((2, 4), 0.3)
     for call in (two.step, two.jacobians):
         with pytest.raises(ValueError, match=f"symbol {bad} is outside the family"):
+            call(symbols, X)
+
+
+def _counted(F):
+    """F with each map's fwd and jac wrapped to record its symbol per call."""
+    calls = []
+
+    def wrap(s, f):
+        return lambda x: calls.append(s) or f(x)
+    maps = [replace(m, fwd=wrap(s, m.fwd), jac=wrap(s, m.jac))
+            for s, m in enumerate(F.maps)]
+    return make_ifs(maps), calls
+
+
+def _per_point(F, symbols, X):
+    """Images and Jacobians of each row under its own map, one call per row."""
+    d = X.shape[-1]
+    images, jacs = np.empty_like(X), np.empty(X.shape + (d,))
+    for i, s in enumerate(symbols):
+        images[i] = F.maps[s](X[i:i + 1])[0]
+        jacs[i] = F.maps[s].jacobian(X[i:i + 1])[0]
+    return images, jacs
+
+
+def test_ifs_step_on_no_symbols_calls_no_map():
+    F, calls = _counted(build_rotation_ifs([0.1, 0.2, 0.3]))
+    for symbols in ([], np.array([], dtype=np.intp)):
+        assert F.step(symbols, np.empty((0, 1))).shape == (0, 1)
+        assert F.jacobians(symbols, np.empty((0, 1))).shape == (0, 1, 1)
+    assert calls == []
+
+
+def test_ifs_step_on_a_constant_schedule_is_one_call_on_every_row():
+    # cos and sin may give a many-row array other bits than one-row calls, so
+    # the reference is the one call on all rows that "one map call per
+    # distinct symbol" promises
+    two, calls = _counted(build_torus_example())
+    X = np.random.default_rng(3).random((500, 4))
+    symbols = SymbolSequence.constant(1).symbols(0, 500)
+    images, jacs = two.maps[1](X), two.maps[1].jacobian(X)
+    calls.clear()
+    assert np.array_equal(two.step(symbols, X), images)
+    assert np.array_equal(two.jacobians(symbols, X), jacs)
+    assert calls == [1, 1]
+
+
+def test_ifs_step_on_a_sparse_subset_of_symbols_matches_per_point_calls():
+    # rotations by an identity matrix: a one-row call has the bits of a
+    # many-row one, so the reference can call each row on its own
+    F, calls = _counted(build_rotation_ifs([0.1, 0.25, 0.7]))
+    symbols = np.random.default_rng(5).choice([0, 2], size=300)
+    X = np.random.default_rng(6).random((300, 1))
+    images, jacs = _per_point(F, symbols, X)
+    calls.clear()
+    assert np.array_equal(F.step(symbols, X), images)
+    assert np.array_equal(F.jacobians(symbols, X), jacs)
+    assert calls == [0, 2, 0, 2]
+
+
+@pytest.mark.parametrize("symbols, bad", [([0, 3, 2], 3), ([2, -4, 0], -4),
+                                          ([-1, 7], -1), ([7], 7)])
+def test_ifs_step_rejects_symbols_outside_a_three_map_family(symbols, bad):
+    F = build_rotation_ifs([0.1, 0.25, 0.7])
+    X = np.full((len(symbols), 1), 0.3)
+    for call in (F.step, F.jacobians):
+        with pytest.raises(ValueError, match=re.escape(
+                f"symbol {bad} is outside the family of 3 maps (symbols 0..2)")):
             call(symbols, X)
 
 

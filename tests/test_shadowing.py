@@ -122,6 +122,25 @@ def test_hyperbolic_splitting_eigenvalues():
     assert sorted(np.abs(w)) == pytest.approx([LAM_S, LAM_U], abs=1e-12)
 
 
+def test_closed_form_memoises_the_splitting_but_not_its_failure(monkeypatch):
+    calls = []
+    splitting = shadowing.hyperbolic_splitting
+    monkeypatch.setattr(shadowing, "hyperbolic_splitting",
+                        lambda M: calls.append(1) or splitting(M))
+    shear = affine_map(Space(2), [[1, 1], [0, 1]], np.zeros(2), "shear")
+    chain = iterate_chain(make_ifs([shear]), SIG0, [0.2, 0.3], 5)
+    for n in (1, 2):
+        with pytest.raises(NotHyperbolicError, match="unit circle"):
+            shadow_linear_hyperbolic(shear, chain)
+        assert len(calls) == n
+    A = affine_map(Space(2), CAT_MATRIX, np.zeros(2), "cat")
+    chain = gen_pseudo_orbit(make_ifs([A]), SIG0, [0.42, 0.17], 1e-3, 900, seed=2)
+    first, second = (shadow_linear_hyperbolic(A, chain) for _ in range(2))
+    assert len(calls) == 3
+    assert first.shadow.points.tobytes() == second.shadow.points.tobytes()
+    assert (first.sup_dist, first.residual) == (second.sup_dist, second.residual)
+
+
 def test_not_hyperbolic_rejected():
     with pytest.raises(NotHyperbolicError):
         hyperbolic_splitting(np.array([[1, 1], [0, 1]]))
@@ -229,12 +248,44 @@ def lfilter_closed_form(A, chain):
 # delta = 0.1 keeps the corrections large enough that a last-bit change in a
 # series survives their addition to the chain points
 
-@pytest.mark.parametrize("n_links", [1, 2, 50, 2000])
+# cat's contracting eigenvalue 1/phi^2 underflows from k = 775 on
+@pytest.mark.parametrize("n_links", [1, 2, 50, 730, 760, 800, 2000, 4000])
 def test_hyperbolic_recurrences_match_lfilter_bits_on_cat(n_links):
     x0 = np.random.default_rng(n_links).random(2)
     chain = gen_pseudo_orbit(CAT, SIG0, x0, 0.1, n_links, seed=n_links)
     got = shadow_linear_hyperbolic(CAT.maps[0], chain).shadow.points
     assert np.array_equal(got, lfilter_closed_form(CAT.maps[0], chain))
+
+
+# each matrix at chain lengths on both sides of the link where its contracting
+# powers underflow to 0: 3 - 2 sqrt 2 from k = 423, -1/phi (det -1, so signed
+# zeros) from k = 1,549, the complex pair of |w| = 0.8688 from k = 5,300 (a
+# complex spectrum, whose powers are all taken), and the zero eigenvalue of a
+# singular matrix from k = 1
+@pytest.mark.parametrize("M, n_links", [
+    ([[5, 2], [2, 1]], 400), ([[5, 2], [2, 1]], 430), ([[5, 2], [2, 1]], 1000),
+    ([[0, 1], [1, 1]], 1500), ([[0, 1], [1, 1]], 1600), ([[0, 1], [1, 1]], 3001),
+    ([[0, 0, 1], [1, 0, 1], [0, 1, 0]], 5400), ([[1, 1], [1, 1]], 50),
+])
+def test_hyperbolic_recurrences_match_lfilter_bits_past_underflow(M, n_links):
+    d = len(M)
+    A = affine_map(Space(d), M, np.zeros(d), "A")
+    x0 = np.random.default_rng(n_links).random(d)
+    chain = gen_pseudo_orbit(make_ifs([A]), SIG0, x0, 0.1, n_links, seed=n_links)
+    got = shadow_linear_hyperbolic(A, chain).shadow.points
+    assert np.array_equal(got, lfilter_closed_form(A, chain))
+
+
+@pytest.mark.parametrize("r", [LAM_S, -LAM_S, (np.sqrt(5) - 1) / 2, (1 - np.sqrt(5)) / 2,
+                               3 - 2 * np.sqrt(2), 0.999, -0.5, 1e-3, -1e-3, 5e-324,
+                               -5e-324, 0.0, -0.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 775, 776, 5000])
+def test_decaying_powers_have_the_bits_of_numpy_power(r, n):
+    r = np.float64(r)
+    got = shadowing._decaying_powers(r, n)
+    want = r ** np.arange(n)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_hyperbolic_recurrences_match_lfilter_bits_on_random_automorphisms():
