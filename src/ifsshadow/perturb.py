@@ -609,6 +609,12 @@ def semiconj_residual(
 # ball-cover probe
 # ---------------------------------------------------------------------------
 
+#: probe coordinates per ball-cover block (16,384 probes at d = 4): one
+#: such array is 512 KB, so the few alive at once while a block is checked
+#: fit a core's 2 MB L2 cache; 2^16 beat 2^13, 2^14, 2^15 and 2^17
+_BLOCK_VALUES = 1 << 16
+
+
 @dataclass(frozen=True)
 class CoverReport:
     """Result of probing B(F(X), eps+delta) subset F(B(X, eps)) by sampling."""
@@ -659,11 +665,16 @@ def check_ball_cover(
     radius or a NaN centre tests nothing.
 
     The calling thread draws the probes 64 centres at a time, normals then
-    uniforms, so a seed draws the same probes for any thread count.  With
-    threads > 1 each chunk is split by centres into up to ``threads``
-    blocks, and pool tasks shape, offset, reduce, invert and measure each
-    block in place while the next chunk is drawn.  Violations are counted
-    in full and recorded in (centre, probe) order until 100 are kept.
+    uniforms, so a seed draws the same probes for any thread count.  Each
+    chunk is checked in blocks of at most _BLOCK_VALUES probe coordinates,
+    small enough for their temporaries to stay in cache: whole centres when
+    one centre's probes fit, ranges of one centre's probes when they do not.
+    Each probe's arithmetic is its own, so the blocks change no bit.  With
+    threads == 1 the calling thread checks the blocks; with threads > 1 a
+    chunk has at least ``threads`` blocks (when it has that many probes),
+    and pool tasks shape, offset, reduce, invert and measure them in place
+    while the next chunk is drawn.  Violations are counted in full and
+    recorded in (centre, probe) order until 100 are kept.
     """
     if not Fi.invertible:
         raise ValueError(f"map {Fi.label!r} must be invertible")
@@ -687,11 +698,11 @@ def check_ball_cover(
     if centers is None:
         X = space.uniform(rng, n_centers)
 
-    def check(Xc, FX, v, u, cs):
-        """Probes v[cs] (normals) and u[cs] (uniforms) of the centres cs
-        become Z = normalize(F(X) + ball point) in v and dist(F^{-1}(Z), X)
+    def check(Xc, FX, v, u, cs, ps):
+        """Probes v[cs, ps] (normals) and u[cs, ps] (uniforms) of the centres
+        cs become Z = normalize(F(X) + ball point) in v and dist(F^{-1}(Z), X)
         in u, in place."""
-        vb, ub = v[cs], u[cs]
+        vb, ub = v[cs, ps], u[cs, ps]
         _ball_points(vb, ub, radius)
         vb += FX[cs, None, :]
         if space.periodic:
@@ -725,10 +736,11 @@ def check_ball_cover(
             yield lo, Xc, Fi(Xc), v, u
 
     if threads == 1:
-        # no pool: a one-worker pool slowed the single-chunk oracle of the
-        # stability benchmark (4 x 20,000 probes) from 35 to 39 ms at p50
+        # no pool: one worker would only add a hand-off per block, as it
+        # slowed the benchmark's single-chunk oracle when that was one block
         for lo, Xc, FX, v, u in chunks():
-            check(Xc, FX, v, u, slice(None))
+            for cs, ps in _cover_blocks(Xc.shape[0], n_probes, d, threads):
+                check(Xc, FX, v, u, cs, ps)
             collect(lo, Xc, v, u)
     else:
         # the pool checks one chunk while this thread draws the next; a
@@ -736,8 +748,8 @@ def check_ball_cover(
         with ThreadPoolExecutor(max_workers=threads) as ex:
             pending = None
             for lo, Xc, FX, v, u in chunks():
-                futures = [ex.submit(check, Xc, FX, v, u, slice(a, b))
-                           for a, b in _splits(Xc.shape[0], threads)]
+                futures = [ex.submit(check, Xc, FX, v, u, cs, ps)
+                           for cs, ps in _cover_blocks(Xc.shape[0], n_probes, d, threads)]
                 if pending is not None:
                     collect(*pending)
                 pending = (lo, Xc, v, u, futures)
@@ -747,6 +759,21 @@ def check_ball_cover(
         n_centers=n_centers, n_probes=n_probes, seed=seed,
         center_flags=flags, violations=tuple(recorded), n_violations=total,
     )
+
+
+def _cover_blocks(m: int, n_probes: int, d: int,
+                  threads: int) -> list[tuple[slice, slice]]:
+    """The (centre slice, probe slice) blocks that check a chunk of m centres
+    with n_probes probes each in d dimensions: at most _BLOCK_VALUES
+    coordinates each, whole centres when a centre's probes fit, and at least
+    ``threads`` blocks when the chunk has that many probes."""
+    cap = max(1, _BLOCK_VALUES // d)                # probes per block
+    if n_probes <= cap and m >= threads:
+        parts = max(-(-m // (cap // n_probes)), threads)
+        return [(slice(a, b), slice(None)) for a, b in _splits(m, parts)]
+    parts = max(-(-n_probes // cap), -(-threads // m))
+    return [(slice(c, c + 1), slice(a, b))
+            for c in range(m) for a, b in _splits(n_probes, parts)]
 
 
 def _splits(n: int, parts: int) -> list[tuple[int, int]]:

@@ -80,9 +80,12 @@ class ShadowResult:
 
 
 def _finish(F: IFS, chain: ChainRecord, ypts: np.ndarray, solver: str,
-            iterations: int) -> ShadowResult:
+            iterations: int, residual: float | None = None) -> ShadowResult:
+    """The ShadowResult of shadow points ypts for chain; ``residual`` is
+    their largest link residual when the solver has measured it already."""
     shadow = ChainRecord(points=ypts, sigma=chain.sigma, delta=0.0)
-    residual = validate_chain(F, shadow).max_residual
+    if residual is None:
+        residual = validate_chain(F, shadow).max_residual
     sup = float(np.max(F.space.dist(chain.points, ypts)))
     return ShadowResult(shadow=shadow, sup_dist=sup, solver=solver,
                         iterations=iterations, residual=residual)
@@ -334,7 +337,9 @@ def shadow_newton(F: IFS, chain: ChainRecord) -> ShadowResult:
         F, chain.sigma.symbols(0, chain.n_links), chain.points[None])
     best_y, best_res, it = best[0], float(res[0]), int(sweeps[0])
     if best_res <= NEWTON_TOL:
-        return _finish(F, chain, best_y, "newton", it)
+        # the solve measured best_res on best_y with validate_chain's
+        # _link_errors and _norms, so it has validate_chain's bits
+        return _finish(F, chain, best_y, "newton", it, best_res)
     if not finite[0]:
         raise ShadowingConvergenceError(
             f"Gauss-Newton residual is not finite at sweep {it} "

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import re
 import struct
@@ -932,7 +933,8 @@ def _cover_bits(rep):
 
 
 def test_cover_threads_do_not_change_result():
-    # 1 and 2 centres give fewer blocks than threads; 65 and 129 leave a short last chunk
+    # 1 and 2 centres are cut into probe ranges to give each thread a block;
+    # 65 and 129 leave a short last chunk
     F1 = build_torus_f1().maps[0]
     for n_centers, delta, passed in ((1, 0.05, False), (2, 0.05, False),
                                      (65, 0.05, False), (129, 0.05, False),
@@ -945,23 +947,80 @@ def test_cover_threads_do_not_change_result():
             assert _cover_bits(rep) == _cover_bits(reports[0])
 
 
+def _cover_digest(rep):
+    """SHA-256 of a CoverReport's flags, scalars and recorded violations."""
+    h = hashlib.sha256(rep.center_flags.tobytes())
+    h.update(repr((rep.passed, rep.eps, rep.delta, rep.n_centers, rep.n_probes,
+                   rep.seed, rep.n_violations)).encode())
+    for x, z, dd in rep.violations:
+        h.update(x.tobytes() + z.tobytes() + struct.pack("<d", dd))
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("delta, n_centers, n_probes, seed, counts, digest", [
+    # digests from before probes were shaped and checked in place
     (0.05, 130, 20, 5, (2474, 100),
      "7bd548770993e3eabf67ee56338b8d978ac1d113e706218dfbbfeaf39f853396"),
     # fewer than 100 violations in the first chunk: the records span chunks
     (-0.03, 129, 50, 3, (203, 100),
      "bab9bd31107a0d37ad77a13217996af39bb0083ca704abb7e413cba09f97bf2c"),
+    # digests from whole-chunk checks, before chunks were checked in blocks
+    # of at most _BLOCK_VALUES coordinates: each centre's probes cut into
+    # three ranges, and into five
+    (0.05, 3, 40000, 3, (113922, 100),
+     "9ab355a19a19abb3dc93f1d0b8eb7c51352bcd2cae07a7bb241310695bed19b3"),
+    (0.05, 1, 70000, 2, (66557, 100),
+     "56f25531bd9c076ba03382c4923cf81504dc2a00d3ec2d50ac4e1b80ea4a84c0"),
+    # 16 centres per block, then a short last chunk of 6
+    (-0.03, 70, 1000, 5, (2093, 100),
+     "6cfd8b73fb851646e057e7e92da2b01e905fc38098c5210bbd28218829c7a6a2"),
+    # at most 3 centres per block: 64 centres in 22 blocks of 2 or 3, then 3
+    (-0.03, 67, 5000, 11, (8611, 100),
+     "8cb8a1b4a96a9fae91e2cb5156f56da61f67df095c2c5adf5d5869728a81e6fa"),
 ])
 def test_cover_report_bits_are_pinned(delta, n_centers, n_probes, seed, counts, digest):
-    # digests of these reports before probes were shaped and checked in place
     F1 = build_torus_f1().maps[0]
-    for threads in (1, 2):
+    for threads in (1, 2, 3):
         rep = check_ball_cover(F1, 0.05, delta, n_centers, n_probes, seed=seed,
                                threads=threads)
-        h = hashlib.sha256(rep.center_flags.tobytes())
-        h.update(repr((rep.passed, rep.eps, rep.delta, rep.n_centers, rep.n_probes,
-                       rep.seed, rep.n_violations)).encode())
-        for x, z, dd in rep.violations:
-            h.update(x.tobytes() + z.tobytes() + struct.pack("<d", dd))
         assert (rep.n_violations, len(rep.violations)) == counts
-        assert h.hexdigest() == digest
+        assert _cover_digest(rep) == digest
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n_centers, n_probes", [(3, 40000), (70, 1000), (4, 20000)])
+def test_cover_inverts_no_block_above_the_cap(threads, n_centers, n_probes):
+    F1 = build_torus_f1().maps[0]
+    rows = []
+
+    def inv(p):
+        rows.append(int(np.prod(p.shape[:-1])))
+        return F1.inv(p)
+
+    counted = dataclasses.replace(F1, inv=inv)
+    rep = check_ball_cover(counted, 0.05, 0.05, n_centers, n_probes, seed=1,
+                           threads=threads)
+    assert _cover_digest(rep) == _cover_digest(
+        check_ball_cover(F1, 0.05, 0.05, n_centers, n_probes, seed=1))
+    assert sum(rows) == n_centers * n_probes
+    assert max(rows) <= perturb._BLOCK_VALUES // 4
+    assert len(rows) >= threads * -(-n_centers // 64)
+
+
+@pytest.mark.parametrize("d", [1, 3, 4, 8])
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("m, n_probes", [(1, 1), (1, 5), (2, 100), (64, 100), (64, 1000),
+                                         (5, 16384), (3, 40000), (1, 70000), (64, 21846)])
+def test_cover_blocks_tile_the_chunk_in_order(m, n_probes, d, threads):
+    cap = perturb._BLOCK_VALUES // d
+    blocks = perturb._cover_blocks(m, n_probes, d, threads)
+    # (centre, first probe, probe stop) rows, each starting where the last ended
+    spans = [(c, *ps.indices(n_probes)[:2]) for cs, ps in blocks for c in range(m)[cs]]
+    assert all(a < b for _, a, b in spans)
+    assert (spans[0][:2], (spans[-1][0], spans[-1][2])) == ((0, 0), (m - 1, n_probes))
+    assert all((c1, a1) in ((c0, b0), (c0 + 1, 0)) and (c1 == c0 or b0 == n_probes)
+               for (c0, _, b0), (c1, a1, _) in zip(spans, spans[1:]))
+    assert all(len(range(m)[cs]) * len(range(n_probes)[ps]) <= cap for cs, ps in blocks)
+    assert len(blocks) >= min(threads, m * n_probes)
+    if n_probes <= cap:      # whole centres, unless that leaves a thread idle
+        assert all(ps == slice(None) for _, ps in blocks) or m < threads

@@ -328,6 +328,26 @@ def test_newton_on_torus_family_regression():
     assert validate_chain(T, r.shadow).is_exact_chain
 
 
+@pytest.mark.parametrize("F, sigma, x0, delta, m", [
+    (build_torus_example(), SymbolSequence.random(2, 300, 4), [0.2, 0.4, 0.6, 0.8],
+     1e-4, 300),
+    (CAT, SIG0, [0.3, 0.7], 1e-3, 400),
+    (CAT, SIG0, [0.3, 0.7], 0.0, 0),       # no links: residual 0.0
+])
+def test_newton_residual_is_validate_chains(F, sigma, x0, delta, m, monkeypatch):
+    # the solve's own measurement of the best iterate, not a second pass
+    chain = gen_pseudo_orbit(F, sigma, x0, delta, m, seed=2)
+    calls = []
+    monkeypatch.setattr(shadowing, "validate_chain",
+                        lambda *a, **k: calls.append(a) or validate_chain(*a, **k))
+    r = shadow_newton(F, chain)
+    assert calls == []
+    assert r.solver == "newton"
+    ref = validate_chain(F, r.shadow).max_residual
+    assert type(r.residual) is float
+    assert np.float64(r.residual).tobytes() == np.float64(ref).tobytes()
+
+
 def test_newton_nonconvergence_carries_best(monkeypatch):
     chain = gen_pseudo_orbit(CAT, SIG0, [0.2, 0.7], 1e-2, 50, seed=1)
     monkeypatch.setattr(shadowing, "NEWTON_MAX_ITER", 0)
