@@ -61,6 +61,14 @@ def _emit(args, result: dict, files: dict | None = None) -> None:
             ifsio.atomic_write_text(f"{args.out}{suffix}", content)
 
 
+def _chain_csv(chain) -> str:
+    """The chain's file; a non-finite point is a contract violation, as in _emit."""
+    try:
+        return ifsio.chain_to_csv_text(chain)
+    except ValueError as exc:
+        raise RuntimeError(str(exc)) from None
+
+
 def _parse_point(text: str) -> np.ndarray:
     """The point of comma-separated coordinates, each finite."""
     p = np.array([float(c) for c in text.split(",")])
@@ -97,7 +105,7 @@ def cmd_generate(args) -> int:
         "measured_residual": v.max_residual,
         "n_points": len(chain),
     }
-    _emit(args, result, {"_chain.csv": ifsio.chain_to_csv_text(chain)})
+    _emit(args, result, {"_chain.csv": _chain_csv(chain)})
     return 0
 
 
@@ -119,8 +127,8 @@ def cmd_shadow(args) -> int:
         "iterations": r.iterations,
     }
     _emit(args, result, {
-        "_chain.csv": ifsio.chain_to_csv_text(chain),
-        "_shadow.csv": ifsio.chain_to_csv_text(r.shadow),
+        "_chain.csv": _chain_csv(chain),
+        "_shadow.csv": _chain_csv(r.shadow),
     })
     return 0
 
@@ -183,8 +191,8 @@ def cmd_perturb(args) -> int:
         "grid_resolution": res.grid_resolution,
     }
     _emit(args, result, {
-        "_chain.csv": ifsio.chain_to_csv_text(chain),
-        "_perturbed_chain.csv": ifsio.chain_to_csv_text(res.chain),
+        "_chain.csv": _chain_csv(chain),
+        "_perturbed_chain.csv": _chain_csv(res.chain),
     })
     return 0
 

@@ -20,6 +20,15 @@ from .space import MetricGrid, Space, _as_points, _check_real, _mod1, _norms, ba
 EXACT_CHAIN_TOL = 1e-9   # largest link residual of a chain counted as exact
 
 
+def _same_space(what: str, *items) -> Space:
+    """The one space of maps, families or grids; ValueError naming `what` if two differ."""
+    spaces = {it.space for it in items}
+    if len(spaces) > 1:
+        raise ValueError(f"{what} must share one space, got "
+                         f"{' and '.join(sorted(map(str, spaces)))}")
+    return items[0].space
+
+
 @dataclass(frozen=True)
 class IFS:
     """Finite ordered family of maps sharing one space, indexed 0..N-1."""
@@ -29,9 +38,7 @@ class IFS:
     def __post_init__(self):
         if len(self.maps) == 0:
             raise ValueError("an IFS needs at least one map")
-        sp = self.maps[0].space
-        if any(m.space != sp for m in self.maps):
-            raise ValueError("all maps of an IFS must share one space")
+        _same_space("all maps of an IFS", *self.maps)
 
     @property
     def space(self) -> Space:
@@ -469,6 +476,7 @@ def _rho0_gap(space: Space, forward, inverse) -> float:
 def rho0(f: SmoothMap, g: SmoothMap, grid: MetricGrid) -> float:
     """sup over the grid of the forward and inverse discrepancies of f and g."""
     _require_invertible(f, g)
+    _same_space("f, g and the grid", f, g, grid)
     X = grid.points
     return _rho0_gap(f.space, lambda: (f(X), g(X)), lambda: (f.invert(X), g.invert(X)))
 
@@ -481,9 +489,9 @@ def rho1(f: SmoothMap, g: SmoothMap, grid: MetricGrid) -> float:
     """rho0 plus the sup of the spectral norm of the Jacobian difference."""
     if f.jac is None or g.jac is None:
         raise ValueError("rho1 needs Jacobians on both maps")
+    r0 = rho0(f, g, grid)
     X = grid.points
-    dJ = f.jacobian(X) - g.jacobian(X)
-    return rho0(f, g, grid) + float(np.max(_spectral_norms(dJ)))
+    return r0 + float(np.max(_spectral_norms(f.jacobian(X) - g.jacobian(X))))
 
 
 def _family_distance(F: IFS, G: IFS, grid: MetricGrid, mode: str, metric) -> float:

@@ -1,9 +1,9 @@
 """File formats: chain CSV, definition JSON, atomic result emission.
 
-Chains travel as CSV with header ``k,lambda,x0,x1,...`` (the symbol column
-holds -1 past the last link).  Scalar results and reports are JSON with
-sorted keys so identical runs emit byte-identical files; all writes go
-through a temp file plus rename.
+Chains travel as CSV: a ``# {"delta": ..., "sigma": ...}`` line, then rows
+``k,x0,x1,...``.  Scalar results and reports are JSON with sorted keys so
+identical runs emit byte-identical files; all writes go through a temp file
+plus rename.
 """
 
 from __future__ import annotations
@@ -61,36 +61,41 @@ def csv_text(header, rows) -> str:
 
 
 def chain_to_csv_text(chain: ChainRecord) -> str:
-    lams = chain.sigma.symbols(0, chain.n_links).tolist() + [-1]
-    return csv_text(["k", "lambda"] + [f"x{i}" for i in range(chain.points.shape[1])],
-                    ([k, lams[k], *x] for k, x in enumerate(chain.points.tolist())))
+    """The chain file; ValueError naming the first point that is not finite."""
+    finite = np.isfinite(chain.points).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"chain point k = {int(np.argmin(finite))} is not finite")
+    record = json.dumps({"delta": chain.delta, "sigma": chain.sigma.to_dict()}, sort_keys=True)
+    return f"# {record}\n" + csv_text(["k"] + [f"x{i}" for i in range(chain.points.shape[1])],
+                                      ([k, *x] for k, x in enumerate(chain.points.tolist())))
 
 
 def write_chain(path, chain: ChainRecord) -> None:
     atomic_write_text(path, chain_to_csv_text(chain))
 
 
-def read_chain(path, delta: float = 0.0) -> ChainRecord:
+def read_chain(path) -> ChainRecord:
     with open(path, newline="") as f:
+        first = f.readline()
+        if not first.startswith("# "):
+            raise ValueError(f"chain file {str(path)!r} has no '#' line of delta and sigma")
+        record = json.loads(first[2:])
         reader = csv.reader(f)
-        rows = [(reader.line_num, row) for row in reader]
+        rows = [(reader.line_num + 1, row) for row in reader]
     if len(rows) < 2:
         raise ValueError(f"chain file {str(path)!r} has no points")
-    d = len(rows[0][1]) - 2
+    d = len(rows[0][1]) - 1
     for line, row in rows[1:]:
-        if len(row) < d + 2:
+        if len(row) < d + 1:
             raise ValueError(f"chain file {str(path)!r} line {line}: expected "
-                             f"{d + 2} fields, got {len(row)}")
-    pts = np.array([[float(c) for c in row[2: 2 + d]] for _, row in rows[1:]])
+                             f"{d + 1} fields, got {len(row)}")
+    pts = np.array([[float(c) for c in row[1: 1 + d]] for _, row in rows[1:]])
     finite = np.isfinite(pts).all(axis=1)
     if not finite.all():
         line, row = rows[1 + int(np.argmin(finite))]
         raise ValueError(f"chain file {str(path)!r} line {line}: non-finite "
-                         f"coordinates {row[2: 2 + d]}")
-    syms = [int(row[1]) for _, row in rows[1:]]
-    window = tuple(syms[:-1]) if len(syms) > 1 else (max(syms[0], 0),)
-    sigma = SymbolSequence(window, extension=f"constant:{window[-1]}")
-    return ChainRecord(points=pts, sigma=sigma, delta=delta)
+                         f"coordinates {row[1: 1 + d]}")
+    return ChainRecord(pts, SymbolSequence.from_dict(record["sigma"]), float(record["delta"]))
 
 
 def read_sigma(path) -> SymbolSequence:

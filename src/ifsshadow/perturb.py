@@ -19,7 +19,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .core import (ChainRecord, IFS, SymbolSequence, _link_errors, _require_invertible,
-                   _rho0_gap, link_residuals, make_ifs, orbit_steps, validate_chain)
+                   _rho0_gap, _same_space, link_residuals, make_ifs, orbit_steps,
+                   validate_chain)
 from .maps import InversionError, SmoothMap, compose
 from .shadowing import (NEWTON_TOL, _gauss_newton, _max_residual, _pair_ratios,
                         lipschitz_estimate)
@@ -477,7 +478,7 @@ class SemiConjugacy:
     residuals: np.ndarray        # (n, window) per-step shadowing distances
     chain_delta: np.ndarray      # (n,) measured slack of each pseudo-orbit
     flagged: tuple[int, ...]     # samples whose shadowing solve failed
-    two_sided: bool = True
+    two_sided: bool = True       # windows k in [-K, K]; [0, K] on the cube
     # the samples' G-orbit windows (n, window, d) and the family G they were
     # stepped in, for semiconj_residual to reuse
     windows: np.ndarray | None = field(default=None, compare=False, repr=False)
@@ -523,7 +524,6 @@ def build_semiconj(
     eps: float,
     samples: np.ndarray,
     K: int,
-    two_sided: bool = True,
 ) -> SemiConjugacy:
     """h(x) = k=0 point of the F-chain shadowing the G-orbit window of x.
 
@@ -536,12 +536,13 @@ def build_semiconj(
     are flagged, with NaN rows; a LinAlgError of the stacked solve flags them
     all.  `eps` is the table's epsilon, the coverage tolerance of
     ``semiconj_residual``.
-    Residuals store dist(G-orbit_k(x), F-orbit_k(h(x))).  Use one-sided
-    windows (``two_sided=False``) for families whose inverses blow orbits
-    up, e.g. contractions.
+    Residuals store dist(G-orbit_k(x), F-orbit_k(h(x))).  Windows follow
+    the space: k in [-K, K] on the torus, k in [0, K] on the cube, where the
+    inverse of a contraction blows orbits up.  F and G must share one space.
     """
     _check_real("eps", eps)
     _check_real("K", K, 0)
+    two_sided = _same_space("F and G", F, G).periodic
     X = _as_points(F.space, samples)
     lo = K if two_sided else 0
     windows = _orbit_window(G, sigma, X, K, two_sided)      # (n, window, d)
@@ -572,12 +573,13 @@ def semiconj_residual(
     dist(F-orbit_k(h(x)), h(G-orbit_k(x))), with h read off at the nearest
     sample.  Raises CoverageError if a queried point is farther than the
     table's epsilon from every sample.  The nearest sample comes from a k-d
-    tree, so memory is linear in the number of samples.  `sigma` must agree
-    with the table's own schedule on every link either window uses
-    (ValueError otherwise).  For the G the table was built with and
-    K <= h.K, the G-orbit windows are the table's own, trimmed to [-K, K].
+    tree, so memory is linear in the number of samples.  F and G must share
+    one space, and `sigma` must agree with the table's schedule on every link
+    either window uses (ValueError otherwise).  For the G the table was built
+    with and K <= h.K, the G-orbit windows are the table's, trimmed to [-K, K].
     """
     _check_real("K", K, 0)
+    _same_space("F and G", F, G)
     hi = max(K, h.K)
     lo = hi if h.two_sided else 0
     if not np.array_equal(sigma.symbols(-lo, hi), h.sigma.symbols(-lo, hi)):

@@ -367,6 +367,23 @@ def test_malformed_families_schedules_and_chains_are_rejected(call, message):
         call()
 
 
+CIRCLE, INTERVAL = build_rotation_ifs([0.1]), build_contraction_ifs(0.5, (0.25,))
+
+
+@pytest.mark.parametrize("call", [
+    lambda grid: rho0(INTERVAL.maps[0], CIRCLE.maps[0], grid),
+    lambda grid: rho1(INTERVAL.maps[0], CIRCLE.maps[0], grid),
+    lambda grid: rho0(INTERVAL.maps[0], INTERVAL.maps[0], MetricGrid(CIRCLE.space, 16)),
+    lambda grid: dist_D0(INTERVAL, CIRCLE, grid),
+    lambda grid: dist_D1(INTERVAL, CIRCLE, grid, mode="all-pairs")])
+def test_distances_between_two_spaces_are_rejected(call):
+    # a circle map measured with the interval's metric used to give a number
+    with pytest.raises(ValueError, match=re.escape(
+            "must share one space, got Space(dim=1, periodic=False) and "
+            "Space(dim=1, periodic=True)")):
+        call(MetricGrid(INTERVAL.space, 16))
+
+
 def test_gen_uniform_ball_respects_delta():
     F = build_contraction_ifs(0.5)
     sig = SymbolSequence.random(2, 1000, seed=42)

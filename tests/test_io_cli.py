@@ -32,34 +32,67 @@ def test_chain_csv_roundtrip(tmp_path):
     path = tmp_path / "chain.csv"
     ifsio.write_chain(path, chain)
     text = path.read_text().splitlines()
-    assert text[0] == "k,lambda,x0,x1"
-    assert text[-1].split(",")[1] == "-1"     # beyond-window marker
-    back = ifsio.read_chain(path, delta=1e-3)
+    assert text[0] == '# {"delta": 0.001, "sigma": {"extension": "periodic", "window": [0]}}'
+    assert text[1] == "k,x0,x1"
+    assert text[-1].startswith("25,")
+    back = ifsio.read_chain(path)
     assert np.array_equal(back.points, chain.points)
-    assert [back.sigma.lookup(k) for k in range(25)] == \
-           [chain.sigma.lookup(k) for k in range(25)]
+    assert back.sigma == chain.sigma and back.delta == chain.delta
+
+
+def test_torus_example_chain_keeps_its_schedule_and_slack(tmp_path):
+    # the schedule used to read back as the 10-link window, then symbol 0
+    # forever, and the slack as 0.0
+    assert run_cli("generate", "--system", "torus_example", "--sigma", "periodic:0,1,1",
+                   "--delta", "0.0001", "--len", "10", "--seed", "4",
+                   "--out", str(tmp_path / "g")) == 0
+    back = ifsio.read_chain(tmp_path / "g_chain.csv")
+    assert back.sigma == SymbolSequence.periodic([0, 1, 1]) and back.delta == 1e-4
+    assert back.sigma.symbols(0, 21).tolist() == [0, 1, 1] * 7
+
+
+WINDOWS = st.lists(st.integers(0, 5), min_size=1, max_size=8)
+SCHEDULES = st.one_of(
+    st.builds(lambda w, c: SymbolSequence(tuple(w), f"constant:{c}"), WINDOWS,
+              st.integers(0, 5)),
+    st.builds(SymbolSequence.periodic, WINDOWS),
+    st.builds(SymbolSequence.random, st.integers(1, 6), st.integers(1, 40),
+              st.integers(0, 2**32 - 1)))
 
 
 @settings(deadline=None)
-@given(window=st.lists(st.integers(0, 5), min_size=1, max_size=8),
-       constant=st.one_of(st.none(), st.integers(0, 5)),
-       k_min=st.integers(-20, 20),
+@given(sigma=SCHEDULES, k_min=st.integers(-20, 20),
+       delta=st.one_of(st.floats(0, 1e300), st.sampled_from([-0.0, 5e-324, 1e-4])),
        points=hnp.arrays(float, st.tuples(st.integers(1, 12), st.integers(1, 4)),
                          elements=st.floats(allow_nan=False)))
-def test_chain_csv_roundtrip_is_lossless(window, constant, k_min, points,
-                                         tmp_path_factory):
-    ext = "periodic" if constant is None else f"constant:{constant}"
-    chain = ChainRecord(points, SymbolSequence(tuple(window), ext, k_min))
+def test_chain_csv_roundtrip_is_lossless(sigma, k_min, delta, points, tmp_path_factory):
+    chain = ChainRecord(points, sigma.shift(-k_min), delta)
     path = tmp_path_factory.getbasetemp() / "roundtrip.csv"
-    ifsio.write_chain(path, chain)
-    if not np.isfinite(points).all():      # an infinite coordinate reads back as an error
-        with pytest.raises(ValueError, match="non-finite coordinates"):
-            ifsio.read_chain(path)
+    if not np.isfinite(points).all():      # no chain file holds an infinite coordinate
+        k = int(np.argmin(np.isfinite(points).all(axis=1)))
+        with pytest.raises(ValueError, match=f"chain point k = {k} is not finite"):
+            ifsio.write_chain(path, chain)
         return
+    ifsio.write_chain(path, chain)
     back = ifsio.read_chain(path)
     assert np.array_equal(back.points.view(np.uint64), points.view(np.uint64))
-    assert np.array_equal(back.sigma.symbols(0, chain.n_links),
-                          chain.sigma.symbols(0, chain.n_links))
+    assert back.sigma == chain.sigma
+    m = chain.n_links
+    assert np.array_equal(back.sigma.symbols(0, 2 * m + 1), chain.sigma.symbols(0, 2 * m + 1))
+    assert np.array_equal(np.float64(back.delta).view(np.uint64),
+                          np.float64(delta).view(np.uint64))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_chain_refuses_a_non_finite_chain(bad, tmp_path):
+    # ChainRecord holds such points (a library chain may leave the floats),
+    # but a chain file never does, so read_chain reads every file write_chain wrote
+    points = np.full((4, 2), 0.25)
+    points[2, 1] = bad
+    path = tmp_path / "chain.csv"
+    with pytest.raises(ValueError, match="chain point k = 2 is not finite"):
+        ifsio.write_chain(path, ChainRecord(points, SIG0, 1e-3))
+    assert not list(tmp_path.iterdir())
 
 
 def csv_writer_oracle(header, rows) -> str:
@@ -334,6 +367,48 @@ def test_cli_semiconj_and_cover(tmp_path):
     assert (tmp_path / "c_violations.csv").read_text().splitlines()[0].startswith("X0")
 
 
+@pytest.mark.parametrize("argv", [
+    ("--f", "contraction:0.5,0,0.5", "--g", "contraction:0.5,0.002,0.498",
+     "--sigma", "periodic:0,1", "--eps", "0.05", "--K", "20", "--samples", "100"),
+    # 1100 backward steps of x -> x/2 used to overflow
+    ("--f", "contraction:0.5", "--g", "contraction:0.5", "--sigma", "constant:0",
+     "--eps", "0.5", "--K", "1100", "--samples", "20")])
+def test_cli_semiconj_on_contractions_uses_one_sided_windows(argv, tmp_path, capsys):
+    # the first used to exit 1: "nearest-sample distance 697651.9000 exceeds 0.0500"
+    assert run_cli("semiconj", *argv, "--out", str(tmp_path / "sc")) == 0
+    rep = json.loads((tmp_path / "sc.json").read_text())
+    eps = rep["config"]["eps"]
+    assert rep["n_flagged"] == 0 and rep["max_image_dist"] < eps
+    assert rep["conjugation_residual"] < 2 * eps
+
+
+@pytest.mark.parametrize("argv", [
+    ("metrics", "--f", "contraction:0.5,0.5", "--g", "rotation:0.1", "--metric", "D0",
+     "--grid", "16"),
+    ("metrics", "--f", "contraction:0.5,0.25", "--g", "rotation:0.1", "--metric", "rho1",
+     "--grid", "16"),
+    ("semiconj", "--f", "contraction:0.5", "--g", "rotation:0.1", "--sigma",
+     "constant:0", "--eps", "0.5", "--K", "3", "--samples", "20")])
+def test_cli_pair_on_two_spaces_is_config_error(argv, tmp_path, capsys):
+    # a circle map measured with the interval's metric: these used to exit 0
+    assert run_cli(*argv, "--out", str(tmp_path / "run")) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert "must share one space" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_verify_chain_without_record_line_is_config_error(tmp_path, capsys):
+    # the chain file of earlier versions: no '#' line, a lambda column
+    old = tmp_path / "old.csv"
+    old.write_text("k,lambda,x0,x1\n0,0,0.1,0.2\n1,-1,0.3,0.4\n")
+    assert run_cli("verify", "--system", "cat", "--chain", str(old),
+                   "--shadow", str(old), "--eps", "0.01") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert "old.csv' has no '#' line of delta and sigma" in err
+
+
 def test_cli_exit_codes(tmp_path):
     assert run_cli("shadow", "--system", "lorenz", "--delta", "0.01",
                    "--len", "10") == 2
@@ -399,8 +474,10 @@ def test_cli_empty_ball_cover_is_config_error(flag, value, message, tmp_path, ca
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("text", ["", "k,lambda,x0,x1\n"])
+@pytest.mark.parametrize("text", [
+    "", "k,lambda,x0,x1\n", '# {"delta": 0.0, "sigma": {"window": [0]}}\nk,x0,x1\n'])
 def test_cli_verify_chain_without_points_is_config_error(text, tmp_path, capsys):
+    # the first two have no '#' line either
     empty = tmp_path / "empty.csv"
     empty.write_text(text)
     assert run_cli("shadow", "--system", "cat", "--sigma", "constant:0",
@@ -416,12 +493,14 @@ def test_cli_verify_chain_without_points_is_config_error(text, tmp_path, capsys)
 
 @pytest.mark.parametrize("row, got", [("", 0), ("1,-1,0.3", 3), ("1,-1,0.3,inf", None)])
 def test_read_chain_names_a_blank_or_short_row(row, got, tmp_path, capsys):
-    # got None: a non-finite coordinate, which verify used to report as NaN
+    # got None: a non-finite coordinate, which verify used to report as NaN;
+    # line 4, after the '#' line, the header and one row of a 3-D chain
     bad = tmp_path / "gappy.csv"
-    bad.write_text(f"k,lambda,x0,x1\n0,0,0.1,0.2\n{row}\n1,-1,0.3,0.4\n")
+    bad.write_text('# {"delta": 0.0, "sigma": {"window": [0]}}\n'
+                   f"k,x0,x1,x2\n0,0,0.1,0.2\n{row}\n2,-1,0.3,0.4\n")
     problem = (f"expected 4 fields, got {got}" if got is not None
-               else "non-finite coordinates ['0.3', 'inf']")
-    with pytest.raises(ValueError, match=re.escape(f"gappy.csv' line 3: {problem}")):
+               else "non-finite coordinates ['-1', '0.3', 'inf']")
+    with pytest.raises(ValueError, match=re.escape(f"gappy.csv' line 4: {problem}")):
         ifsio.read_chain(bad)
     assert run_cli("shadow", "--system", "cat", "--sigma", "constant:0",
                    "--delta", "0.001", "--len", "10",
@@ -431,20 +510,39 @@ def test_read_chain_names_a_blank_or_short_row(row, got, tmp_path, capsys):
                    "--shadow", str(tmp_path / "s_shadow.csv"), "--eps", "0.01") == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("config error:")
-    assert "gappy.csv' line 3" in err
+    assert "gappy.csv' line 4" in err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_non_finite_result_is_contract_violation(tmp_path, capsys):
-    # 1100 backward steps of x -> x/2 overflow (the RuntimeWarnings this test
-    # lets through), and the chain slack reads NaN; the report used to be
+    # 1100 steps of x -> 2x on the interval overflow (the RuntimeWarnings this
+    # test lets through), and the chain slack reads NaN; the report used to be
     # written with "max_chain_delta": NaN and exit 0
-    assert run_cli("semiconj", "--f", "contraction:0.5", "--g", "contraction:0.5",
+    spec = tmp_path / "double.json"
+    ifsio.write_json(spec, {"space": {"dim": 1, "periodic": False}, "maps": [
+        {"kind": "affine", "params": {"matrix": [[2]], "offset": [0.0]}}]})
+    out_dir = tmp_path / "out"
+    assert run_cli("semiconj", "--f", f"@{spec}", "--g", f"@{spec}",
                    "--sigma", "constant:0", "--eps", "0.5", "--K", "1100",
-                   "--samples", "20", "--out", str(tmp_path / "sc")) == 1
+                   "--samples", "20", "--out", str(out_dir / "sc")) == 1
     out, err = capsys.readouterr()
     assert out == "" and "contract violation: the result is not strict JSON" in err
-    assert not list(tmp_path.iterdir())
+    assert not out_dir.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_chain_leaving_the_floats_is_contract_violation(tmp_path, capsys):
+    # 400 steps of x -> 10x on the interval overflow at k = 309; no chain file
+    # holds that point, and the command writes nothing
+    spec = tmp_path / "exp.json"
+    ifsio.write_json(spec, {"space": {"dim": 1, "periodic": False}, "maps": [
+        {"kind": "affine", "params": {"matrix": [[10]], "offset": [0]}}]})
+    out_dir = tmp_path / "out"
+    assert run_cli("generate", "--system", f"@{spec}", "--sigma", "constant:0",
+                   "--delta", "0.001", "--len", "400", "--out", str(out_dir / "g")) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("contract violation: chain point k = ")
+    assert not out_dir.exists()
 
 
 def test_cli_hyperbolic_solver_on_two_maps_is_contract_violation(tmp_path, capsys):

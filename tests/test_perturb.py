@@ -26,7 +26,8 @@ from ifsshadow.perturb import (MAX_ABS_PROFILE_DERIV, _nearest_samples,
 from ifsshadow.shadowing import ShadowingConvergenceError
 from ifsshadow.systems import (CAT_MATRIX, build_bumped_cat_ifs, build_cat_ifs,
                                build_contraction_ifs, build_system,
-                               build_torus_example, build_torus_f1)
+                               build_rotation_ifs, build_torus_example,
+                               build_torus_f1)
 
 CAT = build_cat_ifs()
 SIG0 = SymbolSequence.constant(0)
@@ -680,11 +681,25 @@ def test_semiconj_residual_below_twice_eps_and_monotone_in_K():
     assert vals[2] < 2 * 0.05
 
 
+def contraction_pair():
+    """Two maps of the interval and copies with their fixed points moved by
+    2e-3: a contraction family for one-sided semiconjugacy tables."""
+    return (build_contraction_ifs(0.5, (0.0, 0.5)),
+            build_contraction_ifs(0.5, (0.002, 0.498)))
+
+
 @pytest.mark.parametrize("two_sided", [True, False])
 def test_semiconj_residual_reuses_the_tables_windows(monkeypatch, two_sided):
-    G = build_bumped_cat_ifs(1e-3)
-    sc = build_semiconj(CAT, G, SIG0, eps=0.5, samples=lattice_samples(200, 2), K=6,
-                        two_sided=two_sided)
+    # two-sided windows on the torus (cat), one-sided on the interval
+    if two_sided:
+        F, new_G = CAT, lambda: build_bumped_cat_ifs(1e-3)
+        sigma, samples = SIG0, lattice_samples(200, 2)
+    else:
+        F, new_G = contraction_pair()[0], lambda: contraction_pair()[1]
+        sigma, samples = SymbolSequence.periodic([0, 1]), np.linspace(0.0, 1.0, 100)[:, None]
+    G = new_G()
+    sc = build_semiconj(F, G, sigma, eps=0.5, samples=samples, K=6)
+    assert sc.two_sided == two_sided
     calls = []
 
     def window(G, *a):
@@ -693,10 +708,10 @@ def test_semiconj_residual_reuses_the_tables_windows(monkeypatch, two_sided):
     monkeypatch.setattr(perturb, "_orbit_window", window)
     for K in (0, 1, sc.K, sc.K + 2):
         calls.clear()
-        reused = semiconj_residual(CAT, G, SIG0, sc, K=K)
+        reused = semiconj_residual(F, G, sigma, sc, K=K)
         # the G-orbit windows are stepped anew only beyond the table's K
         assert any(g is G for g in calls) == (K > sc.K)
-        rebuilt = semiconj_residual(CAT, build_bumped_cat_ifs(1e-3), SIG0, sc, K=K)
+        rebuilt = semiconj_residual(F, new_G(), sigma, sc, K=K)
         assert reused == rebuilt
 
 
@@ -730,12 +745,16 @@ def test_semiconj_residual_rejects_a_schedule_the_table_was_not_built_on():
             == semiconj_residual(T, T, s01, sc, K=3))
     with pytest.raises(ValueError, match="schedule"):
         semiconj_residual(T, T, near, sc, K=4)
-    # a one-sided table uses no negative link
-    one = build_semiconj(T, T, s01, eps=1.0, samples=lattice_samples(6, 4), K=3,
-                         two_sided=False)
-    ahead = SymbolSequence((0, 1, 0), "constant:1")
-    assert (semiconj_residual(T, T, ahead, one, K=3)
-            == semiconj_residual(T, T, s01, one, K=3))
+    # a one-sided table (on the interval) uses no negative link
+    C = contraction_pair()[0]
+    one = build_semiconj(C, C, s01, eps=1.0, samples=np.linspace(0.0, 1.0, 6)[:, None],
+                         K=3)
+    assert not one.two_sided
+    ahead = SymbolSequence((0, 1, 0), "constant:0")
+    assert (semiconj_residual(C, C, ahead, one, K=3)
+            == semiconj_residual(C, C, s01, one, K=3))
+    with pytest.raises(ValueError, match="schedule"):
+        semiconj_residual(C, C, ahead, one, K=4)
 
 
 def test_semiconj_config_error_is_not_a_flagged_sample():
@@ -755,10 +774,33 @@ def test_semiconj_one_sided_contraction_family():
     sig = SymbolSequence.random(2, 64, seed=8)
     samples = np.linspace(0.0, 1.0, 50)[:, None]
     eps = d0 / (1 - 0.5) + 1e-6
-    sc = build_semiconj(F, G, sig, eps=eps, samples=samples, K=30,
-                        two_sided=False)
+    sc = build_semiconj(F, G, sig, eps=eps, samples=samples, K=30)
+    assert not sc.two_sided                 # windows k in [0, K] on the interval
     assert sc.max_image_dist(F.space) < eps
     assert sc.max_residual < eps
+
+
+@pytest.mark.parametrize("F, G", [
+    (CAT, build_bumped_cat_ifs(1e-3)), contraction_pair(),
+    (build_torus_example(), build_torus_example())])
+def test_semiconj_windows_follow_the_space(F, G):
+    sc = build_semiconj(F, G, SIG0, eps=1.0, samples=lattice_samples(8, F.space.dim), K=2)
+    assert sc.two_sided == F.space.periodic
+    assert sc.windows.shape[1] == (5 if F.space.periodic else 3)
+
+
+def test_semiconj_pair_on_two_spaces_is_rejected():
+    # a circle rotation and an interval contraction share no metric
+    C = build_contraction_ifs(0.5, (0.25,))
+    R = build_rotation_ifs([0.1])
+    samples = np.linspace(0.0, 1.0, 20)[:, None]
+    message = re.escape("F and G must share one space, got Space(dim=1, periodic=False) "
+                        "and Space(dim=1, periodic=True)")
+    with pytest.raises(ValueError, match=message):
+        build_semiconj(C, R, SIG0, eps=0.5, samples=samples, K=3)
+    sc = build_semiconj(C, C, SIG0, eps=0.5, samples=samples, K=3)
+    with pytest.raises(ValueError, match=message):
+        semiconj_residual(C, R, SIG0, sc, K=3)
 
 
 def bumped_copy(F: IFS) -> IFS:
