@@ -171,9 +171,25 @@ class SymbolSequence:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SymbolSequence":
-        return cls(window=tuple(int(s) for s in d["window"]),
-                   extension=d.get("extension", "periodic"),
-                   k_min=int(d.get("k_min", 0)))
+        """The schedule of a ``to_dict`` record; ValueError naming the field
+        that is missing or has the wrong type."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a schedule must be an object, got {d!r}")
+        window = d.get("window")
+        if not isinstance(window, list) or not all(map(_is_int, window)):
+            raise ValueError(f"schedule field 'window' must be a list of integers, got {window!r}")
+        extension = d.get("extension", "periodic")
+        if not isinstance(extension, str):
+            raise ValueError(f"schedule field 'extension' must be a string, got {extension!r}")
+        k_min = d.get("k_min", 0)
+        if not _is_int(k_min):
+            raise ValueError(f"schedule field 'k_min' must be an integer, got {k_min!r}")
+        return cls(window=tuple(window), extension=extension, k_min=k_min)
+
+
+def _is_int(v) -> bool:
+    """Whether v is a JSON integer: an int, but not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -481,17 +497,60 @@ def rho0(f: SmoothMap, g: SmoothMap, grid: MetricGrid) -> float:
     return _rho0_gap(f.space, lambda: (f(X), g(X)), lambda: (f.invert(X), g.invert(X)))
 
 
-def _spectral_norms(M: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(M, compute_uv=False)[..., 0]
+def _same_bits(stack: np.ndarray) -> bool:
+    """Whether every entry of a nonempty float stack has the bits of its first
+    entry along axis 0 (signed zeros and NaN payloads included)."""
+    bits = np.ascontiguousarray(stack, dtype=float).reshape(len(stack), -1).view(np.uint64)
+    # the last entry first: most stacks that differ anywhere differ there
+    return bool(np.array_equal(bits[-1], bits[0]) and np.all(bits[1:] == bits[0]))
+
+
+# The Frobenius screen of _max_spectral_norm: a matrix is kept when its
+# Frobenius norm is at least s0 * (1 - _SCREEN_MARGIN), and the screen runs
+# only when the largest |entry| lies in _SCREEN_RANGE: there no sum of
+# squares overflows, and what underflow loses is far below the margin.
+_SCREEN_MARGIN = 1e-9
+_SCREEN_RANGE = (1e-140, 1e140)
+
+
+def _max_spectral_norm(M: np.ndarray) -> float:
+    """The largest spectral norm over a float stack M (k, m, n) of matrices,
+    with the bits of ``np.max(np.linalg.svd(M, compute_uv=False)[..., 0])``.
+
+    numpy runs LAPACK once per matrix, so the SVD only needs the matrices
+    that can hold the maximum: one, when every matrix has the first one's
+    bits; otherwise the Frobenius norm ||A||_F >= ||A||_2 screens them.  The
+    matrix with the largest Frobenius norm gives s0 <= the maximum, and a
+    matrix with ||A||_F < s0 * (1 - 1e-9) has a spectral norm below s0 far
+    beyond rounding.  A stack that is empty, holds a non-finite entry (so
+    the SVD's LinAlgError or NaN is the dense one) or has its largest
+    |entry| outside [1e-140, 1e140] runs the SVD on every matrix.
+    """
+    if len(M) > 1 and _same_bits(M):
+        M = M[:1]
+    elif M.size:
+        top = max(M.max(), -M.min())   # NaN for a NaN entry: no screen
+        if _SCREEN_RANGE[0] <= top <= _SCREEN_RANGE[1]:
+            sq = np.einsum("kij,kij->k", M, M)
+            s0 = np.linalg.svd(M[np.argmax(sq)], compute_uv=False)[0]
+            M = M[sq >= (s0 * (1 - _SCREEN_MARGIN)) ** 2]
+    return float(np.max(np.linalg.svd(M, compute_uv=False)[..., 0]))
 
 
 def rho1(f: SmoothMap, g: SmoothMap, grid: MetricGrid) -> float:
-    """rho0 plus the sup of the spectral norm of the Jacobian difference."""
+    """rho0 plus the sup of the spectral norm of the Jacobian difference.
+
+    The sup has the bits of an SVD at every grid point, but the SVD runs
+    only where the sup can be reached (_max_spectral_norm): at one point
+    when all differences are equal (two affine maps), and otherwise at the
+    points whose difference's Frobenius norm, a bound on its spectral norm,
+    reaches (1 - 1e-9) s0, s0 the spectral norm where that bound is largest.
+    """
     if f.jac is None or g.jac is None:
         raise ValueError("rho1 needs Jacobians on both maps")
     r0 = rho0(f, g, grid)
     X = grid.points
-    return r0 + float(np.max(_spectral_norms(f.jacobian(X) - g.jacobian(X))))
+    return r0 + _max_spectral_norm(f.jacobian(X) - g.jacobian(X))
 
 
 def _family_distance(F: IFS, G: IFS, grid: MetricGrid, mode: str, metric) -> float:

@@ -80,6 +80,9 @@ def read_chain(path) -> ChainRecord:
         if not first.startswith("# "):
             raise ValueError(f"chain file {str(path)!r} has no '#' line of delta and sigma")
         record = json.loads(first[2:])
+        if not isinstance(record, dict):
+            raise ValueError(f"chain file {str(path)!r}: the '#' record must be an "
+                             f"object of delta and sigma, got {record!r}")
         reader = csv.reader(f)
         rows = [(reader.line_num + 1, row) for row in reader]
     if len(rows) < 2:
@@ -95,7 +98,10 @@ def read_chain(path) -> ChainRecord:
         line, row = rows[1 + int(np.argmin(finite))]
         raise ValueError(f"chain file {str(path)!r} line {line}: non-finite "
                          f"coordinates {row[1: 1 + d]}")
-    return ChainRecord(pts, SymbolSequence.from_dict(record["sigma"]), float(record["delta"]))
+    delta = record.get("delta")
+    if isinstance(delta, bool) or not isinstance(delta, (int, float)):
+        raise ValueError(f"chain file {str(path)!r}: 'delta' must be a number, got {delta!r}")
+    return ChainRecord(pts, SymbolSequence.from_dict(record.get("sigma")), float(delta))
 
 
 def read_sigma(path) -> SymbolSequence:

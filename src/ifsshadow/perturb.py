@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .core import (ChainRecord, IFS, SymbolSequence, _link_errors, _require_invertible,
-                   _rho0_gap, _same_space, link_residuals, make_ifs, orbit_steps,
+                   _rho0_gap, _same_bits, _same_space, link_residuals, make_ifs, orbit_steps,
                    validate_chain)
 from .maps import InversionError, SmoothMap, compose
 from .shadowing import (NEWTON_TOL, _gauss_newton, _max_residual, _pair_ratios,
@@ -296,14 +296,21 @@ def adjusted_points(F: IFS, chain: ChainRecord, m: int, eta: float,
 
 def inverse_lipschitz_estimate(m: SmoothMap) -> float:
     """Lipschitz estimate of the inverse map (uniform-continuity modulus), from
-    512 points of a fixed seed, so memoised on the map like lipschitz_estimate."""
+    512 points of a fixed seed, so memoised on the map like lipschitz_estimate.
+
+    With a Jacobian it is 1 / the smallest singular value over the sample;
+    when the 512 Jacobians are equal bit for bit (an affine map) one SVD
+    gives it.  The smallest singular value has no cheap bound like the
+    largest one's Frobenius screen, so other maps take every SVD.
+    """
     if "inverse_lipschitz" not in m._memo:
         rng = np.random.default_rng(0)
         X = m.space.uniform(rng, 512)
         if m.jac is None:
             L = float(np.max(_pair_ratios(m.invert, m.space, X, rng, 1e-3)))
         else:
-            svals = np.linalg.svd(m.jacobian(X), compute_uv=False)
+            J = m.jacobian(X)
+            svals = np.linalg.svd(J[:1] if _same_bits(J) else J, compute_uv=False)
             smin = float(np.min(svals[..., -1]))
             if smin <= 0:
                 raise ValueError(f"map {m.label!r} has a singular Jacobian on the sample")

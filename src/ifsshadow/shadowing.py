@@ -42,7 +42,8 @@ import numpy as np
 from scipy.linalg.lapack import dpbsv
 
 from .core import (EXACT_CHAIN_TOL, ChainRecord, IFS, SymbolSequence,
-                   _link_errors, _spectral_norms, iterate_chain, validate_chain)
+                   _link_errors, _max_spectral_norm, _same_bits, iterate_chain,
+                   validate_chain)
 from .maps import SmoothMap
 from .space import _check_real, _norms, ball_sample
 
@@ -104,7 +105,10 @@ def lipschitz_estimate(m: SmoothMap) -> float:
     """Numerical Lipschitz estimate from Jacobian norms and sampled pair ratios.
 
     The estimate uses 512 samples of a fixed seed, so it is memoised on the
-    map object and computed once per map.
+    map object and computed once per map.  The Jacobian term is the largest
+    spectral norm over the sample (core._max_spectral_norm), which runs one
+    SVD when the 512 Jacobians are equal bit for bit (an affine map) and
+    otherwise only on those whose Frobenius norm can reach the maximum.
     """
     if "lipschitz" in m._memo:
         return m._memo["lipschitz"]
@@ -113,7 +117,7 @@ def lipschitz_estimate(m: SmoothMap) -> float:
     X = m.space.uniform(rng, n_samples)
     best = 0.0
     if m.jac is not None:
-        best = float(np.max(_spectral_norms(m.jacobian(X))))
+        best = _max_spectral_norm(m.jacobian(X))
     for scale in (1e-4, 1e-2):
         ratios = _pair_ratios(m, m.space, X, rng, scale)
         if ratios.size:
@@ -309,10 +313,9 @@ def _gauss_newton(F: IFS, symbols: np.ndarray, Y: np.ndarray):
             break
         jacs = F.jacobians(np.tile(symbols, active.size),
                            y[:, :-1].reshape(-1, d)).reshape(-1, m, d, d)
-        # chains whose link blocks all have the first chain's bits (signed
-        # zeros and NaN payloads included) share one factorization
-        bits = jacs.reshape(active.size, -1).view(np.uint64)
-        u = _normal_solve(jacs[:1] if np.all(bits[1:] == bits[0]) else jacs, -R)
+        # chains whose link blocks all have the first chain's bits share one
+        # factorization
+        u = _normal_solve(jacs[:1] if _same_bits(jacs) else jacs, -R)
         delta = np.zeros_like(y)
         delta[:, 0] = -(np.swapaxes(jacs[:, 0], 1, 2) @ u[:, 0, :, None])[..., 0]
         if m > 1:

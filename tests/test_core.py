@@ -12,12 +12,13 @@ from ifsshadow import (ChainRecord, MetricGrid, SmoothMap, Space,
                        identity_map, iterate_chain, make_ifs,
                        move_points_diffeo, orbit_map, orbit_steps, rho0, rho1,
                        shadow_contraction, validate_chain)
+from ifsshadow.core import _max_spectral_norm
 from ifsshadow.io import ifs_from_dict
 from ifsshadow.maps import affine_map, compose
 from ifsshadow.space import _mod1, ball_sample
 from ifsshadow.systems import (build_bumped_cat_ifs, build_cat_ifs,
                                build_contraction_ifs, build_rotation_ifs,
-                               build_torus_example)
+                               build_torus_example, build_torus_f1, build_torus_f2)
 
 CAT = build_cat_ifs()
 SIG0 = SymbolSequence.constant(0)
@@ -109,6 +110,23 @@ def test_sigma_rejects_malformed_extensions(extension, message):
     # the extension is parsed once, when the schedule is built
     with pytest.raises(ValueError, match=message):
         SymbolSequence((0, 1), extension)
+
+
+@pytest.mark.parametrize("record, message", [
+    (5, "a schedule must be an object, got 5"),
+    ([0, 1], "a schedule must be an object, got [0, 1]"),
+    ({}, "field 'window' must be a list of integers, got None"),
+    ({"window": 3}, "field 'window' must be a list of integers, got 3"),
+    ({"window": [0, 1.5]}, "field 'window' must be a list of integers, got [0, 1.5]"),
+    ({"window": [0, "1"]}, "field 'window' must be a list of integers, got [0, '1']"),
+    ({"window": [True]}, "field 'window' must be a list of integers, got [True]"),
+    ({"window": [0], "extension": 3}, "field 'extension' must be a string, got 3"),
+    ({"window": [0], "k_min": 1.0}, "field 'k_min' must be an integer, got 1.0"),
+    ({"window": [0], "k_min": "2"}, "field 'k_min' must be an integer, got '2'")])
+def test_sigma_from_dict_names_a_malformed_field(record, message):
+    # each of these used to end in a TypeError, or to truncate 1.5 to 1
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SymbolSequence.from_dict(record)
 
 
 def test_schedule_outside_the_family_is_value_error():
@@ -808,6 +826,105 @@ def test_rho1_f1_f2_regression():
     T = build_torus_example()
     val = rho1(T.maps[0], T.maps[1], MetricGrid(T.space, 12))
     assert val == pytest.approx(1.6392926414123719, rel=1e-6)
+
+
+def dense_max_spectral_norm(M):
+    """The reference: an SVD of every matrix of the stack."""
+    return float(np.max(np.linalg.svd(M, compute_uv=False)[..., 0]))
+
+
+def count_svd_matrices(monkeypatch):
+    """Patch np.linalg.svd to count the matrices it is given; a list whose
+    sum is the count so far."""
+    counts, svd = [], np.linalg.svd
+
+    def counting(M, *args, **kwargs):
+        counts.append(int(np.prod(np.shape(M)[:-2])))
+        return svd(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return counts
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 5), n=st.integers(1, 300), pool=st.integers(1, 300),
+       kind=st.sampled_from(["dense", "rank-1", "near-ties", "zeros", "identical"]),
+       exponent=st.integers(-200, 200), spread=st.integers(0, 200),
+       seed=st.integers(0, 2**32 - 1))
+@example(d=4, n=300, pool=300, kind="near-ties", exponent=0, spread=0, seed=0)
+@example(d=3, n=300, pool=1, kind="identical", exponent=-200, spread=0, seed=1)
+@example(d=2, n=50, pool=5, kind="dense", exponent=155, spread=0, seed=2)
+@example(d=2, n=1, pool=1, kind="dense", exponent=-161, spread=0, seed=0)
+def test_max_spectral_norm_has_the_bits_of_the_dense_svd(d, n, pool, kind, exponent,
+                                                        spread, seed):
+    # repeated matrices drawn from a pool, rank-deficient and zero ones, near
+    # ties within the 1e-9 margin, and scales 1e-200..1e200 (with a spread
+    # of up to 200 decades inside one stack, which leaves the screen's range)
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((pool, d, d))
+    if kind == "rank-1":
+        base = rng.standard_normal((pool, d, 1)) * rng.standard_normal((pool, 1, d))
+    elif kind == "near-ties":
+        base = base[:1] * (1 + 1e-12 * rng.standard_normal((pool, d, d)))
+    elif kind == "zeros":
+        base[rng.random(pool) < 0.5] = 0.0
+    M = base[rng.integers(0, pool, n)] * 10.0 ** exponent
+    if kind == "identical":
+        M = np.broadcast_to(M[:1], M.shape).copy()
+    elif spread:
+        M *= 10.0 ** -rng.integers(0, spread + 1, (n, 1, 1))
+    assert _max_spectral_norm(M).hex() == dense_max_spectral_norm(M).hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 5), n=st.integers(1, 300),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+       identical=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_max_spectral_norm_of_a_non_finite_stack_is_the_dense_one(d, n, bad, identical,
+                                                                  seed):
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((1 if identical else n, d, d))
+    M[rng.integers(0, len(M)), rng.integers(0, d), rng.integers(0, d)] = bad
+    M = np.broadcast_to(M, (n, d, d)).copy()
+    try:
+        want = dense_max_spectral_norm(M)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            _max_spectral_norm(M)
+    else:
+        assert _max_spectral_norm(M).hex() == want.hex()
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_max_spectral_norm_of_an_empty_stack_fails_as_the_dense_one(d):
+    with pytest.raises(ValueError) as dense:
+        dense_max_spectral_norm(np.empty((0, d, d)))
+    with pytest.raises(ValueError, match=re.escape(str(dense.value))):
+        _max_spectral_norm(np.empty((0, d, d)))
+
+
+F1, F2 = build_torus_f1(), build_torus_f2()
+BUMP = move_points_diffeo([(np.array([0.3, 0.3]), np.array([0.31, 0.3]))], 0.02)
+
+
+@pytest.mark.parametrize("F, G, resolution, most", [
+    (F1, F2, 8, None), (F1, F2, 12, None), (F1, F2, 16, 65536 // 20),
+    # equal Jacobians (their difference is all +0.0): one SVD
+    (build_rotation_ifs([[0.1, 0.2]]), build_rotation_ifs([[0.12, 0.25]]), 64, 1),
+    (CAT, build_bumped_cat_ifs(1e-3), 64, None),
+    (make_ifs([BUMP]), make_ifs([identity_map(BUMP.space)]), 64, None)],
+    ids=["F1-F2-8", "F1-F2-12", "F1-F2-16", "rotations", "cat-bumped", "bump-id"])
+def test_rho1_and_dist_d1_have_the_bits_of_the_dense_svd(F, G, resolution, most,
+                                                        monkeypatch):
+    (f, g), grid = F.maps + G.maps, MetricGrid(F.space, resolution)
+    X = grid.points
+    want = rho0(f, g, grid) + dense_max_spectral_norm(f.jacobian(X) - g.jacobian(X))
+    counts = count_svd_matrices(monkeypatch)
+    assert rho1(f, g, grid) == want
+    if most is not None:
+        assert sum(counts) <= most, (sum(counts), len(grid.points))
+    assert dist_D1(F, G, grid) == want
+    assert dist_D1(F, G, grid, mode="all-pairs") == want
 
 
 def test_d0_identical_families():

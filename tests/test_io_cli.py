@@ -409,6 +409,40 @@ def test_cli_verify_chain_without_record_line_is_config_error(tmp_path, capsys):
     assert "old.csv' has no '#' line of delta and sigma" in err
 
 
+@pytest.mark.parametrize("record, message", [
+    ("[1]", "the '#' record must be an object of delta and sigma, got [1]"),
+    ('{"delta": 0.0, "sigma": {"window": 3}}',
+     "schedule field 'window' must be a list of integers, got 3"),
+    ('{"delta": 0.0, "sigma": 5}', "a schedule must be an object, got 5"),
+    ('{"delta": [0.0], "sigma": {"window": [0]}}', "'delta' must be a number, got [0.0]"),
+    ('{"sigma": {"window": [0]}}', "'delta' must be a number, got None")])
+def test_cli_malformed_chain_record_is_config_error(record, message, tmp_path, capsys):
+    # these used to end in a TypeError traceback (exit 1)
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"# {record}\nk,x0,x1\n0,0.1,0.2\n1,0.3,0.4\n")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ifsio.read_chain(bad)
+    assert run_cli("verify", "--system", "cat", "--chain", str(bad),
+                   "--shadow", str(bad), "--eps", "0.01") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:") and message in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("5", "a schedule must be an object, got 5"),
+    ('{"window": [0, 1.5]}', "field 'window' must be a list of integers"),
+    ('{"window": [0], "extension": 1}', "field 'extension' must be a string"),
+    ('{"window": [0], "k_min": null}', "field 'k_min' must be an integer")])
+def test_cli_malformed_schedule_file_is_config_error(text, message, tmp_path, capsys):
+    f = tmp_path / "f.json"
+    f.write_text(text)
+    assert run_cli("generate", "--system", "cat", "--sigma", f"@{f}", "--delta",
+                   "0.001", "--len", "10", "--out", str(tmp_path / "g")) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:") and message in err
+    assert not list(tmp_path.glob("g*"))
+
+
 def test_cli_exit_codes(tmp_path):
     assert run_cli("shadow", "--system", "lorenz", "--delta", "0.01",
                    "--len", "10") == 2

@@ -211,6 +211,30 @@ def test_inverse_lipschitz_estimate_without_jacobian_samples_pair_ratios(monkeyp
     assert perturb.inverse_lipschitz_estimate(m) == expected
 
 
+@pytest.mark.parametrize("build", [build_cat_ifs, build_torus_f1])
+def test_lipschitz_estimates_svd_only_the_jacobians_that_decide_them(build, monkeypatch):
+    # on the seed-0 sample, against an SVD of all 512 Jacobians
+    m = build().maps[0]
+    J = m.jacobian(m.space.uniform(np.random.default_rng(0), 512))
+    svals = np.linalg.svd(J, compute_uv=False)
+    counts, svd = [], np.linalg.svd
+
+    def counting(M, *args, **kwargs):
+        counts.append(int(np.prod(np.shape(M)[:-2])))
+        return svd(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    assert shadowing.lipschitz_estimate(m) >= float(np.max(svals[:, 0]))
+    assert perturb.inverse_lipschitz_estimate(m) == 1.0 / float(np.min(svals[:, -1]))
+    if build is build_cat_ifs:
+        # the 512 Jacobians of the cat map are equal bit for bit: one SVD each
+        assert counts == [1, 1]
+    else:
+        # the Frobenius screen keeps 193 for the largest singular value; the
+        # smallest one has no such bound, so the inverse takes all 512
+        assert sum(counts[:-1]) < 512 // 2 and counts[-1] == 512
+
+
 def test_inverse_lipschitz_estimate_is_a_property_of_the_map():
     # the Jacobian estimates on the seed-0 sample: lambda_u on the cat map
     assert perturb.inverse_lipschitz_estimate(build_cat_ifs().maps[0]) == 2.618033988749896
