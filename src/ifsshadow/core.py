@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .maps import SmoothMap
-from .space import MetricGrid, Space, _as_points, _check_real, _mod1, _norms, ball_sample
+from .space import MetricGrid, Space, _check_real, _norms, ball_sample
 
 EXACT_CHAIN_TOL = 1e-9   # largest link residual of a chain counted as exact
 
@@ -222,31 +222,21 @@ class ChainRecord:
 def orbit_steps(F: IFS, sigma: SymbolSequence, x, k: int) -> Iterator[np.ndarray]:
     """Lazily yield O(0)x, O(1)x, ..., O(k)x, batched over x's leading axes.
 
-    Forward steps apply f_{s(j)} and reduce mod 1 on the torus, with the
-    values of SmoothMap.__call__; a negative k steps back through the
-    inverses f_{s(-1)}^{-1}, f_{s(-2)}^{-1}, ... and raises ValueError,
-    before yielding anything, when a map is not invertible.  The schedule is
-    resolved with one ``symbols`` call, checked against the family size
-    before anything is yielded.
+    Each step is one map call: SmoothMap.__call__ of f_{s(j)} forward, and
+    for a negative k SmoothMap.invert of f_{s(-1)}, f_{s(-2)}, ...; a
+    negative k raises ValueError, before yielding anything, when a map is
+    not invertible.  The schedule is resolved with one ``symbols`` call,
+    checked against the family size before anything is yielded.
     """
     if k < 0 and not F.invertible:
         raise ValueError("negative-step orbit map needs invertible maps")
     symbols = _in_family(F, sigma.symbols(min(k, 0), max(k, 0)))
-    space = F.space
-    y = space.normalize(_as_points(space, x))
+    steps = [m if k >= 0 else m.invert for m in F.maps]
+    y = F.space.normalize(x)
     yield y
-    if k >= 0:
-        fwds = [m.fwd for m in F.maps]
-        periodic = space.periodic
-        for s in symbols.tolist():
-            y = np.asarray(fwds[s](y), dtype=float)
-            if periodic:
-                y = _mod1(y)
-            yield y
-    else:
-        for s in symbols[::-1].tolist():
-            y = F.maps[s].invert(y)
-            yield y
+    for s in (symbols if k >= 0 else symbols[::-1]).tolist():
+        y = steps[s](y)
+        yield y
 
 
 def orbit_map(F: IFS, sigma: SymbolSequence, k: int, x) -> np.ndarray:
@@ -349,18 +339,21 @@ def _step_chain(F: IFS, sigma: SymbolSequence, x0, steps: int,
                 errs: Optional[np.ndarray], decimals: Optional[int]) -> np.ndarray:
     """Points x_0..x_steps of the one-point chain x_{k+1} = f_{s(k)}(x_k) + e_k.
 
-    x_0 is x0 normalized.  Each image is reduced mod 1 on the torus, rounded
-    to `decimals` places when given (x_0 too), shifted by e_k = errs[k] (zero
-    when errs is None) and reduced again; a reduction that lands on 1.0 gives
-    0.0, as in Space.normalize.  Unrounded chains step on Python floats when
-    d <= 2 and all maps carry ``affine`` (_affine_steps says when its bits can
-    differ from the array loop's) or, failing that, all carry ``point``
-    (_float_steps: the bits of the array loop wherever ``point`` has those of
-    ``fwd``).  Other families, ``round:D`` chains and chains that leave the
-    finite floats step on arrays, one ``fwd`` call per link.
+    x_0 is x0 normalized; a non-finite x0 raises ValueError.  Each image is
+    f_{s(k)}(x_k) as SmoothMap.__call__ gives it (reduced mod 1 on the
+    torus), rounded to `decimals` places when given (x_0 too), shifted by
+    e_k = errs[k] (zero when errs is None) and normalized again.  Unrounded
+    chains step on Python floats when d <= 2 and all maps carry ``affine``
+    (_affine_steps says when its bits can differ from the array loop's) or,
+    failing that, all carry ``point`` (_float_steps: the bits of the array
+    loop wherever ``point`` has those of ``fwd``).  Other families and
+    ``round:D`` chains step on arrays, one map call per link.
     """
     space = F.space
-    x = space.normalize(_as_points(space, x0))
+    x0 = np.asarray(x0, dtype=float)
+    if not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be finite, got {x0.tolist()}")
+    x = space.normalize(x0)
     if decimals is not None:
         x = space.normalize(np.round(x, decimals))
     symbols = _in_family(F, sigma.symbols(0, steps))
@@ -368,44 +361,36 @@ def _step_chain(F: IFS, sigma: SymbolSequence, x0, steps: int,
     pts[0] = x
     if errs is None:
         errs = np.zeros((steps, space.dim))
-    periodic = space.periodic
     if decimals is None:
         coefs = [m.affine for m in F.maps]
         points = [m.point for m in F.maps]
         if space.dim <= 2 and all(c is not None for c in coefs):
-            if _affine_steps(pts, coefs, symbols, errs, periodic):
-                return pts
-        elif all(p is not None for p in points):
-            if _float_steps(pts, points, symbols, errs, periodic):
-                return pts
-    fwds = [m.fwd for m in F.maps]
+            _affine_steps(pts, coefs, symbols, errs, space.periodic)
+            return pts
+        if all(p is not None for p in points):
+            _float_steps(pts, points, symbols, errs, space.periodic)
+            return pts
+    maps = F.maps
     for k, s in enumerate(symbols.tolist()):
-        y = np.asarray(fwds[s](pts[k]), dtype=float)
-        if periodic:
-            y = _mod1(y)
+        y = maps[s](pts[k])
         if decimals is not None:
             y = np.round(y, decimals)
-        y = y + errs[k]
-        if periodic:
-            y = _mod1(y)
-        pts[k + 1] = y
+        pts[k + 1] = space.normalize(y + errs[k])
     return pts
 
 
 def _affine_steps(pts: np.ndarray, coefs, symbols: np.ndarray, errs: np.ndarray,
-                  periodic: bool) -> bool:
+                  periodic: bool) -> None:
     """_float_steps for d = 1 or d = 2 maps with coefficients coefs[s] = (A, b),
     written out on scalars.
 
     Coordinate i of an image is a_i0 x_0 + a_i1 x_1 + b_i, added left to
-    right.  BLAS starts the one-point ``x @ A.T`` from zero, so its image is
-    never -0.0; neither is this one, as b + 0.0 has no -0.0 offset.  BLAS may
-    add in another order or with fused multiply-adds, so where a product or a
-    partial sum is not exact (d = 2) the last bit can differ from
-    ``x @ A.T``; for d = 1, and on the cat and rotation maps, the bits are
-    the same.
+    right.  BLAS may add in another order or with fused multiply-adds, so
+    where a product or a partial sum is not exact (d = 2) the last bit can
+    differ from ``x @ A.T``; for d = 1, and on the cat and rotation maps,
+    the bits are the same.
     """
-    rows = [(A.tolist(), [bi + 0.0 for bi in b.tolist()]) for A, b in coefs]
+    rows = [(A.tolist(), b.tolist()) for A, b in coefs]
     # y % 1.0 equals y - floor(y): the remainder is exact, and +0.0 at zero;
     # the second % 1.0 takes a rounded-up 1.0 to 0.0 and keeps every other value
     if pts.shape[1] == 1:
@@ -443,14 +428,12 @@ def _affine_steps(pts: np.ndarray, coefs, symbols: np.ndarray, errs: np.ndarray,
             out1.append(x1)
         pts[1:, 0] = out0
         pts[1:, 1] = out1
-    return bool(np.isfinite(pts).all())
 
 
 def _float_steps(pts: np.ndarray, points, symbols: np.ndarray, errs: np.ndarray,
-                 periodic: bool) -> bool:
+                 periodic: bool) -> None:
     """Fill pts[1:] as _step_chain does, on Python floats, taking each image
-    from points[s](x); False, with pts[1:] unspecified, when a value is not
-    finite.  v % 1.0 % 1.0 reduces as in _affine_steps.
+    from points[s](x).  v % 1.0 % 1.0 reduces as in _affine_steps.
     """
     n, d = pts.shape
     x = pts[0].tolist()
@@ -467,7 +450,6 @@ def _float_steps(pts: np.ndarray, points, symbols: np.ndarray, errs: np.ndarray,
         x = y
         out += y
     pts[1:] = np.reshape(out, (n - 1, d))
-    return bool(np.isfinite(pts).all())
 
 
 # ---------------------------------------------------------------------------

@@ -135,13 +135,14 @@ def estimate_expansive_const(
     For each Delta (descending), a violation is a sampled pair at distance
     above pair_tolerance whose two-sided orbit never separates beyond Delta
     within n_cap steps.  The candidate constant is the largest Delta without
-    sampled violations - an estimate, not a proof.
+    sampled violations - an estimate, not a proof.  Every violation is
+    counted; the report records the first 16 pairs, in sample order, of the
+    largest Delta, whose violations hold those of every smaller one.
     """
     _check_real("n_cap", n_cap, 0)
     _check_real("pair_tolerance", pair_tolerance, 0)
     _check_real("n_pairs", n_pairs, 1)
     deltas = sorted({_check_real("Delta", float(d)) for d in delta_grid}, reverse=True)
-    max_recorded = 16                  # violating pairs kept (all are counted)
     X, Y = _sample_pairs(F, grid, pair_tolerance, n_pairs, seed)
     if X.shape[0] == 0 or not deltas:
         return ExpansivenessReport(sigma, None, n_cap, pair_tolerance,
@@ -149,16 +150,14 @@ def estimate_expansive_const(
                                    (), "inconclusive")
     maxsep = max_orbit_separation(F, sigma, X, Y, n_cap)
     verdicts = []
-    violations: list[tuple[np.ndarray, np.ndarray, float]] = []
     candidate = None
     for dlt in deltas:
-        viol = maxsep <= dlt
-        n_viol = int(np.count_nonzero(viol))
+        n_viol = int(np.count_nonzero(maxsep <= dlt))
         verdicts.append(DeltaVerdict(dlt, n_viol > 0, n_viol))
         if n_viol == 0 and candidate is None:
             candidate = dlt
-        for idx in np.nonzero(viol)[0][: max_recorded - len(violations)]:
-            violations.append((X[idx].copy(), Y[idx].copy(), float(maxsep[idx])))
+    violations = [(X[idx].copy(), Y[idx].copy(), float(maxsep[idx]))
+                  for idx in np.flatnonzero(maxsep <= deltas[0])[:16]]
     verdict = "expansive-at-Delta" if candidate is not None else "violated"
     return ExpansivenessReport(sigma, candidate, n_cap, pair_tolerance,
                                tuple(verdicts), tuple(violations), verdict)

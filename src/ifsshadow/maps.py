@@ -15,10 +15,11 @@ import numpy as np
 
 from .space import Space, _as_points
 
-#: Newton inversion stops a point when its step moves it by at most
-#: INVERSE_TOL; points still moving after INVERSE_MAX_ITER steps raise
-INVERSE_TOL = 1e-12
-INVERSE_MAX_ITER = 50
+#: every Newton inverse (SmoothMap.invert, the bump inverse) stops a point
+#: when its step moves it by at most INVERSE_TOL; points still moving after
+#: INVERSE_MAX_ITER steps raise
+INVERSE_TOL = 1e-13
+INVERSE_MAX_ITER = 60
 
 
 class InversionError(RuntimeError):
@@ -119,7 +120,7 @@ def compose(outer: SmoothMap, inner: SmoothMap, label: str | None = None) -> Smo
     space = inner.space
 
     def fwd(x):
-        return outer.fwd(space.normalize(np.asarray(inner.fwd(x), dtype=float)))
+        return outer.fwd(inner(x))
 
     inv = None
     if outer.invertible and inner.invertible:
@@ -129,8 +130,7 @@ def compose(outer: SmoothMap, inner: SmoothMap, label: str | None = None) -> Smo
     jac = None
     if outer.jac is not None and inner.jac is not None:
         def jac(x):
-            y = space.normalize(np.asarray(inner.fwd(np.asarray(x, dtype=float)), dtype=float))
-            return outer.jacobian(y) @ inner.jacobian(x)
+            return outer.jacobian(inner(x)) @ inner.jacobian(x)
 
     return SmoothMap(
         label=label or f"{outer.label}o{inner.label}",

@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
+from . import maps
 from .core import (ChainRecord, IFS, SymbolSequence, _link_errors, _require_invertible,
                    _rho0_gap, _same_bits, _same_space, link_residuals, make_ifs, orbit_steps,
                    validate_chain)
@@ -59,11 +60,6 @@ def bump_profile_deriv(t: np.ndarray) -> np.ndarray:
 #: sup |d/dt bump_profile|, attained near t = 0.76
 MAX_ABS_PROFILE_DERIV = 2.17035709
 
-#: the bump inverse stops a point when its Newton step moves it by at most
-#: BUMP_INVERSE_TOL; points still moving after BUMP_INVERSE_MAX_ITER steps raise
-BUMP_INVERSE_TOL = 1e-13
-BUMP_INVERSE_MAX_ITER = 60
-
 
 def _profile_roots(c: np.ndarray, b: np.ndarray, a: float, tol: float,
                    ) -> tuple[np.ndarray, np.ndarray]:
@@ -77,12 +73,12 @@ def _profile_roots(c: np.ndarray, b: np.ndarray, a: float, tol: float,
     exp(1 - 1/(1 - u)), so g' has no 1/s at s = 0.  An entry stops once its
     Newton step g/g' is at most tol (never a NaN one): a step that small lands
     within tol of the root, or leaves a bracket narrower than itself.  Returns
-    t and the indices still moving after BUMP_INVERSE_MAX_ITER steps.
+    t and the indices still moving after maps.INVERSE_MAX_ITER steps.
     """
     t = np.zeros_like(c)
     idx = np.arange(c.size)
     tt, lo, hi = t.copy(), t.copy(), np.ones_like(c)
-    for _ in range(BUMP_INVERSE_MAX_ITER):
+    for _ in range(maps.INVERSE_MAX_ITER):
         u = c + tt * (tt * a - 2.0 * b)
         # 1 - u < 2**-53 only for u >= 1, outside the support, where the
         # profile and its slope underflow to 0 as they should
@@ -136,9 +132,10 @@ def move_points_diffeo(
     lies in at most one support and gets at most one nonzero term: the
     perturbation, Jacobian and inverse visit the centers one at a time on
     (N, d) arrays, with memory linear in N.  Points outside every support are
-    their own preimage.  A point with a non-finite coordinate, or still moving
-    after BUMP_INVERSE_MAX_ITER Newton steps, makes the inverse raise
-    InversionError.
+    their own preimage.  The inverse stops by the rule of every Newton
+    inverse (maps.INVERSE_TOL on each point's step along d_i, at most
+    maps.INVERSE_MAX_ITER steps); a point with a non-finite coordinate, or
+    still moving at the step cap, makes it raise InversionError.
     """
     _check_real("delta", delta)
     if space is None:
@@ -223,7 +220,7 @@ def move_points_diffeo(
             if not idx.size:
                 continue
             a = float(D[i] @ D[i])
-            tol = BUMP_INVERSE_TOL / np.sqrt(a) if a else np.inf
+            tol = maps.INVERSE_TOL / np.sqrt(a) if a else np.inf
             t, moving = _profile_roots(np.sum(w * w, axis=-1) / R2, (w @ D[i]) / R2,
                                        a / R2, tol)
             z[idx] = space.normalize(flat[idx] - t[:, None] * D[i])
@@ -232,7 +229,7 @@ def move_points_diffeo(
         if stuck.size:
             raise InversionError(
                 f"bump inverse of {label!r}: {stuck.size} points still moving after "
-                f"{BUMP_INVERSE_MAX_ITER} steps", best=z.reshape(p.shape),
+                f"{maps.INVERSE_MAX_ITER} steps", best=z.reshape(p.shape),
                 residual=float(np.max(space.dist(fwd(z[stuck]), flat[stuck]))))
         return z.reshape(p.shape)
 
@@ -379,8 +376,7 @@ def perturbed_ifs(
         # block k < m is h_k o F, block m the unperturbed family; a link whose
         # point already lands on y_{k+1} keeps the plain maps
         h = None
-        if k < m and not np.array_equal(space.normalize(sources[k]),
-                                        space.normalize(ys[k + 1])):
+        if k < m and not np.array_equal(sources[k], space.normalize(ys[k + 1])):
             h = move_points_diffeo([(sources[k], ys[k + 1])], delta=delta0 / 2.0,
                                    space=space, label=f"h{k}")
             if images is None:
@@ -397,7 +393,7 @@ def perturbed_ifs(
             # f^{-1}(h_k^{-1}(X)), the same arrays its own calls return
             f_X, f_inv_X = images[lam]
             val = _rho0_gap(space, lambda: (h(f_X), f_X),
-                            lambda: (space.normalize(f.invert(h_inv)), f_inv_X))
+                            lambda: (f.invert(h_inv), f_inv_X))
             if val >= Delta:
                 raise RuntimeError(
                     f"measured matched distance {val:.3e} >= Delta for pair "

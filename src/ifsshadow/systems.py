@@ -51,6 +51,8 @@ def _torus_f_map(label: str, c_sign: float) -> SmoothMap:
     """
     space = Space(4)
     two_pi = 2.0 * np.pi
+    # the Jacobian's constant entries; jac adds the coupling terms of rows 0-1
+    linear = np.array([[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]], dtype=float)
 
     def cval(u, v, cos=np.cos):
         # ** 2, not c * c: numpy's ** 2 on one point is a pow, which can
@@ -92,23 +94,13 @@ def _torus_f_map(label: str, c_sign: float) -> SmoothMap:
 
     def jac(p):
         x, u, v = p[..., 0], p[..., 2], p[..., 3]
-        c = cval(u, v)
         cu, cv = cgrad(u, v)
         fx = np.sin(two_pi * x) / two_pi
-        dfx = np.cos(two_pi * x)
-        J = np.zeros(p.shape[:-1] + (4, 4))
-        J[..., 0, 0] = 2 - c * dfx
-        J[..., 0, 1] = 1
-        J[..., 0, 2] = -cu * fx
-        J[..., 0, 3] = -cv * fx
-        J[..., 1, 0] = 1 - c * dfx
-        J[..., 1, 1] = 1
-        J[..., 1, 2] = -cu * fx
-        J[..., 1, 3] = -cv * fx
-        J[..., 2, 2] = 2
-        J[..., 2, 3] = 1
-        J[..., 3, 2] = 1
-        J[..., 3, 3] = 1
+        J = np.empty(p.shape[:-1] + (4, 4))
+        J[...] = linear
+        J[..., :2, 0] -= (cval(u, v) * np.cos(two_pi * x))[..., None]
+        J[..., :2, 2] = (-cu * fx)[..., None]
+        J[..., :2, 3] = (-cv * fx)[..., None]
         return J
 
     return SmoothMap(label=label, space=space, fwd=fwd, inv=inv, jac=jac, point=point)

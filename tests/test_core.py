@@ -613,16 +613,6 @@ def test_chains_reduce_edge_images_as_the_array_loop(y):
                                                           noise, delta, 0)
 
 
-@pytest.mark.parametrize("x0", [np.inf, -np.inf, np.nan])
-@pytest.mark.parametrize("noise", ["uniform-ball", "round:3"])
-def test_affine_chain_off_the_finite_floats_steps_on_arrays(x0, noise):
-    F = build_contraction_ifs(0.5)
-    sigma = SymbolSequence((0, 1))
-    chain = gen_pseudo_orbit(F, sigma, [x0], 0.0, 5, noise)
-    decimals = 3 if noise == "round:3" else None
-    assert same_bits(chain.points, reference_chain(F, sigma, [x0], 5, None, decimals))
-
-
 # BLAS may add the terms of x @ A.T in another order, or with fused
 # multiply-adds, than the d = 2 float loop's a_i0 x_0 + a_i1 x_1 + b_i; with
 # 3 terms below 16 in size, each of the <= 5 roundings of an image and its
@@ -724,14 +714,28 @@ def test_torus_chains_have_the_bits_of_the_array_loop(x0, window, steps, noise,
                                                   x0, steps, noise, delta, seed)
 
 
-def test_torus_chain_from_nan_steps_on_arrays():
-    calls = []
-    sigma, x0 = SymbolSequence((0, 1)), [np.nan, 0.1, 0.2, 0.3]
-    chain = gen_pseudo_orbit(counted(TORUS, calls), sigma, x0, 1e-3, 5, seed=4)
-    assert len(calls) == 5
-    assert np.isnan(chain.points[1:, :2]).all()
-    errs = ball_sample(np.random.default_rng(4), 5, 4, 1e-3)
-    assert same_bits(chain.points, reference_chain(TORUS, sigma, x0, 5, errs))
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("F", [build_contraction_ifs(0.5), CAT, TORUS,
+                               build_bumped_cat_ifs()],
+                         ids=["contraction", "cat", "torus_example", "cat_bumped"])
+def test_a_chain_from_a_non_finite_point_is_a_config_error(F, value):
+    # every family and noise model, and the contraction shadow of a chain
+    # whose first point is not finite: no chain of NaNs comes back
+    x0 = np.full(F.space.dim, 0.3)
+    x0[0] = value
+    sigma = SymbolSequence.constant(0)
+    for noise in ("uniform-ball", "round:3"):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            gen_pseudo_orbit(F, sigma, x0, 1e-3, 5, noise)
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        iterate_chain(F, sigma, x0, 5)
+    if F.space.periodic:
+        return
+    chain = gen_pseudo_orbit(F, sigma, [0.3], 1e-3, 5)
+    points = chain.points.copy()
+    points[0] = value
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        shadow_contraction(F, ChainRecord(points, sigma, chain.delta))
 
 
 @pytest.mark.parametrize("labels", [False, True])

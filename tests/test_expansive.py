@@ -266,3 +266,14 @@ def test_zero_eta_and_tolerance_are_valid():
     rep = estimate_expansive_const(CAT, SIG0, MetricGrid(CAT.space, 16),
                                    pair_tolerance=0.0, n_cap=5)
     assert rep.pair_tolerance == 0.0
+
+
+def test_each_violating_pair_is_recorded_once():
+    # the violations at 0.54 are those at 0.55 again; they used to be
+    # recorded a second time (16 pairs, 8 distinct)
+    rep = estimate_expansive_const(CAT, SIG0, MetricGrid(CAT.space, 64),
+                                   delta_grid=(0.55, 0.54, 0.53, 0.52), seed=1)
+    assert [v.n_violations for v in rep.verdicts] == [8, 8, 0, 0]
+    pairs = {(tuple(x), tuple(y)) for x, y, _ in rep.violating_pairs}
+    assert len(pairs) == len(rep.violating_pairs) == 8
+    assert all(s <= 0.55 for _, _, s in rep.violating_pairs)

@@ -18,7 +18,7 @@ from ifsshadow import (CoverageError, InversionError, MetricGrid, SmoothMap,
                        lattice_samples, make_ifs, move_points_diffeo,
                        perturbed_ifs, rho0, semiconj_residual, shadow_newton,
                        validate_chain)
-from ifsshadow import perturb, shadowing
+from ifsshadow import maps, perturb, shadowing
 from ifsshadow.core import IFS, ChainRecord
 from ifsshadow.maps import affine_map, compose
 from ifsshadow.perturb import (MAX_ABS_PROFILE_DERIV, _nearest_samples,
@@ -171,7 +171,7 @@ def test_bump_inverse_raises_when_unconverged(monkeypatch):
     # two steps are too few for the points inside the support; the point
     # outside it is its own preimage
     X = np.concatenate([X, [[0.1, 0.1]]])
-    monkeypatch.setattr(perturb, "BUMP_INVERSE_MAX_ITER", 2)
+    monkeypatch.setattr(maps, "INVERSE_MAX_ITER", 2)
     with pytest.raises(InversionError, match=r"\d+ points still moving after 2 steps") as exc:
         f.invert(f(X))
     # the error carries the last iterate; points that left the loop are

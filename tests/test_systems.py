@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ifsshadow import SymbolSequence, fd_jacobian, iterate_chain, lipschitz_estimate
+from ifsshadow import (MetricGrid, Space, SymbolSequence, fd_jacobian, iterate_chain,
+                       lipschitz_estimate)
 from ifsshadow.systems import (CATALOG, CAT_MATRIX, build_bumped_cat_ifs,
                                build_cat_ifs, build_contraction_ifs,
                                build_identity_ifs, build_rotation_ifs,
@@ -52,6 +53,44 @@ def test_torus_inverse_matches_the_formula_bit_for_bit():
             for j, col in enumerate((x, y, u, v)):
                 expect[..., j] = col
             assert np.array_equal(m.inv(p).view(np.uint64), expect.view(np.uint64))
+
+
+def reference_torus_jacobian(p, sign):
+    """The torus Jacobian entry by entry on a zero-filled array."""
+    two_pi = 2 * np.pi
+    x, u, v = p[..., 0], p[..., 2], p[..., 3]
+    c = np.cos(np.pi * (u + sign * v)) ** 2
+    cu = -np.pi * np.sin(two_pi * (u + sign * v))
+    cv = sign * cu
+    fx = np.sin(two_pi * x) / two_pi
+    dfx = np.cos(two_pi * x)
+    J = np.zeros(p.shape[:-1] + (4, 4))
+    J[..., 0, 0] = 2 - c * dfx
+    J[..., 0, 1] = 1
+    J[..., 0, 2] = -cu * fx
+    J[..., 0, 3] = -cv * fx
+    J[..., 1, 0] = 1 - c * dfx
+    J[..., 1, 1] = 1
+    J[..., 1, 2] = -cu * fx
+    J[..., 1, 3] = -cv * fx
+    J[..., 2, 2] = 2
+    J[..., 2, 3] = 1
+    J[..., 3, 2] = 1
+    J[..., 3, 3] = 1
+    return J
+
+
+def test_torus_jacobian_matches_the_formula_bit_for_bit():
+    rng = np.random.default_rng(11)
+    points = [rng.uniform(-1.0, 2.0, size=(2000, 4)), np.zeros((3, 4)),
+              rng.random((3, 5, 4)), rng.random(4),
+              np.array([-0.0, 0.0, -0.0, 5e-324]), MetricGrid(Space(4), 8).points]
+    for m, sign in zip(build_torus_example().maps, (1.0, -1.0)):
+        for p in points:
+            got = m.jacobian(p)
+            assert got.shape == p.shape + (4,)
+            assert np.array_equal(got.view(np.uint64),
+                                  reference_torus_jacobian(p, sign).view(np.uint64))
 
 
 def test_torus_family_fixed_point_and_collapse():
