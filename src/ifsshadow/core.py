@@ -339,10 +339,11 @@ def _step_chain(F: IFS, sigma: SymbolSequence, x0, steps: int,
                 errs: Optional[np.ndarray], decimals: Optional[int]) -> np.ndarray:
     """Points x_0..x_steps of the one-point chain x_{k+1} = f_{s(k)}(x_k) + e_k.
 
-    x_0 is x0 normalized; a non-finite x0 raises ValueError.  Each image is
-    f_{s(k)}(x_k) as SmoothMap.__call__ gives it (reduced mod 1 on the
-    torus), rounded to `decimals` places when given (x_0 too), shifted by
-    e_k = errs[k] (zero when errs is None) and normalized again.  Unrounded
+    x_0 is x0 normalized; a non-finite x0, or one that rounding takes to
+    infinity, raises ValueError.  Each image is f_{s(k)}(x_k) as
+    SmoothMap.__call__ gives it (reduced mod 1 on the torus), rounded to
+    `decimals` places when given (x_0 too), shifted by e_k = errs[k] (zero
+    when errs is None) and normalized again.  Unrounded
     chains step on Python floats when d <= 2 and all maps carry ``affine``
     (_affine_steps says when its bits can differ from the array loop's) or,
     failing that, all carry ``point`` (_float_steps: the bits of the array
@@ -355,7 +356,12 @@ def _step_chain(F: IFS, sigma: SymbolSequence, x0, steps: int,
         raise ValueError(f"x0 must be finite, got {x0.tolist()}")
     x = space.normalize(x0)
     if decimals is not None:
-        x = space.normalize(np.round(x, decimals))
+        with np.errstate(over="ignore"):
+            x = np.round(x, decimals)
+        if not np.isfinite(x).all():
+            raise ValueError(f"x0 = {x0.tolist()} is not finite when rounded to "
+                             f"{decimals} decimals")
+        x = space.normalize(x)
     symbols = _in_family(F, sigma.symbols(0, steps))
     pts = np.empty((steps + 1, space.dim))
     pts[0] = x

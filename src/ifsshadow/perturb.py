@@ -619,10 +619,14 @@ def semiconj_residual(
 #: fit a core's 2 MB L2 cache; 2^16 beat 2^13, 2^14, 2^15 and 2^17
 _BLOCK_VALUES = 1 << 16
 
+#: violations a ball-cover report records (all are counted)
+_MAX_RECORDED = 100
+
 
 @dataclass(frozen=True)
 class CoverReport:
-    """Result of probing B(F(X), eps+delta) subset F(B(X, eps)) by sampling."""
+    """Result of testing B(F(X), eps+delta) subset F(B(X, eps)) at each centre
+    X, by a worst-direction witness or, where there is none, by sampled probes."""
 
     passed: bool
     eps: float
@@ -632,7 +636,8 @@ class CoverReport:
     seed: int
     center_flags: np.ndarray           # per-center: a violation was found
     violations: tuple[tuple[np.ndarray, np.ndarray, float], ...]
-    n_violations: int
+    n_violations: int                  # one per witnessed centre, plus probe violations
+    n_witnessed_centers: int           # centres decided by a witness, without probes
 
     def to_dict(self) -> dict:
         return {
@@ -644,6 +649,7 @@ class CoverReport:
             "seed": self.seed,
             "n_violating_centers": int(np.count_nonzero(self.center_flags)),
             "n_violations": self.n_violations,
+            "n_witnessed_centers": self.n_witnessed_centers,
             "violations": [
                 {"X": list(x), "Z": list(z), "preimage_dist": dd}
                 for x, z, dd in self.violations
@@ -661,25 +667,22 @@ def check_ball_cover(
     centers: np.ndarray | None = None,
     threads: int = 1,
 ) -> CoverReport:
-    """Sample probes Z in the ball of radius eps+delta around F(X) and test
-    dist(F^{-1}(Z), X) < eps; report any violations found.
+    """Test B(F(X), eps+delta) subset F(B(X, eps)) at each centre X: a point Z
+    of the ball around F(X) violates it when dist(F^{-1}(Z), X) >= eps.
 
     Raises ValueError unless eps > 0 and eps + delta > 0 are finite (so delta
     is too), the centres are finite and there are at least one centre and one
     probe per centre: an empty probe set passes nothing, and an infinite
     radius or a NaN centre tests nothing.
 
-    The calling thread draws the probes 64 centres at a time, normals then
-    uniforms, so a seed draws the same probes for any thread count.  Each
-    chunk is checked in blocks of at most _BLOCK_VALUES probe coordinates,
-    small enough for their temporaries to stay in cache: whole centres when
-    one centre's probes fit, ranges of one centre's probes when they do not.
-    Each probe's arithmetic is its own, so the blocks change no bit.  With
-    threads == 1 the calling thread checks the blocks; with threads > 1 a
-    chunk has at least ``threads`` blocks (when it has that many probes),
-    and pool tasks shape, offset, reduce, invert and measure them in place
-    while the next chunk is drawn.  Violations are counted in full and
-    recorded in (centre, probe) order until 100 are kept.
+    A map with a Jacobian first gets a witness per centre (_cover_witnesses):
+    to first order the inclusion needs (eps+delta) ||DF(X)^{-1}|| <= eps, so
+    the two points of the ball along the direction DF(X)^{-1} stretches most
+    are tried.  A centre with a witness is flagged, and the witness is its
+    one counted and recorded violation.  The other centres get n_probes
+    random probes each (_probe_cover), drawn after the centres from the seed's
+    generator.  Violations are recorded in (centre, probe) order until 100
+    are kept; the report depends on neither the thread count nor the blocks.
     """
     if not Fi.invertible:
         raise ValueError(f"map {Fi.label!r} must be invertible")
@@ -687,10 +690,7 @@ def check_ball_cover(
     _check_real("eps", eps)
     radius = _check_real("the probe radius eps + delta", eps + delta)  # so is delta
     _check_real("n_probes", n_probes, 1)
-    chunk = 64              # centers per probe batch: fixes the probes a seed draws
-    max_recorded = 100      # violations kept (all are counted)
     space = Fi.space
-    d = space.dim
     rng = np.random.default_rng(seed)
     if centers is not None:
         X = _as_points(space, np.asarray(centers, dtype=float))
@@ -702,6 +702,85 @@ def check_ball_cover(
         raise ValueError(f"the ball cover needs at least one centre, got {n_centers}")
     if centers is None:
         X = space.uniform(rng, n_centers)
+
+    flags = np.zeros(n_centers, dtype=bool)
+    recorded: list[tuple[int, np.ndarray, np.ndarray, float]] = []
+    if Fi.jac is not None:
+        flags, recorded = _cover_witnesses(Fi, X, eps, radius)
+    n_witnessed = int(np.count_nonzero(flags))
+    rest = np.flatnonzero(~flags)
+    total = n_witnessed
+    if rest.size:
+        flags[rest], n_bad, probed = _probe_cover(Fi, X[rest], eps, radius, n_probes,
+                                                  rng, threads)
+        total += n_bad
+        # the probe records lead with their centre's index into X[rest]
+        recorded += [(rest[c], x, z, dd) for c, x, z, dd in probed]
+    recorded.sort(key=lambda r: r[0])
+    return CoverReport(
+        passed=not bool(np.any(flags)), eps=eps, delta=delta,
+        n_centers=n_centers, n_probes=n_probes, seed=seed, center_flags=flags,
+        violations=tuple(r[1:] for r in recorded[:_MAX_RECORDED]),
+        n_violations=total, n_witnessed_centers=n_witnessed,
+    )
+
+
+def _cover_witnesses(Fi: SmoothMap, X: np.ndarray, eps: float, radius: float,
+                     ) -> tuple[np.ndarray, list[tuple[int, np.ndarray, np.ndarray, float]]]:
+    """Flags of the centres X with a witness, and the (centre, X, Z,
+    preimage distance) record of each witness, in centre order.
+
+    u is the left singular vector of DF(X) for its smallest singular value,
+    the top right-singular vector of DF(X)^{-1}, from one batched SVD.  The
+    candidates are Z = F(X) + r u, then F(X) - r u for the centres the first
+    left undecided, with r = radius (1 - 2^-40): on the sphere up to
+    rounding, so an isometry's centres are caught when delta > 0 (at
+    0.999 radius they are not).  Each Z is reduced and checked as a probe
+    is, so a witness is a violation that a probe could have drawn.
+    """
+    space = Fi.space
+    FX = Fi(X)
+    step = (radius * (1.0 - 2.0 ** -40)) * np.linalg.svd(Fi.jacobian(X))[0][..., -1]
+    flags = np.zeros(X.shape[0], dtype=bool)
+    Z = np.empty_like(X)
+    dist = np.empty(X.shape[0])
+    todo = np.arange(X.shape[0])
+    for sign in (1.0, -1.0):
+        z = space.normalize(FX[todo] + sign * step[todo])
+        dd = _norms(space.displacement(Fi.invert(z), X[todo]))
+        hit = dd >= eps
+        idx = todo[hit]
+        flags[idx], Z[idx], dist[idx] = True, z[hit], dd[hit]
+        todo = todo[~hit]
+        if not todo.size:
+            break
+    return flags, [(i, X[i].copy(), Z[i].copy(), float(dist[i]))
+                   for i in np.flatnonzero(flags)[:_MAX_RECORDED]]
+
+
+def _probe_cover(Fi: SmoothMap, X: np.ndarray, eps: float, radius: float,
+                 n_probes: int, rng: np.random.Generator, threads: int,
+                 ) -> tuple[np.ndarray, int, list[tuple[int, np.ndarray, np.ndarray, float]]]:
+    """Sample n_probes probes Z in the ball of the given radius around each
+    F(X) and test dist(F^{-1}(Z), X) < eps.  Returns the per-centre flags,
+    the number of violating probes, and the first _MAX_RECORDED violations
+    as (centre index into X, X, Z, preimage distance) in (centre, probe) order.
+
+    The calling thread draws the probes from rng 64 centres at a time,
+    normals then uniforms, so the probes do not depend on the thread count.
+    Each chunk is checked in blocks of at most _BLOCK_VALUES probe
+    coordinates, small enough for their temporaries to stay in cache: whole
+    centres when one centre's probes fit, ranges of one centre's probes when
+    they do not.  Each probe's arithmetic is its own, so the blocks change no
+    bit.  With threads == 1 the calling thread checks the blocks; with
+    threads > 1 a chunk has at least ``threads`` blocks (when it has that many
+    probes), and pool tasks shape, offset, reduce, invert and measure them in
+    place while the next chunk is drawn.
+    """
+    chunk = 64              # centers per probe batch: fixes the probes a seed draws
+    space = Fi.space
+    d = space.dim
+    n_centers = X.shape[0]
 
     def check(Xc, FX, v, u, cs, ps):
         """Probes v[cs, ps] (normals) and u[cs, ps] (uniforms) of the centres
@@ -717,20 +796,20 @@ def check_ball_cover(
 
     flags = np.zeros(n_centers, dtype=bool)
     total = 0
-    recorded: list[tuple[np.ndarray, np.ndarray, float]] = []
+    recorded: list[tuple[int, np.ndarray, np.ndarray, float]] = []
 
     def collect(lo, Xc, v, u, futures=()):
         """Wait for a chunk's blocks, then flag, count and record its
-        violations in (centre, probe) order, until max_recorded are kept."""
+        violations in (centre, probe) order, until _MAX_RECORDED are kept."""
         nonlocal total
         for f in futures:
             f.result()
         bad = u[..., 0] >= eps
         flags[lo: lo + Xc.shape[0]] = np.any(bad, axis=1)
         total += int(np.count_nonzero(bad))
-        if len(recorded) < max_recorded:
-            recorded.extend((Xc[ci].copy(), v[ci, pi].copy(), float(u[ci, pi, 0]))
-                            for ci, pi in np.argwhere(bad)[:max_recorded - len(recorded)])
+        if len(recorded) < _MAX_RECORDED:
+            recorded.extend((lo + ci, Xc[ci].copy(), v[ci, pi].copy(), float(u[ci, pi, 0]))
+                            for ci, pi in np.argwhere(bad)[:_MAX_RECORDED - len(recorded)])
 
     def chunks():
         for lo in range(0, n_centers, chunk):
@@ -759,11 +838,7 @@ def check_ball_cover(
                     collect(*pending)
                 pending = (lo, Xc, v, u, futures)
             collect(*pending)
-    return CoverReport(
-        passed=not bool(np.any(flags)), eps=eps, delta=delta,
-        n_centers=n_centers, n_probes=n_probes, seed=seed,
-        center_flags=flags, violations=tuple(recorded), n_violations=total,
-    )
+    return flags, total, recorded
 
 
 def _cover_blocks(m: int, n_probes: int, d: int,

@@ -738,6 +738,15 @@ def test_a_chain_from_a_non_finite_point_is_a_config_error(F, value):
         shadow_contraction(F, ChainRecord(points, sigma, chain.delta))
 
 
+def test_a_chain_from_a_point_that_rounds_to_infinity_is_a_config_error():
+    # np.round scales by 10**D, so a finite x0 near the top of the float range
+    # overflows; the chain used to come back as infinities
+    with pytest.raises(ValueError, match=re.escape(
+            "x0 = [1e+307] is not finite when rounded to 3 decimals")):
+        gen_pseudo_orbit(build_contraction_ifs(0.5), SymbolSequence.constant(0),
+                         [1e307], 0.0, 3, "round:3")
+
+
 @pytest.mark.parametrize("labels", [False, True])
 def test_json_torus_maps_keep_the_one_point_formula(labels):
     maps = [{"kind": "torus_F1"}, {"kind": "torus_F2"}]

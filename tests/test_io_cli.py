@@ -694,6 +694,10 @@ def test_cli_expansiveness_misconfigurations_are_config_errors(argv, message, ca
       "inf", "--grid", "16"), "support_radius must be finite, got inf"),
     (("semiconj", "--f", "cat", "--g", "cat", "--sigma", "constant:0", "--eps", "inf",
       "--K", "2", "--samples", "4"), "eps must be finite, got inf"),
+    # a finite x0 that rounding overflows used to exit 0 with a chain of inf
+    (("generate", "--system", "contraction:0.5", "--sigma", "constant:0", "--x0",
+      "1e307", "--delta", "0", "--len", "3", "--noise", "round:3"),
+     "x0 = [1e+307] is not finite when rounded to 3 decimals"),
 ])
 def test_cli_nan_radii_are_config_errors(argv, message, tmp_path, capsys):
     # a NaN in the JSON report would not be valid JSON

@@ -968,6 +968,7 @@ def test_cover_identity_geometry():
     assert ok.passed                     # B(X, eps) inside B(X, eps)
     bad = check_ball_cover(idm, eps=0.05, delta=0.05, n_centers=50,
                            n_probes=500, seed=2)
+    assert (ok.n_witnessed_centers, bad.n_witnessed_centers) == (0, 50)
     assert not bad.passed                # probes at radius 2*eps escape
     x, z, dd = bad.violations[0]
     assert dd >= 0.05
@@ -982,6 +983,7 @@ def test_cover_deterministic_and_reports():
     assert a.n_violations == b.n_violations
     d = a.to_dict()
     assert d["seed"] == 7 and d["n_centers"] == 20
+    assert d["n_witnessed_centers"] == d["n_violations"] == 20
 
 
 @pytest.mark.parametrize("threads", [0, -2])
@@ -1023,6 +1025,23 @@ def _cover_digest(rep):
     return h.hexdigest()
 
 
+def _probe_report(Fi, delta, n_centers, n_probes, seed, threads=1):
+    """The report of the probe path alone at eps = 0.05: n_probes probes at
+    each of n_centers uniform centres, all drawn from the seed's generator,
+    as check_ball_cover drew them before witnesses decided centres."""
+    rng = np.random.default_rng(seed)
+    X = Fi.space.uniform(rng, n_centers)
+    flags, total, recorded = perturb._probe_cover(Fi, X, 0.05, 0.05 + delta, n_probes,
+                                                  rng, threads)
+    assert [r[0] for r in recorded] == sorted(r[0] for r in recorded)
+    assert all(np.array_equal(X[c], x) for c, x, _, _ in recorded)
+    return perturb.CoverReport(
+        passed=not flags.any(), eps=0.05, delta=delta, n_centers=n_centers,
+        n_probes=n_probes, seed=seed, center_flags=flags,
+        violations=tuple(r[1:] for r in recorded), n_violations=total,
+        n_witnessed_centers=0)
+
+
 @pytest.mark.parametrize("delta, n_centers, n_probes, seed, counts, digest", [
     # digests from before probes were shaped and checked in place
     (0.05, 130, 20, 5, (2474, 100),
@@ -1045,10 +1064,10 @@ def _cover_digest(rep):
      "8cb8a1b4a96a9fae91e2cb5156f56da61f67df095c2c5adf5d5869728a81e6fa"),
 ])
 def test_cover_report_bits_are_pinned(delta, n_centers, n_probes, seed, counts, digest):
+    # the probe path keeps the bits it had before witnesses decided centres
     F1 = build_torus_f1().maps[0]
     for threads in (1, 2, 3):
-        rep = check_ball_cover(F1, 0.05, delta, n_centers, n_probes, seed=seed,
-                               threads=threads)
+        rep = _probe_report(F1, delta, n_centers, n_probes, seed, threads)
         assert (rep.n_violations, len(rep.violations)) == counts
         assert _cover_digest(rep) == digest
 
@@ -1064,10 +1083,9 @@ def test_cover_inverts_no_block_above_the_cap(threads, n_centers, n_probes):
         return F1.inv(p)
 
     counted = dataclasses.replace(F1, inv=inv)
-    rep = check_ball_cover(counted, 0.05, 0.05, n_centers, n_probes, seed=1,
-                           threads=threads)
+    rep = _probe_report(counted, 0.05, n_centers, n_probes, 1, threads)
     assert _cover_digest(rep) == _cover_digest(
-        check_ball_cover(F1, 0.05, 0.05, n_centers, n_probes, seed=1))
+        _probe_report(F1, 0.05, n_centers, n_probes, 1))
     assert sum(rows) == n_centers * n_probes
     assert max(rows) <= perturb._BLOCK_VALUES // 4
     assert len(rows) >= threads * -(-n_centers // 64)
@@ -1090,3 +1108,112 @@ def test_cover_blocks_tile_the_chunk_in_order(m, n_probes, d, threads):
     assert len(blocks) >= min(threads, m * n_probes)
     if n_probes <= cap:      # whole centres, unless that leaves a thread idle
         assert all(ps == slice(None) for _, ps in blocks) or m < threads
+
+
+def _eye_jacobian(Fi):
+    """Fi with the identity as its Jacobian: its witnesses try one fixed
+    direction, so they decide some centres and leave the rest to probes."""
+    d = Fi.space.dim
+    return dataclasses.replace(Fi, jac=lambda x: np.broadcast_to(np.eye(d), x.shape + (d,)))
+
+
+@pytest.mark.parametrize("eye, delta, n_centers, n_probes, seed, counts, digest", [
+    # every centre witnessed: no probe is drawn
+    (False, 0.05, 130, 20, 5, (130, 100, 130),
+     "8ac077c9868e83c18d1263975a21a34b12cc869ca5d8337e09e65900178138b8"),
+    (False, -0.03, 129, 50, 3, (129, 100, 129),
+     "29b0065367df361b79937c4eaf1015d3ed372c9b6559af9365cf7a7b4a064f83"),
+    (False, 0.05, 3, 40000, 3, (3, 3, 3),
+     "06fe65f2dfe61247f4ad681edaa5b009d8c3af9159478d5e15092fb211318a43"),
+    # near the first-order threshold: witnesses flag 7 centres, probes none
+    (False, -0.035, 70, 1000, 5, (7, 7, 7),
+     "b35478bef20b206e2ebd5148053c1281e6bebe51cbc3f8e5db4de20b9d452344"),
+    # no witness: every centre's probes run, in blocks across the pool
+    (False, -0.045, 3, 40000, 3, (0, 0, 0),
+     "a46d66f6d196b1c90e5243e4784c27202a2b1ff3b3e45560587d28915be8d960"),
+    # witnesses along a fixed direction flag 21 centres and probes 103 more
+    (True, -0.028, 130, 100, 5, (846, 100, 21),
+     "cf0f7e1634ea5ae3b9ce7993c0307f9f97d754bf923437e60328c035250f9558"),
+])
+def test_cover_witness_report_bits_are_pinned(eye, delta, n_centers, n_probes, seed,
+                                              counts, digest):
+    F1 = build_torus_f1().maps[0]
+    Fi = _eye_jacobian(F1) if eye else F1
+    for threads in (1, 2, 3):
+        rep = check_ball_cover(Fi, 0.05, delta, n_centers, n_probes, seed=seed,
+                               threads=threads)
+        assert (rep.n_violations, len(rep.violations), rep.n_witnessed_centers) == counts
+        assert _cover_digest(rep) == digest
+
+
+def test_cover_records_witnesses_and_probes_in_centre_order():
+    # witnesses and probe violations are counted and recorded together, by
+    # centre; the probes of the centres without a witness are drawn from the
+    # seed's generator as if those were all the centres
+    Fi = _eye_jacobian(build_torus_f1().maps[0])
+    eps, delta = 0.05, -0.028
+    X = Space(4).uniform(np.random.default_rng(5), 130)
+    rep = check_ball_cover(Fi, eps, delta, 130, 100, seed=5, centers=X)
+    witnessed, _ = perturb._cover_witnesses(Fi, X, eps, eps + delta)
+    probe_flags, n_bad, _ = perturb._probe_cover(Fi, X[~witnessed], eps, eps + delta, 100,
+                                                 np.random.default_rng(5), 1)
+    assert rep.n_witnessed_centers == np.count_nonzero(witnessed) == 21
+    assert np.array_equal(rep.center_flags[witnessed], np.ones(21, dtype=bool))
+    assert np.array_equal(rep.center_flags[~witnessed], probe_flags)
+    assert rep.n_violations == 21 + n_bad
+    centre = [int(np.flatnonzero((X == x).all(axis=1))[0]) for x, _, _ in rep.violations]
+    assert centre == sorted(centre)
+    kept = [c for c in np.flatnonzero(witnessed) if c <= centre[-1]]
+    assert [centre.count(c) for c in kept] == [1] * len(kept)
+    assert 0 < len(kept) < len(set(centre))
+
+
+@pytest.mark.parametrize("system, eps, delta", [
+    ("torus_F1", 0.05, 0.05), ("cat", 0.05, 0.05), ("rotation:0.1", 0.01, 1e-5),
+    ("contraction:0.5", 0.05, 0.05),
+])
+def test_cover_witnesses_are_violations_the_dense_probes_confirm(system, eps, delta):
+    Fi = build_system(system).maps[0]
+    space = Fi.space
+    X = space.uniform(np.random.default_rng(7), 200)
+    rep = check_ball_cover(Fi, eps, delta, 200, 1000, seed=7, centers=X)
+    assert rep.violations
+    for x, z, dd in rep.violations:
+        pre = float(space.dist(Fi.invert(z), x))
+        assert pre >= eps and pre == dd
+        assert float(space.dist(z, Fi(x))) <= eps + delta
+    probe_flags, _, _ = perturb._probe_cover(Fi, X, eps, eps + delta, 1000,
+                                             np.random.default_rng(7), 1)
+    assert np.all(rep.center_flags[probe_flags])
+    # every centre of an isometry fails for delta > 0; 1,000 probes find 118
+    assert rep.n_witnessed_centers == np.count_nonzero(rep.center_flags) == 200
+    if system.startswith("rotation"):
+        assert np.count_nonzero(probe_flags) == 118
+
+
+def test_cover_without_a_jacobian_goes_straight_to_probes():
+    F1 = build_torus_f1().maps[0]
+    plain = dataclasses.replace(F1, jac=None)
+    rep = check_ball_cover(plain, 0.05, 0.05, 130, 20, seed=5)
+    assert rep.n_witnessed_centers == 0
+    assert (rep.n_violations, len(rep.violations)) == (2474, 100)
+    assert _cover_digest(rep) == _cover_digest(_probe_report(F1, 0.05, 130, 20, 5))
+
+
+@pytest.mark.parametrize("system, delta, rows", [
+    # one inverse call of every centre decides them all: no probe is drawn
+    ("torus_F1", 0.05, [200]),
+    # no witness: both signs are tried, then every centre's probes
+    ("rotation:0.1", 0.0, [200, 200] + [64 * 30] * 3 + [8 * 30]),
+])
+def test_cover_witness_inverts_each_sign_once(system, delta, rows):
+    Fi = build_system(system).maps[0]
+    calls = []
+
+    def inv(p):
+        calls.append(int(np.prod(p.shape[:-1])))
+        return Fi.inv(p)
+
+    rep = check_ball_cover(dataclasses.replace(Fi, inv=inv), 0.05, delta, 200, 30, seed=2)
+    assert calls == rows
+    assert rep.passed == (delta == 0.0)
