@@ -227,16 +227,22 @@ def orbit_steps(F: IFS, sigma: SymbolSequence, x, k: int) -> Iterator[np.ndarray
     negative k raises ValueError, before yielding anything, when a map is
     not invertible.  The schedule is resolved with one ``symbols`` call,
     checked against the family size before anything is yielded.
+
+    A caller may ``send()`` a boolean mask over axis -2 of the last yielded
+    step: later steps carry only the kept rows (taken with ``np.compress``,
+    which keeps C order).  Plain iteration keeps every row.
     """
     if k < 0 and not F.invertible:
         raise ValueError("negative-step orbit map needs invertible maps")
     symbols = _in_family(F, sigma.symbols(min(k, 0), max(k, 0)))
     steps = [m if k >= 0 else m.invert for m in F.maps]
     y = F.space.normalize(x)
-    yield y
+    keep = yield y
     for s in (symbols if k >= 0 else symbols[::-1]).tolist():
+        if keep is not None:
+            y = np.compress(keep, y, axis=-2)
         y = steps[s](y)
-        yield y
+        keep = yield y
 
 
 def orbit_map(F: IFS, sigma: SymbolSequence, k: int, x) -> np.ndarray:

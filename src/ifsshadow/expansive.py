@@ -9,13 +9,12 @@ can only be probed, never proved, by sampling: reports carry the verdict
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from .core import IFS, SymbolSequence, orbit_steps
-from .space import MetricGrid, _as_points, _check_real, _norms
+from .space import MetricGrid, _as_points, _check_count, _check_real, _norms
 
 # defaults of the expansiveness estimates, which the CLI's defaults read too
 PAIR_TOLERANCE, N_CAP, N_PAIRS = 1e-3, 30, 512
@@ -35,33 +34,65 @@ def separation_time(F: IFS, sigma: SymbolSequence, x, y, eta: float,
     return None if np.isinf(t) else int(t)
 
 
-def _separations(F: IFS, sigma: SymbolSequence, X, Y,
-                 n_cap: int) -> Iterator[np.ndarray]:
-    """Yield max(dist(O(n)x, O(n)y), dist(O(-n)x, O(-n)y)) per pair, n = 0..n_cap."""
-    _check_real("n_cap", n_cap, 0)  # a negative horizon would read as saturated
+def _separations(F: IFS, sigma: SymbolSequence, X, Y, n_cap: int,
+                 eta: float = np.inf) -> tuple[np.ndarray, np.ndarray]:
+    """Per pair (x, y), the first n <= n_cap whose separation
+    max(dist(O(n)x, O(n)y), dist(O(-n)x, O(-n)y)) exceeds eta (inf if none),
+    and the largest separation over 0..n (over 0..n_cap if none).
+
+    A pair leaves the batch at that step, and its orbits are not stepped
+    again; with eta = inf no pair leaves.  A batch of two or more pairs
+    never shrinks to one: one settled pair is stepped beside a last open
+    one, since numpy's matmul takes another BLAS path on a single row, whose
+    last bits can differ.  Raises ValueError for a non-finite coordinate in
+    X or Y.
+    """
+    n_cap = _check_count("n_cap", n_cap, 0)  # a negative horizon would read as saturated
     space = F.space
     XY = np.stack([_as_points(space, X), _as_points(space, Y)])
-    for f, b in zip(orbit_steps(F, sigma, XY, n_cap),
-                    orbit_steps(F, sigma, XY, -n_cap)):
-        yield np.maximum(space.dist(f[0], f[1]), space.dist(b[0], b[1]))
+    if not np.isfinite(XY).all():
+        finite = np.isfinite(XY).all(axis=-1)
+        side, row = np.unravel_index(np.argmin(finite), finite.shape)
+        raise ValueError(f"{'XY'[side]} holds a non-finite point "
+                         f"{XY[side, row].tolist()}")
+    times = np.full(XY.shape[1], np.inf)
+    maxima = np.empty(XY.shape[1])
+    rows = np.arange(XY.shape[1])        # the pair of each batch row
+    open_ = np.ones(rows.size, bool)     # False for a settled pair kept beside the last
+    top = np.full(rows.size, -np.inf)    # running max per batch row
+    fwd, bwd = orbit_steps(F, sigma, XY, n_cap), orbit_steps(F, sigma, XY, -n_cap)
+    keep = None                          # the rows the next step carries
+    for n in range(n_cap + 1):
+        f, b = fwd.send(keep), bwd.send(keep)
+        sep = np.maximum(space.dist(f[0], f[1]), space.dist(b[0], b[1]))
+        np.maximum(top, sep, out=top)
+        settled = open_ & (sep > eta)
+        keep = None
+        if settled.any():
+            times[rows[settled]] = n
+            maxima[rows[settled]] = top[settled]
+            open_ &= ~settled
+            if not open_.any():
+                return times, maxima
+            keep = open_.copy()
+            if np.count_nonzero(keep) == 1:
+                keep[np.argmin(keep)] = True
+            rows, open_, top = rows[keep], open_[keep], top[keep]
+    maxima[rows[open_]] = top[open_]
+    return times, maxima
 
 
 def separation_times_batch(F: IFS, sigma: SymbolSequence, X, Y, eta: float,
                            n_cap: int) -> np.ndarray:
     """Vectorized separation times for pair arrays (inf where saturated)."""
     _check_real("eta", eta, 0)  # identical points would exceed eta < 0 at n = 0
-    times = np.full(len(X), np.inf)
-    for n, sep in enumerate(_separations(F, sigma, X, Y, n_cap)):
-        times[np.isinf(times) & (sep > eta)] = n
-        if not np.any(np.isinf(times)):
-            break
-    return times
+    return _separations(F, sigma, X, Y, n_cap, eta)[0]
 
 
 def max_orbit_separation(F: IFS, sigma: SymbolSequence, X, Y,
                          n_cap: int) -> np.ndarray:
     """max over |n| <= n_cap of dist(O(n)x, O(n)y), per pair."""
-    return reduce(np.maximum, _separations(F, sigma, X, Y, n_cap))
+    return _separations(F, sigma, X, Y, n_cap)[1]
 
 
 @dataclass(frozen=True)
@@ -138,17 +169,21 @@ def estimate_expansive_const(
     sampled violations - an estimate, not a proof.  Every violation is
     counted; the report records the first 16 pairs, in sample order, of the
     largest Delta, whose violations hold those of every smaller one.
+
+    A pair stops being stepped once it separates beyond the largest Delta:
+    it violates no Delta, and every violation keeps its maximum over all
+    |n| <= n_cap, so the report is the one of stepping every pair to n_cap.
     """
-    _check_real("n_cap", n_cap, 0)
+    n_cap = _check_count("n_cap", n_cap, 0)
     _check_real("pair_tolerance", pair_tolerance, 0)
-    _check_real("n_pairs", n_pairs, 1)
+    n_pairs = _check_count("n_pairs", n_pairs, 1)
     deltas = sorted({_check_real("Delta", float(d)) for d in delta_grid}, reverse=True)
     X, Y = _sample_pairs(F, grid, pair_tolerance, n_pairs, seed)
     if X.shape[0] == 0 or not deltas:
         return ExpansivenessReport(sigma, None, n_cap, pair_tolerance,
                                    tuple(DeltaVerdict(d, False, 0) for d in deltas),
                                    (), "inconclusive")
-    maxsep = max_orbit_separation(F, sigma, X, Y, n_cap)
+    maxsep = _separations(F, sigma, X, Y, n_cap, deltas[0])[1]
     verdicts = []
     candidate = None
     for dlt in deltas:
@@ -179,7 +214,7 @@ def estimate_N_of_mu(
     separating orientations matter; off d = 2 the fan is random directions
     plus the coordinate axes) plus random grid pairs.
     """
-    _check_real("n_cap", n_cap, 0)
+    _check_count("n_cap", n_cap, 0)
     _check_real("eta", eta, 0)
     _check_real("mu", mu)
     if mu > F.space.diameter():

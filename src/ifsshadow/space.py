@@ -17,6 +17,7 @@ Chain-level functions (``gen_pseudo_orbit``, ``ChainRecord``,
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,14 @@ def _check_real(name: str, value, least=None):
     if not value < np.inf:
         raise ValueError(f"{name} must be finite, got {value}")
     return value
+
+
+def _check_count(name: str, value, least: int) -> int:
+    """Return value as an int if it is an integer (not a bool) >= least;
+    otherwise raise ValueError naming the parameter."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return _check_real(name, int(value), least)
 
 
 def _as_points(space: "Space", x) -> np.ndarray:

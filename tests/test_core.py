@@ -316,6 +316,20 @@ def test_orbit_steps_is_lazy():
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("k", [4, -4])
+def test_orbit_steps_sent_mask_drops_rows(k):
+    # a mask sent over axis -2 drops those rows from every later step, which
+    # stay C-contiguous and equal the kept rows of the unmasked orbit
+    X = np.random.default_rng(2).random((2, 6, 2))
+    full = list(orbit_steps(CAT, SIG0, X, k))
+    keep = np.array([True, False, True, True, False, True])
+    steps = orbit_steps(CAT, SIG0, X, k)
+    got = [next(steps), steps.send(keep)] + list(steps)
+    assert np.array_equal(got[0], full[0])
+    for g, f in zip(got[1:], full[1:]):
+        assert g.flags.c_contiguous and np.array_equal(g, f[:, keep])
+
+
 def test_orbit_steps_backward_needs_inverses():
     m = SmoothMap("noinv", Space(2), lambda x: x)
     with pytest.raises(ValueError, match="invertible"):
