@@ -25,8 +25,9 @@ from .core import (ChainRecord, IFS, SymbolSequence, _link_errors, _require_inve
 from .maps import InversionError, SmoothMap, compose
 from .shadowing import (NEWTON_TOL, _gauss_newton, _max_residual, _pair_ratios,
                         lipschitz_estimate)
-from .space import (MetricGrid, Space, _as_points, _ball_points, _check_real, _mod1,
-                    _norms, ball_sample, check_resolution)
+from .space import (MetricGrid, Space, _as_points, _ball_points, _check_count,
+                    _check_integer, _check_real, _mod1, _norms, ball_sample,
+                    check_resolution)
 
 
 class SupportError(ValueError):
@@ -111,6 +112,44 @@ class BumpDiffeo(SmoothMap):
     support_radius: float = field(kw_only=True)
 
 
+#: coordinates, centres and support radii below this magnitude round by far
+#: less than the 1e-9 of slack in a bump's support boxes
+_BOX_SCALE = 2.0 ** 20
+
+
+def _support_boxes(P: np.ndarray, R: float, periodic: bool,
+                   ) -> list[list[tuple[float, float, bool]]]:
+    """Per centre P[i] and axis, (lo, hi, seam): the box of half-width
+    R + 1e-9 around the centre, which holds its support of radius R.
+
+    A reduced coordinate c (in [0, 1] on the torus) lies in the box when
+    lo < c < hi, or, where the box crosses the torus seam (seam is True),
+    when c > lo or c < hi.  An axis the box covers on the torus gets
+    (-1, 2, False), and so do all axes on the torus when R is infinite;
+    on the cube an infinite R gives (-inf, inf, False).  These hold every
+    finite c and no NaN.  Centres or an R that reach _BOX_SCALE give the
+    boxes of an infinite R.
+    """
+    half = R + 1e-9
+    if not np.max(np.abs(P), initial=0.0) + half < _BOX_SCALE:
+        half = np.inf
+    boxes = []
+    for p in P.tolist():
+        box = []
+        for c in p:
+            lo, hi, seam = c - half, c + half, False
+            if periodic:
+                if half >= 0.5:
+                    lo, hi = -1.0, 2.0
+                elif lo < 0.0:
+                    lo, seam = lo + 1.0, True
+                elif hi >= 1.0:
+                    hi, seam = hi - 1.0, True
+            box.append((lo, hi, seam))
+        boxes.append(box)
+    return boxes
+
+
 def move_points_diffeo(
     pairs: Sequence[tuple[np.ndarray, np.ndarray]],
     delta: float,
@@ -131,11 +170,14 @@ def move_points_diffeo(
     For k >= 2 the supports are disjoint (else SupportError), so each point
     lies in at most one support and gets at most one nonzero term: the
     perturbation, Jacobian and inverse visit the centers one at a time on
-    (N, d) arrays, with memory linear in N.  Points outside every support are
-    their own preimage.  The inverse stops by the rule of every Newton
-    inverse (maps.INVERSE_TOL on each point's step along d_i, at most
-    maps.INVERSE_MAX_ITER steps); a point with a non-finite coordinate, or
-    still moving at the step cap, makes it raise InversionError.
+    (N, d) arrays, with memory linear in N.  Each call reduces the
+    coordinate columns once, and a support's points are found by a box test
+    on them before the exact distance test (``supports``).  Points outside
+    every support are their own preimage.  The inverse stops by the rule of
+    every Newton inverse (maps.INVERSE_TOL on each point's step along d_i,
+    at most maps.INVERSE_MAX_ITER steps); a point with a non-finite
+    coordinate, or still moving at the step cap, makes it raise
+    InversionError.
     """
     _check_real("delta", delta)
     if space is None:
@@ -183,28 +225,62 @@ def move_points_diffeo(
         )
 
     R2 = R * R
+    boxes = _support_boxes(P, R, space.periodic)
+    everywhere = _support_boxes(P, np.inf, space.periodic)
 
-    def near(i, flat):
-        """Indices of the rows of flat within R of center i, and their
-        displacements from it.  _norms(w) >= |w_0| in floating point
-        (sqrt(fl(x * x)) == |x|), so only rows whose first coordinate is
-        within R can be: that column is wrapped alone first, with the bits
-        of ``space.displacement``, and only those rows get a full one."""
-        r = flat[:, 0] - P[i, 0]
+    def supports(flat):
+        """(i, idx, w, |w|) for each support i that holds rows of flat: the
+        indices of the rows within R of centre i, their displacements from
+        it and the norms of those.
+
+        The coordinate columns of flat are reduced once per call (minus
+        their floor on the torus, into [0, 1]), and a support's candidates
+        are the rows whose every coordinate lies in its box
+        (_support_boxes).  Only they get a full ``space.displacement`` and
+        the test _norms(w) < R.  _norms(w) >= |w_j| in floating point
+        (sqrt(fl(x * x)) == |x|), and while coordinates, centres and R are
+        below _BOX_SCALE in magnitude, w_j and the reduced coordinate round
+        apart by less than the boxes' 1e-9 of slack, so every row within R
+        is a candidate.  On the torus a call with a larger finite
+        coordinate makes every finite row one; on the cube such a row lies
+        outside every box and farther than R from every centre.  A row
+        with a non-finite coordinate is no candidate.
+        """
+        if not k:
+            return
+        small = True
         if space.periodic:
-            r -= np.floor(r)
-            r -= r > 0.5
-        idx = np.flatnonzero(np.abs(r) < R)
-        w = space.displacement(P[i], flat[idx])
-        inside = _norms(w) < R
-        return idx[inside], w[inside]
+            cols = np.floor(flat.T, order="C")     # one contiguous row per axis
+            np.subtract(flat.T, cols, out=cols)
+            small = np.fmax.reduce(np.abs(flat), axis=None, initial=0.0) < _BOX_SCALE
+        else:
+            cols = np.ascontiguousarray(flat.T)
+        for i, box in enumerate(boxes if small else everywhere):
+            mask = None
+            for c, (lo, hi, seam) in zip(cols, box):
+                m = c > lo
+                if seam:
+                    m |= c < hi
+                else:
+                    m &= c < hi
+                mask = m if mask is None else np.logical_and(mask, m, out=mask)
+            idx = np.flatnonzero(mask)
+            if not idx.size:
+                continue
+            # take and compress move the rows that fancy indexing would,
+            # with less overhead
+            w = space.displacement(P[i], flat.take(idx, axis=0))
+            dist = _norms(w)
+            inside = dist < R
+            if inside.any():
+                yield (i, idx.compress(inside), w.compress(inside, axis=0),
+                       dist.compress(inside))
 
     def perturbation(x):
         flat = x.reshape(-1, space.dim)
         out = np.zeros_like(flat)
-        for i in range(k):
-            idx, w = near(i, flat)
-            out[idx] += bump_profile(_norms(w) / R)[:, None] * D[i]
+        for i, idx, _, dist in supports(flat):
+            out[idx] += bump_profile(dist / R)[:, None] * D[i]
         return out.reshape(x.shape)
 
     def fwd(x):
@@ -214,16 +290,15 @@ def move_points_diffeo(
         p = np.asarray(p, dtype=float)
         flat = p.reshape(-1, space.dim)
         z = flat.copy()             # points outside every support stay put
-        stuck = [np.flatnonzero(~np.isfinite(flat).all(axis=-1))]
-        for i in range(k):
-            idx, w = near(i, flat)                  # from center i to p
-            if not idx.size:
-                continue
+        stuck = [np.empty(0, dtype=np.intp)]
+        if not np.isfinite(flat).all():     # the rows are found only if any
+            stuck.append(np.flatnonzero(~np.isfinite(flat).all(axis=-1)))
+        for i, idx, w, _ in supports(flat):         # from center i to p
             a = float(D[i] @ D[i])
             tol = maps.INVERSE_TOL / np.sqrt(a) if a else np.inf
             t, moving = _profile_roots(np.sum(w * w, axis=-1) / R2, (w @ D[i]) / R2,
                                        a / R2, tol)
-            z[idx] = space.normalize(flat[idx] - t[:, None] * D[i])
+            z[idx] = space.normalize(flat.take(idx, axis=0) - t[:, None] * D[i])
             stuck.append(idx[moving])
         stuck = np.concatenate(stuck)
         if stuck.size:
@@ -238,9 +313,7 @@ def move_points_diffeo(
     def jac(x):
         flat = x.reshape(-1, space.dim)
         J = np.broadcast_to(eye, flat.shape + (space.dim,)).copy()
-        for i in range(k):
-            idx, v = near(i, flat)                  # from center i to x
-            dist = _norms(v)
+        for i, idx, v, dist in supports(flat):      # from center i to x
             pos = dist > 0.0
             di = dist[pos]
             grads = (bump_profile_deriv(di / R) / (R * di))[:, None] * v[pos]
@@ -544,7 +617,7 @@ def build_semiconj(
     inverse of a contraction blows orbits up.  F and G must share one space.
     """
     _check_real("eps", eps)
-    _check_real("K", K, 0)
+    K = _check_count("K", K, 0)
     two_sided = _same_space("F and G", F, G).periodic
     X = _as_points(F.space, samples)
     lo = K if two_sided else 0
@@ -581,7 +654,7 @@ def semiconj_residual(
     either window uses (ValueError otherwise).  For the G the table was built
     with and K <= h.K, the G-orbit windows are the table's, trimmed to [-K, K].
     """
-    _check_real("K", K, 0)
+    K = _check_count("K", K, 0)
     _same_space("F and G", F, G)
     hi = max(K, h.K)
     lo = hi if h.two_sided else 0
@@ -671,9 +744,10 @@ def check_ball_cover(
     of the ball around F(X) violates it when dist(F^{-1}(Z), X) >= eps.
 
     Raises ValueError unless eps > 0 and eps + delta > 0 are finite (so delta
-    is too), the centres are finite and there are at least one centre and one
-    probe per centre: an empty probe set passes nothing, and an infinite
-    radius or a NaN centre tests nothing.
+    is too), the centres are finite, the counts n_centers, n_probes and
+    threads are integers (not bools) and there are at least one centre, one
+    probe per centre and one thread: an empty probe set passes nothing, and
+    an infinite radius or a NaN centre tests nothing.
 
     A map with a Jacobian first gets a witness per centre (_cover_witnesses):
     to first order the inclusion needs (eps+delta) ||DF(X)^{-1}|| <= eps, so
@@ -686,10 +760,11 @@ def check_ball_cover(
     """
     if not Fi.invertible:
         raise ValueError(f"map {Fi.label!r} must be invertible")
-    _check_real("threads", threads, 1)
+    threads = _check_count("threads", threads, 1)
+    n_centers = _check_integer("n_centers", n_centers)
     _check_real("eps", eps)
     radius = _check_real("the probe radius eps + delta", eps + delta)  # so is delta
-    _check_real("n_probes", n_probes, 1)
+    n_probes = _check_count("n_probes", n_probes, 1)
     space = Fi.space
     rng = np.random.default_rng(seed)
     if centers is not None:

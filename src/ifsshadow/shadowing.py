@@ -45,7 +45,7 @@ from .core import (EXACT_CHAIN_TOL, ChainRecord, IFS, SymbolSequence,
                    _link_errors, _max_spectral_norm, _same_bits, iterate_chain,
                    validate_chain)
 from .maps import SmoothMap
-from .space import _check_real, _norms, ball_sample
+from .space import _check_count, _check_real, _norms, ball_sample
 
 # Gauss-Newton's stopping rule: a largest link residual at most NEWTON_TOL,
 # or NEWTON_MAX_ITER sweeps
@@ -433,10 +433,10 @@ def check_uniqueness(
     legitimately differ by decaying exact-orbit modes even when the
     bi-infinite shadow is unique.  Trials that stop unconverged are counted
     in `unconverged`.  `sigma` must agree with the chain's own schedule on
-    its links, `trials` be at least 1 and `eps` finite and positive
-    (ValueError otherwise).
+    its links, `trials` be an integer of at least 1 and `eps` finite and
+    positive (ValueError otherwise).
     """
-    _check_real("trials", trials, 1)
+    trials = _check_count("trials", trials, 1)
     _check_real("eps", eps)
     n = len(chain)
     symbols = sigma.symbols(0, chain.n_links)

@@ -47,12 +47,18 @@ def _check_real(name: str, value, least=None):
     return value
 
 
+def _check_integer(name: str, value) -> int:
+    """Return value as an int if it is an integer (not a bool); otherwise
+    raise ValueError naming the parameter."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
 def _check_count(name: str, value, least: int) -> int:
     """Return value as an int if it is an integer (not a bool) >= least;
     otherwise raise ValueError naming the parameter."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value}")
-    return _check_real(name, int(value), least)
+    return _check_real(name, _check_integer(name, value), least)
 
 
 def _as_points(space: "Space", x) -> np.ndarray:
@@ -227,7 +233,7 @@ class MetricGrid:
     _points: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_real("resolution", self.resolution, 1)
+        self.resolution = _check_count("resolution", self.resolution, 1)
 
     @property
     def points(self) -> np.ndarray:

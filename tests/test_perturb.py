@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import re
@@ -293,44 +294,87 @@ def dense_invert(f, p):
     raise AssertionError("dense reference inverse did not converge")
 
 
-def random_pair_set(k, seed, space=SP2, support_radius=None):
-    """k pairs with random sources and targets moved by a fraction of the
-    largest displacement the supports allow."""
+def random_pair_set(k, seed, space=SP2, support_radius=None, centers=None,
+                    far=False):
+    """k pairs with random sources (or the given centers) and targets moved by
+    a fraction of the largest displacement the supports allow.  A
+    support_radius of "tight" is just under half the least separation of the
+    sources and of the targets, so neighbouring supports nearly touch."""
     rng = np.random.default_rng(seed)
-    P = rng.random((k, 2))
+    d = space.dim
+    P = rng.random((k, d)) if centers is None else np.array(centers, dtype=float)
+    iu = np.triu_indices(k, 1)
     if k >= 2:
-        sep = np.min(space.dist(P[:, None, :], P[None, :, :])[np.triu_indices(k, 1)])
-        R = 0.4 * sep if support_radius is None else support_radius
+        sep = np.min(space.dist(P[:, None, :], P[None, :, :])[iu])
+        R = 0.4 * sep if support_radius in (None, "tight") else support_radius
     else:
         R = 0.2 if support_radius is None else support_radius
     size = 0.3 * R / MAX_ABS_PROFILE_DERIV
-    Q = space.normalize(P + ball_sample(rng, k, 2, size))
+    Q = space.normalize(P + ball_sample(rng, k, d, size))
+    if support_radius == "tight":
+        sep = min(np.min(space.dist(A[:, None, :], A[None, :, :])[iu]) for A in (P, Q))
+        support_radius = 0.5 * sep * (1 - 1e-12)
     pairs = list(zip(P, Q))
     f = move_points_diffeo(pairs, 2.0 * size, space=space,
                            support_radius=support_radius)
     # points on, just inside and just outside each support boundary, at the
-    # sources and targets, uniform, and outside the unit square
-    ang = rng.random(64) * 2 * np.pi
-    ring = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    # sources and targets, uniform, and outside the unit cube
+    if d == 2:
+        ang = rng.random(64) * 2 * np.pi
+        ring = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    else:
+        ring = rng.standard_normal((64, d))
+        ring /= np.linalg.norm(ring, axis=-1, keepdims=True)
     R = f.support_radius
-    X = [rng.random((3000, 2)), rng.uniform(-2.0, 3.0, (500, 2)), P, Q]
+    X = [rng.random((3000, d)), rng.uniform(-2.0, 3.0, (500, d)), P, Q]
     for c in P:
         for scale in (R, R * (1 - 1e-12), R * (1 - 1e-9), R * (1 + 1e-12), 0.5 * R):
             X.append(c + scale * ring)
+    if far:
+        # periodic images of the points at and around the supports out to
+        # 2^50 (1e300 on the torus): there the displacement from a centre
+        # rounds by more than the support boxes' slack
+        near = np.concatenate(X[2:])
+        shifts = [2.0 ** 19, 2.0 ** 21, 1e7, 2.0 ** 40, 2.0 ** 50] + [1e300] * space.periodic
+        X += [near + s for s in shifts] + [near[:, ::-1] - 2.0 ** 30]
     return f, np.concatenate(X)
 
 
-PAIR_SETS = ([(k, seed, None) for k in range(6) for seed in (1, 2)]
-             + [(3, 7, 0.05)])
+@dataclass(frozen=True)
+class PairSet:
+    k: int
+    seed: int
+    support_radius: float | str | None = None
+    dim: int = 2
+    centers: tuple | None = None
+    far: bool = False
 
 
-@pytest.mark.parametrize("k, seed, support_radius", PAIR_SETS)
+#: centres within R of the seams: the first box crosses x = 0, the second
+#: y = 1, the third both (x = 1 and y = 0)
+SEAM_CENTERS = ((0.02, 0.5), (0.5, 0.98), (0.97, 0.03), (0.5, 0.2))
+
+PAIR_SETS = ([pytest.param(PairSet(k, seed), id=f"{k}-{seed}-None")
+              for k in range(6) for seed in (1, 2)]
+             + [pytest.param(PairSet(3, 7, 0.05), id="3-7-0.05"),
+                pytest.param(PairSet(4, 3, centers=SEAM_CENTERS), id="seams"),
+                pytest.param(PairSet(5, 4, dim=4), id="d4"),
+                # the boxes of the nearest supports overlap
+                pytest.param(PairSet(5, 1, "tight"), id="tight"),
+                pytest.param(PairSet(4, 5, "tight", dim=4,
+                                     centers=[c + c[::-1] for c in SEAM_CENTERS]),
+                             id="d4-seams-tight"),
+                pytest.param(PairSet(3, 1, "tight", far=True), id="far-images")])
+
+
+@pytest.mark.parametrize("case", PAIR_SETS)
 @pytest.mark.parametrize("periodic", [True, False])
-def test_bump_equals_the_dense_all_centers_formulas(k, seed, support_radius,
-                                                    periodic):
-    sp = Space(2, periodic=periodic)
-    f, X = random_pair_set(k, seed, sp, support_radius)
-    assert len(f.centers) == k
+def test_bump_equals_the_dense_all_centers_formulas(case, periodic):
+    d = case.dim
+    sp = Space(d, periodic=periodic)
+    f, X = random_pair_set(case.k, case.seed, sp, case.support_radius, case.centers,
+                           case.far)
+    assert len(f.centers) == case.k
     fwd = X + dense_perturbation(f, X)
     assert np.array_equal(f.fwd(X), fwd)
     assert np.array_equal(f(X), sp.normalize(fwd))
@@ -342,13 +386,84 @@ def test_bump_equals_the_dense_all_centers_formulas(k, seed, support_radius,
     assert np.max(sp.dist(f(Z), Y)) <= 1e-15
     assert np.max(sp.dist(Z, dense_invert(f, Y))) <= 1e-13
     # leading axes: a (2, n, d) stack and a single point
-    X2 = X[: 2 * (len(X) // 2)].reshape(2, -1, 2)
-    assert np.array_equal(f(X2), f(X2.reshape(-1, 2)).reshape(X2.shape))
+    X2 = X[: 2 * (len(X) // 2)].reshape(2, -1, d)
+    assert np.array_equal(f(X2), f(X2.reshape(-1, d)).reshape(X2.shape))
     assert np.array_equal(f.jacobian(X2),
-                          f.jacobian(X2.reshape(-1, 2)).reshape(X2.shape + (2,)))
-    assert np.array_equal(f.invert(Y[:2].reshape(1, 2, 2)), f.invert(Y[:2])[None])
+                          f.jacobian(X2.reshape(-1, d)).reshape(X2.shape + (d,)))
+    assert np.array_equal(f.invert(Y[:2].reshape(1, 2, d)), f.invert(Y[:2])[None])
     assert np.array_equal(f(X[0]), f(X[:1])[0])
     assert np.array_equal(f.jacobian(X[0]), f.jacobian(X[:1])[0])
+
+
+def bump_inverse_case(k, periodic, d):
+    """A bump of k pairs in d dimensions with the default support radius, and
+    rows to invert: in and around each support, uniform in [-1, 2)^d, and the
+    first of them shifted by whole periods out of [0, 1)."""
+    sp = Space(d, periodic=periodic)
+    rng = np.random.default_rng(100 * k + 10 * d + periodic)
+    P = rng.random((k, d))
+    sep = np.min(sp.dist(P[:, None, :], P[None, :, :])[np.triu_indices(k, 1)],
+                 initial=0.5)
+    size = 0.04 * sep / MAX_ABS_PROFILE_DERIV
+    Q = sp.normalize(P + ball_sample(rng, k, d, size))
+    f = move_points_diffeo(list(zip(P, Q)), 2.0 * size, space=sp)
+    R = f.support_radius
+    near = np.concatenate([P, Q, *(q + ball_sample(rng, 200, d, 1.1 * R) for q in Q)])
+    rows = np.concatenate([near, rng.uniform(-1.0, 2.0, (500, d)), near + 1.0,
+                           near - 2.0])
+    return f, rows
+
+
+@pytest.mark.parametrize("k, periodic, d, digest", [
+    # digests of f.invert(rows) from before each support's rows were found by
+    # a box test
+    (1, True, 2,
+     "3c390d6125f02d0a4f6a8a3a8064eb81bf538475ad374e416d0782fe60f6a561"),
+    (1, True, 4,
+     "62ca8a5c4c600236708f80823cf349e4fdbf86b57d2abe92bc70ba6a9d465b13"),
+    (1, False, 2,
+     "27a855b690299fa9b735281f3513304385effc83de5de52ada95c2c682988d88"),
+    (1, False, 4,
+     "e5d1df432d4d884c6339453d197ebbf8c2b54ceefa3807f58822b5e55c6cadf7"),
+    (5, True, 2,
+     "8bffa0d838a10346291d3a22889436f7cf4ff7aa9199afbb76e362a9be41744d"),
+    (5, True, 4,
+     "6ebd7c8006d6069d37f5589520fee6a91f2fed460e7c8d9f73b0fc1cde5c6be0"),
+    (5, False, 2,
+     "a1fc3e64b10512e941e541829b433ceaee3c47e3dd680a764f44d1d6c04c37ec"),
+    (5, False, 4,
+     "1b335ceed13bc3a8625c527e40ba69c7857bd939cc8eecf91259571e29d137b0"),
+])
+def test_bump_inverse_bits_are_pinned(k, periodic, d, digest):
+    f, rows = bump_inverse_case(k, periodic, d)
+    Z = f.invert(rows)
+    assert np.max(f.space.dist(f(Z), rows)) <= 1e-15
+    assert hashlib.sha256(Z.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_bump_non_finite_rows(periodic, bad):
+    sp = Space(2, periodic=periodic)
+    f = move_points_diffeo([(np.array([0.5, 0.5]), np.array([0.51, 0.5]))], 0.02,
+                           space=sp)
+    good = np.array([[0.2, 0.3], [0.505, 0.5]])
+    X = np.concatenate([good, [[bad, 0.5], [0.5, bad]]])
+    # inf - floor(inf) is NaN: the torus reduction warns as it always has
+    warns = (pytest.warns(RuntimeWarning, match="invalid value encountered in subtract")
+             if periodic and np.isinf(bad) else contextlib.nullcontext())
+    with warns:
+        fwd, J = f.fwd(X), f.jacobian(X)
+    # a non-finite row passes through the perturbation: it is in no support
+    assert np.array_equal(fwd, np.concatenate([f.fwd(good), X[2:]]), equal_nan=True)
+    assert np.array_equal(J[2:], np.broadcast_to(np.eye(2), (2, 2, 2)))
+    assert np.array_equal(J[:2], f.jacobian(good))
+    # and makes the inverse raise; the finite rows are inverted in its best
+    warns = (pytest.warns(RuntimeWarning, match="invalid value encountered in subtract")
+             if np.isinf(bad) else contextlib.nullcontext())
+    with warns, pytest.raises(InversionError, match="2 points still moving") as exc:
+        f.invert(X)
+    assert np.array_equal(exc.value.best[:2], f.invert(good))
 
 
 @settings(deadline=None, max_examples=60)
@@ -746,6 +861,17 @@ def test_semiconj_residual_rejects_a_negative_K():
         semiconj_residual(CAT, G, SIG0, sc, K=-1)
 
 
+@pytest.mark.parametrize("K", [2.5, True])
+def test_semiconj_K_must_be_an_integer(K):
+    G = build_bumped_cat_ifs(1e-3)
+    samples = lattice_samples(16, 2)
+    with pytest.raises(ValueError, match=f"K must be an integer, got {K}"):
+        build_semiconj(CAT, G, SIG0, eps=0.05, samples=samples, K=K)
+    sc = build_semiconj(CAT, G, SIG0, eps=0.05, samples=samples, K=2)
+    with pytest.raises(ValueError, match=f"K must be an integer, got {K}"):
+        semiconj_residual(CAT, G, SIG0, sc, K=K)
+
+
 def test_semiconj_coverage_error_on_sparse_samples():
     G = build_bumped_cat_ifs(1e-3)
     sparse = lattice_samples(10, 2)
@@ -990,6 +1116,17 @@ def test_cover_deterministic_and_reports():
 def test_cover_thread_count_below_one_is_rejected(threads):
     with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
         check_ball_cover(identity_map(SP2), 0.05, 0.0, 4, 4, seed=0, threads=threads)
+
+
+@pytest.mark.parametrize("name", ["n_centers", "n_probes", "threads"])
+@pytest.mark.parametrize("value", [2.5, True])
+def test_cover_counts_must_be_integers(name, value):
+    # 2.5 probes were echoed in the report, and 2.5 centres ended in a numpy
+    # TypeError
+    args = dict(Fi=build_torus_f1().maps[0], eps=0.05, delta=0.05, n_centers=2,
+                n_probes=2, seed=1, threads=1)
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {value}"):
+        check_ball_cover(**{**args, name: value})
 
 
 def _cover_bits(rep):

@@ -689,6 +689,14 @@ def test_uniqueness_margin_is_a_quarter_of_the_links_capped_at_40(n_links):
     assert v.margin == min(n_links // 4, 40)
 
 
+@pytest.mark.parametrize("trials", [2.5, True])
+def test_uniqueness_trials_must_be_an_integer(trials):
+    # both ended in a numpy TypeError
+    chain = gen_pseudo_orbit(CAT, SIG0, [0.38, 0.59], 1e-3, 20, seed=2)
+    with pytest.raises(ValueError, match=f"trials must be an integer, got {trials}"):
+        check_uniqueness(CAT, SIG0, chain, eps=0.2, trials=trials, seed=2)
+
+
 def test_uniqueness_trials_match_one_newton_solve_each(monkeypatch):
     T = build_torus_example()
     sig = SymbolSequence.random(2, 80, 5)

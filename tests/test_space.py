@@ -139,6 +139,14 @@ def test_grid_for_defaults_only_a_missing_resolution(dim, resolution):
             grid_for(Space(dim), bad)
 
 
+@pytest.mark.parametrize("resolution", [2.5, True])
+def test_grid_resolution_must_be_an_integer(resolution):
+    # both failed only when the points were filled, in a numpy TypeError
+    with pytest.raises(ValueError, match=f"resolution must be an integer, got {resolution}"):
+        MetricGrid(Space(2), resolution)
+    assert type(MetricGrid(Space(2), np.int64(4)).resolution) is int
+
+
 def test_ball_sample_radius_and_determinism():
     r1 = ball_sample(np.random.default_rng(5), 5000, 3, 0.2)
     r2 = ball_sample(np.random.default_rng(5), 5000, 3, 0.2)
