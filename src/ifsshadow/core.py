@@ -400,9 +400,11 @@ def _affine_steps(pts: np.ndarray, coefs, symbols: np.ndarray, errs: np.ndarray,
     right.  BLAS may add in another order or with fused multiply-adds, so
     where a product or a partial sum is not exact (d = 2) the last bit can
     differ from ``x @ A.T``; for d = 1, and on the cat and rotation maps,
-    the bits are the same.
+    the bits are the same.  ``x @ A.T`` starts each sum at +0.0, so it is
+    never -0.0, and a -0.0 in b leaves it unchanged; b + 0.0 turns that
+    -0.0 into +0.0, which gives the same signs of zero on scalars.
     """
-    rows = [(A.tolist(), b.tolist()) for A, b in coefs]
+    rows = [(A.tolist(), (b + 0.0).tolist()) for A, b in coefs]
     # y % 1.0 equals y - floor(y): the remainder is exact, and +0.0 at zero;
     # the second % 1.0 takes a rounded-up 1.0 to 0.0 and keeps every other value
     if pts.shape[1] == 1:

@@ -165,7 +165,8 @@ def move_points_diffeo(
     the inverse exists.  In support i every preimage of p is z = p - t d_i,
     where t in [0, 1] is the one root of t = profile(|w - t d_i|/R) and w is
     the displacement from p_i to p; ``_profile_roots`` finds it by a
-    safeguarded scalar Newton solve per point.
+    safeguarded scalar Newton solve per point.  A pair with a non-finite
+    coordinate is a ValueError naming it, raised before any distance check.
 
     For k >= 2 the supports are disjoint (else SupportError), so each point
     lies in at most one support and gets at most one nonzero term: the
@@ -187,8 +188,13 @@ def move_points_diffeo(
     if space.dim < 2:
         raise ValueError("point-moving diffeomorphisms need dim >= 2")
     none = np.empty((0, space.dim))
-    P = space.normalize(np.array([p for p, _ in pairs] or none, dtype=float))
-    Q = space.normalize(np.array([q for _, q in pairs] or none, dtype=float))
+    P = _as_points(space, [p for p, _ in pairs] or none)
+    Q = _as_points(space, [q for _, q in pairs] or none)
+    finite = np.all(np.isfinite(P) & np.isfinite(Q), axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"pair {i} ({P[i].tolist()} -> {Q[i].tolist()}) is not finite")
+    P, Q = space.normalize(P), space.normalize(Q)
 
     k = P.shape[0]
     d_pq = space.dist(P, Q)
@@ -518,26 +524,41 @@ def _nearest_samples(space: Space, samples: np.ndarray, queries: np.ndarray,
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Index of the nearest sample and the distance to it, for each query.
 
-    A k-d tree (periodic with box 1 on the torus) proposes the two nearest
-    samples of each query.  Where the second is as near as the first, up to
-    the tree's rounding, all samples in that ball are re-ranked by
-    ``space.dist``, and among equal distances the lowest sample index wins,
-    as ``np.argmin`` over all samples would choose; elsewhere the first is
-    the nearest.  Repeated sample rows enter the tree once, under their first
-    index, so they cause no ties.  Memory is linear in the numbers of samples
-    and queries.
+    A k-d tree proposes the two nearest samples of each query.  On the cube
+    it is a plain tree over the samples.  On the torus with at least 2^d
+    queries per distinct sample it is a plain tree over 2^d images of each
+    sample: on each axis s and s + 1 when s < 1/2, s and s - 1 otherwise.
+    Those images hold the nearest one to every query in [0, 1)^d, since
+    the squared torus distance is minimised axis by axis.  The plain tree
+    answers queries faster than a periodic one but holds 2^d times the
+    points, so sparser query sets, where its build would cost more than its
+    queries save, use a periodic tree with box 1.  Where the second
+    proposal is as near as the first, up to the tree's rounding, all samples
+    in that ball are re-ranked by ``space.dist``, and among equal distances
+    the lowest sample index wins, as ``np.argmin`` over all samples would
+    choose; elsewhere the first is the nearest.  Repeated sample rows enter
+    the tree once, under their first index, so they cause no ties.  Memory
+    is linear in the numbers of samples and queries.
     """
     keep = np.sort(np.unique(samples, axis=0, return_index=True)[1])
-    # the periodic tree takes coordinates in [0, 1) only
+    # the trees of the torus take coordinates in [0, 1) only
     data, probes = space.normalize(samples[keep]), space.normalize(queries)
-    tree = cKDTree(data, boxsize=1.0 if space.periodic else None)
-    k = min(len(keep), 2)
+    n, d = data.shape
+    if space.periodic and len(queries) >= 2 ** d * n:
+        # row c * n + i is image c of sample i, moved on the axes of c's set bits
+        moved = (np.arange(2 ** d)[:, None] >> np.arange(d)) & 1      # (2^d, d)
+        images = np.where(moved[:, None], data + np.where(data < 0.5, 1.0, -1.0), data)
+        tree = cKDTree(images.reshape(-1, d))
+    else:
+        tree = cKDTree(data, boxsize=1.0 if space.periodic else None)
+    k = min(n, 2)
     tree_d, cand = (a.reshape(len(queries), -1) for a in tree.query(probes, k=k))
-    idx = keep[cand[:, 0]]
+    idx = keep[cand[:, 0] % n]
     if k == 2:
         radius = tree_d[:, 0] * (1.0 + 1e-9) + 1e-12
         for q in np.flatnonzero(tree_d[:, 1] <= radius):
-            ball = keep[np.sort(tree.query_ball_point(probes[q], radius[q]))]
+            rows = np.array(tree.query_ball_point(probes[q], radius[q]))
+            ball = keep[np.unique(rows % n)]
             idx[q] = ball[np.argmin(space.dist(queries[q], samples[ball]))]
     return idx, space.dist(queries, samples[idx])
 
@@ -623,12 +644,13 @@ def build_semiconj(
     lo = K if two_sided else 0
     windows = _orbit_window(G, sigma, X, K, two_sided)      # (n, window, d)
     symbols = sigma.symbols(-lo, K)
-    chain_delta = _max_residual(_link_errors(F, symbols, windows))   # window slacks
     try:
-        shadows, res, _, _ = _gauss_newton(F, symbols, windows)
+        # the windows are reduced already, so sweep 0 measures their slacks
+        shadows, res, _, _, chain_delta = _gauss_newton(F, symbols, windows)
         failed = ~(res <= NEWTON_TOL)
     except np.linalg.LinAlgError:
         shadows, failed = np.empty_like(windows), np.ones(X.shape[0], dtype=bool)
+        chain_delta = _max_residual(_link_errors(F, symbols, windows))
     shadows[failed] = np.nan
     return SemiConjugacy(
         samples=X, images=shadows[:, lo].copy(), epsilon=eps, K=K, sigma=sigma,

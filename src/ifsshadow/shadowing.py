@@ -286,8 +286,9 @@ def _gauss_newton(F: IFS, symbols: np.ndarray, Y: np.ndarray):
     when its largest link residual is at most NEWTON_TOL or is not finite;
     after NEWTON_MAX_ITER sweeps every chain stops.  Returns, per chain, the
     best iterate (B, m+1, d), its residual (B,), the sweep at which the chain
-    stopped (NEWTON_MAX_ITER if it never did) and whether its last residual
-    was finite.
+    stopped (NEWTON_MAX_ITER if it never did), whether its last residual
+    was finite, and the largest link residual of the chain as given (B,),
+    measured in sweep 0 on Y reduced by ``space.normalize``.
     """
     tol, max_iter = NEWTON_TOL, NEWTON_MAX_ITER
     for m_ in F.maps:
@@ -302,6 +303,8 @@ def _gauss_newton(F: IFS, symbols: np.ndarray, Y: np.ndarray):
     for it in range(max_iter + 1):
         R = _link_errors(F, symbols, y)
         res = _max_residual(R)
+        if it == 0:
+            start_res = res
         better = res < best_res[active]
         best[active[better]] = y[better]
         best_res[active[better]] = res[better]
@@ -322,7 +325,7 @@ def _gauss_newton(F: IFS, symbols: np.ndarray, Y: np.ndarray):
             delta[:, 1:m] = u[:, :-1] - np.einsum("bkji,bkj->bki", jacs[:, 1:], u[:, 1:])
         delta[:, m] = u[:, m - 1]
         y = F.space.normalize(y + delta)
-    return best, best_res, sweeps, finite
+    return best, best_res, sweeps, finite, start_res
 
 
 def shadow_newton(F: IFS, chain: ChainRecord) -> ShadowResult:
@@ -336,7 +339,7 @@ def shadow_newton(F: IFS, chain: ChainRecord) -> ShadowResult:
     the residual is not finite.  To start elsewhere, shadow
     ChainRecord(start, chain.sigma).
     """
-    best, res, sweeps, finite = _gauss_newton(
+    best, res, sweeps, finite, _ = _gauss_newton(
         F, chain.sigma.symbols(0, chain.n_links), chain.points[None])
     best_y, best_res, it = best[0], float(res[0]), int(sweeps[0])
     if best_res <= NEWTON_TOL:
@@ -447,7 +450,7 @@ def check_uniqueness(
     space = F.space
     noise = np.array([ball_sample(rng, n, space.dim, eps / 4.0) for _ in range(trials)])
     starts = space.normalize(chain.points + noise.reshape(trials, n, space.dim))
-    best, res, _, _ = _gauss_newton(F, symbols, starts)
+    best, res, _, _, _ = _gauss_newton(F, symbols, starts)
     # res is the best iterate's largest link residual, measured by the solve
     ok = res <= NEWTON_TOL
     unconverged = trials - int(np.count_nonzero(ok))

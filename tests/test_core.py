@@ -596,6 +596,18 @@ def test_affine_chains_have_the_bits_of_the_array_loop(case, steps, noise, delta
     assert same_bits(shadow, reference_chain(F, sigma, chain.points[0], steps))
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("noise,delta", [("uniform-ball", 0.0),
+                                         ("uniform-ball", 5e-324)])
+def test_affine_chains_keep_the_zero_signs_of_the_array_loop(dim, noise, delta):
+    # x @ A.T sums from +0.0: products that round to -0.0 plus an offset of
+    # -0.0 give +0.0 there, and -0.0 on a sum started at the first product
+    F = make_ifs([affine_map(Space(dim, periodic=False), 0.3 * np.eye(dim),
+                             [-0.0] * dim)])
+    assert_chains_have_the_bits_of_the_array_loop(F, SIG0, [-5e-324] * dim, 3,
+                                                  noise, delta, 4)
+
+
 MOD1_EDGES = [-1e-20, 0.0, -0.0, 5e-324, -5e-324, 1 - 2**-53, -(1 - 2**-53),
               1e300, -1e300]
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from ifsshadow import (CoverageError, InversionError, MetricGrid, SmoothMap,
                        Space, SupportError, SymbolSequence, adjusted_points,
@@ -114,6 +115,21 @@ def test_preconditions_rejected():
     with pytest.raises(ValueError, match="dim"):
         move_points_diffeo([(np.array([0.3]), np.array([0.31]))], 0.02,
                            space=Space(1))
+
+
+@pytest.mark.parametrize("pairs, message", [
+    # a NaN centre moved no point, and an infinite target gave a NaN
+    # displacement; both passed every distance check
+    ([([np.nan, 0.5], [0.3, 0.5])], "pair 0 ([nan, 0.5] -> [0.3, 0.5]) is not finite"),
+    ([([0.2, 0.5], [np.inf, 0.5])], "pair 0 ([0.2, 0.5] -> [inf, 0.5]) is not finite"),
+    ([([0.2, 0.5], [0.21, 0.5]), ([0.6, 0.5], [0.6, -np.inf])],
+     "pair 1 ([0.6, 0.5] -> [0.6, -inf]) is not finite"),
+], ids=["nan-source", "inf-target", "minus-inf-target"])
+@pytest.mark.parametrize("periodic", [True, False])
+def test_non_finite_pairs_rejected(pairs, message, periodic):
+    pairs = [(np.array(p), np.array(q)) for p, q in pairs]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        move_points_diffeo(pairs, 0.02, space=Space(2, periodic))
 
 
 @pytest.mark.parametrize("delta", [np.nan, 0.0, -0.01])
@@ -690,6 +706,55 @@ def test_nearest_samples_equal_dense_argmin(case):
     assert np.array_equal(dist, ref_dist)
 
 
+@contextlib.contextmanager
+def tree_kinds():
+    """Record, per k-d tree _nearest_samples builds, whether it is periodic."""
+    kinds = []
+
+    def tree(data, boxsize=None):
+        kinds.append(boxsize is not None)
+        return cKDTree(data, boxsize=boxsize)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(perturb, "cKDTree", tree)
+        yield kinds
+
+
+# samples on the torus seam and just below it, which normalise to 0.0
+edge_coord = st.one_of(coord, st.sampled_from([1.0, -1e-20, 0.5]))
+
+
+@st.composite
+def image_tree_cases(draw):
+    """Periodic samples with repeated rows, and at least 2^d queries per
+    sample, some of them at exact half-gaps q_j = s_j +- 1/2 from a sample,
+    where two images of that sample are equally near."""
+    d = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(edge_coord, min_size=d, max_size=d),
+                         min_size=1, max_size=6))
+    samples = np.array(rows + draw(st.lists(st.sampled_from(rows), max_size=3)))
+    n_queries = 2 ** d * len(samples)
+    queries = np.array(draw(st.lists(st.lists(edge_coord, min_size=d, max_size=d),
+                                     min_size=n_queries, max_size=n_queries)))
+    for q in range(0, n_queries, 2):
+        s = samples[draw(st.integers(0, len(samples) - 1))]
+        gaps = np.array(draw(st.lists(st.sampled_from([-0.5, 0.0, 0.5]),
+                                      min_size=d, max_size=d)))
+        queries[q] = np.where(gaps != 0.0, s + gaps, queries[q])
+    return Space(d), samples, queries
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=image_tree_cases())
+def test_nearest_samples_image_tree_equals_dense_argmin(case):
+    space, samples, queries = case
+    with tree_kinds() as kinds:
+        idx, dist = _nearest_samples(space, samples, queries)
+    assert kinds == [False]          # the tree over 2^d images of each sample
+    ref_idx, ref_dist = dense_nearest(space, samples, queries)
+    assert np.array_equal(idx, ref_idx)
+    assert np.array_equal(dist, ref_dist)
+
+
 @pytest.mark.parametrize("periodic", [True, False])
 @pytest.mark.parametrize("d", [2, 3])
 def test_nearest_samples_exact_ties_pick_the_lowest_index(d, periodic):
@@ -698,13 +763,19 @@ def test_nearest_samples_exact_ties_pick_the_lowest_index(d, periodic):
     lattice = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), -1).reshape(-1, d)
     samples = lattice[np.random.default_rng(d).permutation(len(lattice))]
     inner = np.all(lattice < (m - 1) / m, axis=1)
-    queries = lattice[inner] + 0.5 / m              # cell centres
-    idx, dist = _nearest_samples(space, samples, queries)
-    for q, i, di in zip(queries, idx, dist):
-        corners = np.nonzero(space.dist(q, samples) == di)[0]
-        assert len(corners) >= 2 ** d
-        assert i == corners.min()
-    assert np.array_equal(idx, dense_nearest(space, samples, queries)[0])
+    centres = lattice[inner] + 0.5 / m              # cell centres
+    # repeated until they reach 2^d per sample, the queries take the torus's
+    # image tree
+    for reps, periodic_tree in ((1, periodic), (-(-2 ** d * m ** d // len(centres)), False)):
+        queries = np.tile(centres, (reps, 1))
+        with tree_kinds() as kinds:
+            idx, dist = _nearest_samples(space, samples, queries)
+        assert kinds == [periodic_tree]
+        for q, i, di in zip(queries, idx, dist):
+            corners = np.nonzero(space.dist(q, samples) == di)[0]
+            assert len(corners) >= 2 ** d
+            assert i == corners.min()
+        assert np.array_equal(idx, dense_nearest(space, samples, queries)[0])
 
 
 def test_nearest_samples_with_repeated_samples_equal_dense_argmin():
@@ -983,6 +1054,46 @@ def test_semiconj_rows_equal_shadow_newton_per_window(name, sigma, n, K):
     assert max(sweeps) >= 1          # some windows needed Newton sweeps
 
 
+def semiconj_case(name):
+    """F, G, sigma, eps, samples and K of a pinned semiconjugacy table."""
+    if name.startswith("cat"):
+        if name == "cat_lattice":
+            samples, eps = (lattice_samples(400, 2) + np.array([0.123, 0.456])) % 1.0, 0.05
+        else:
+            samples, eps = np.random.default_rng(3).random((400, 2)), 0.1
+            samples[::40] = samples[1]          # repeated rows
+        return CAT, build_bumped_cat_ifs(1e-3), SIG0, eps, samples, 20
+    if name.startswith("torus_F1"):
+        F = build_torus_f1()
+        return F, bumped_copy(F), SIG0, 0.35, lattice_samples(256, 4), int(name[-1])
+    F, G = contraction_pair()
+    return (F, G, SymbolSequence.periodic([0, 1]), 0.05,
+            np.linspace(0.0, 1.0, 100)[:, None], 20)
+
+
+@pytest.mark.parametrize("name, digest", [
+    # digests from before the nearest samples came from a tree over periodic
+    # images and chain_delta from the solve's sweep 0.  The cat windows and
+    # probe grids, and torus_F1's at K = 8, take the image tree; torus_F1's
+    # 7 * 256 queries at K = 3 take the periodic one, the interval a plain one
+    ("cat_lattice", "63cb12eb0c7d9f7d82db934a9c5212bbf0c0b6ac720bb236a4ab1242db3d262e"),
+    ("cat_random", "97fa95ca622bbbbfbb1c1fc43d60ee336ae0a15e3a039c743d9db1985781dba7"),
+    ("torus_F1_3", "dc1eaaf0f084d0914fbb3c57af76549d4ecd9d1d6557e1d2eba52f1cce53bb38"),
+    ("torus_F1_8", "e0187084f93245fef6464ed56fb418fdb36cc221e50dc30e03c5702b074a3992"),
+    ("contraction", "8d48e3ebc359c5b2b89f7e0754911cfb14704b4e78cea19791151b5e98cd36a9"),
+])
+def test_semiconj_bits_are_pinned(name, digest):
+    F, G, sigma, eps, samples, K = semiconj_case(name)
+    sc = build_semiconj(F, G, sigma, eps=eps, samples=samples, K=K)
+    h = hashlib.sha256()
+    for a in (sc.chain_delta, sc.images, sc.residuals):
+        h.update(a.tobytes())
+    h.update(repr(sc.flagged).encode())
+    h.update(struct.pack("<2d", semiconj_residual(F, G, sigma, sc, K=K),
+                         sc.image_covering_radius(F.space)))
+    assert h.hexdigest() == digest
+
+
 def cat_with_wrong_jacobian() -> IFS:
     """The cat map, with the sign of its Jacobian flipped where u < 1/2."""
     cat = CAT.maps[0]
@@ -1018,12 +1129,15 @@ def test_semiconj_flags_windows_that_do_not_converge():
 def test_semiconj_linalg_error_flags_every_sample(monkeypatch):
     def failing(jacs, rhs):
         raise np.linalg.LinAlgError("banded Cholesky failed")
-    monkeypatch.setattr(shadowing, "_normal_solve", failing)
     G = build_bumped_cat_ifs(1e-3)
+    solved = build_semiconj(CAT, G, SIG0, eps=0.05, samples=lattice_samples(40, 2), K=5)
+    monkeypatch.setattr(shadowing, "_normal_solve", failing)
     sc = build_semiconj(CAT, G, SIG0, eps=0.05, samples=lattice_samples(40, 2), K=5)
     assert sc.flagged == tuple(range(40))
     assert np.all(np.isnan(sc.images)) and np.all(np.isnan(sc.residuals))
     assert sc.max_residual == np.inf and sc.max_image_dist(CAT.space) == np.inf
+    # the windows' slacks need no solve
+    assert np.array_equal(sc.chain_delta, solved.chain_delta)
 
 
 def test_semiconj_residual_rejects_an_all_flagged_table(monkeypatch):

@@ -721,12 +721,15 @@ def test_uniqueness_trials_match_one_newton_solve_each(monkeypatch):
         points.append(r.shadow.points)
         iterations.append(r.iterations)
     assert 0 < unconverged < trials
-    best, res, sweeps, finite = _gauss_newton(T, sig.symbols(0, chain.n_links),
-                                              np.array(starts))
+    best, res, sweeps, finite, start = _gauss_newton(T, sig.symbols(0, chain.n_links),
+                                                     np.array(starts))
     done = res <= 1e-10
     assert np.array_equal(best[done], np.array(points))
     assert np.array_equal(sweeps[done], iterations)
     assert np.all(finite)
+    # sweep 0 measures each start as validate_chain does
+    assert np.array_equal(start, [validate_chain(T, ChainRecord(init, sig)).max_residual
+                                  for init in starts])
 
     candidates = [p for p in points
                   if verify_shadowing(T, chain, ChainRecord(p, sig, 0.0),
@@ -756,8 +759,8 @@ def test_uniqueness_trials_on_cat_share_one_factorization(monkeypatch):
         shapes.append((jacs.shape[0], rhs.shape[0]))
         return solve(jacs, rhs)
     monkeypatch.setattr(shadowing, "_normal_solve", spy)
-    best, res, sweeps, finite = _gauss_newton(CAT, SIG0.symbols(0, chain.n_links),
-                                              np.array(starts))
+    best, res, sweeps, finite, _ = _gauss_newton(CAT, SIG0.symbols(0, chain.n_links),
+                                                 np.array(starts))
     assert shapes[0] == (1, trials)          # the exact chain left before sweep 1
     assert np.array_equal(best, np.array([r.shadow.points for r in runs]))
     assert np.array_equal(sweeps, [r.iterations for r in runs])
