@@ -14,8 +14,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .maps import SmoothMap
-from .space import MetricGrid, Space, _check_real, _norms, ball_sample
+from .maps import SmoothMap, _require_invertible, _require_jacobian
+from .space import (MetricGrid, Space, _as_points, _check_count, _check_real, _finite_points,
+                    _norms, ball_sample)
 
 EXACT_CHAIN_TOL = 1e-9   # largest link residual of a chain counted as exact
 
@@ -46,10 +47,6 @@ class IFS:
 
     def __len__(self) -> int:
         return len(self.maps)
-
-    @property
-    def invertible(self) -> bool:
-        return all(m.invertible for m in self.maps)
 
     def step(self, symbols, X) -> np.ndarray:
         """Images f_{symbols[i]}(X[i]), one map call per distinct symbol."""
@@ -224,16 +221,17 @@ def orbit_steps(F: IFS, sigma: SymbolSequence, x, k: int) -> Iterator[np.ndarray
 
     Each step is one map call: SmoothMap.__call__ of f_{s(j)} forward, and
     for a negative k SmoothMap.invert of f_{s(-1)}, f_{s(-2)}, ...; a
-    negative k raises ValueError, before yielding anything, when a map is
-    not invertible.  The schedule is resolved with one ``symbols`` call,
-    checked against the family size before anything is yielded.
+    negative k raises ValueError (maps._require_invertible), before
+    yielding anything, when a map is not invertible.  The schedule is
+    resolved with one ``symbols`` call, checked against the family size
+    before anything is yielded.
 
     A caller may ``send()`` a boolean mask over axis -2 of the last yielded
     step: later steps carry only the kept rows (taken with ``np.compress``,
     which keeps C order).  Plain iteration keeps every row.
     """
-    if k < 0 and not F.invertible:
-        raise ValueError("negative-step orbit map needs invertible maps")
+    if k < 0:
+        _require_invertible(*F.maps)
     symbols = _in_family(F, sigma.symbols(min(k, 0), max(k, 0)))
     steps = [m if k >= 0 else m.invert for m in F.maps]
     y = F.space.normalize(x)
@@ -319,17 +317,12 @@ def gen_pseudo_orbit(
     is the rounding bound 0.5 * 10^-D * sqrt(d).
     """
     _check_real("delta", delta, 0)
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
     decimals = _parse_noise(noise)
-    d = F.space.dim
-    errs, bound = None, delta
-    if decimals is not None:
-        bound = 0.5 * 10.0 ** (-decimals) * np.sqrt(d)
-    elif delta > 0:
-        errs = ball_sample(np.random.default_rng(seed), steps, d, delta)
+    bound = delta
+    if decimals is not None:       # the rounding is the only noise
+        bound, delta = 0.5 * 10.0 ** (-decimals) * np.sqrt(F.space.dim), 0.0
     return ChainRecord(
-        points=_step_chain(F, sigma, x0, steps, errs, decimals),
+        points=_step_chain(F, sigma, x0, steps, decimals, delta, seed),
         sigma=sigma,
         delta=float(bound),
     )
@@ -337,29 +330,29 @@ def gen_pseudo_orbit(
 
 def iterate_chain(F: IFS, sigma: SymbolSequence, x0, steps: int) -> ChainRecord:
     """Exact chain from x0: plain forward iteration under the schedule."""
-    return ChainRecord(points=_step_chain(F, sigma, x0, steps, None, None),
+    return ChainRecord(points=_step_chain(F, sigma, x0, steps, None),
                        sigma=sigma, delta=0.0)
 
 
-def _step_chain(F: IFS, sigma: SymbolSequence, x0, steps: int,
-                errs: Optional[np.ndarray], decimals: Optional[int]) -> np.ndarray:
+def _step_chain(F: IFS, sigma: SymbolSequence, x0, steps: int, decimals: Optional[int],
+                delta: float = 0.0, seed: int = 0) -> np.ndarray:
     """Points x_0..x_steps of the one-point chain x_{k+1} = f_{s(k)}(x_k) + e_k.
 
-    x_0 is x0 normalized; a non-finite x0, or one that rounding takes to
-    infinity, raises ValueError.  Each image is f_{s(k)}(x_k) as
-    SmoothMap.__call__ gives it (reduced mod 1 on the torus), rounded to
-    `decimals` places when given (x_0 too), shifted by e_k = errs[k] (zero
-    when errs is None) and normalized again.  Unrounded
+    `steps` must be an integer >= 0 and x0 finite (ValueError otherwise,
+    as for an x0 that rounding takes to infinity); x_0 is x0 normalized.
+    Each image is f_{s(k)}(x_k) as SmoothMap.__call__ gives it (reduced mod
+    1 on the torus), rounded to `decimals` places when given (x_0 too),
+    shifted by e_k, drawn uniformly from the delta-ball by the seed's
+    generator when delta > 0 (zero otherwise), and normalized again.  Unrounded
     chains step on Python floats when d <= 2 and all maps carry ``affine``
     (_affine_steps says when its bits can differ from the array loop's) or,
     failing that, all carry ``point`` (_float_steps: the bits of the array
     loop wherever ``point`` has those of ``fwd``).  Other families and
     ``round:D`` chains step on arrays, one map call per link.
     """
+    steps = _check_count("steps", steps, 0)
     space = F.space
-    x0 = np.asarray(x0, dtype=float)
-    if not np.isfinite(x0).all():
-        raise ValueError(f"x0 must be finite, got {x0.tolist()}")
+    x0 = _finite_points("x0", _as_points(space, x0))
     x = space.normalize(x0)
     if decimals is not None:
         with np.errstate(over="ignore"):
@@ -371,8 +364,8 @@ def _step_chain(F: IFS, sigma: SymbolSequence, x0, steps: int,
     symbols = _in_family(F, sigma.symbols(0, steps))
     pts = np.empty((steps + 1, space.dim))
     pts[0] = x
-    if errs is None:
-        errs = np.zeros((steps, space.dim))
+    errs = (ball_sample(np.random.default_rng(seed), steps, space.dim, delta) if delta > 0
+            else np.zeros((steps, space.dim)))
     if decimals is None:
         coefs = [m.affine for m in F.maps]
         points = [m.point for m in F.maps]
@@ -470,12 +463,6 @@ def _float_steps(pts: np.ndarray, points, symbols: np.ndarray, errs: np.ndarray,
 # distances between maps and between families
 # ---------------------------------------------------------------------------
 
-def _require_invertible(*ms: SmoothMap):
-    for m in ms:
-        if not m.invertible:
-            raise ValueError(f"map {m.label!r} is not invertible")
-
-
 def _rho0_gap(space: Space, forward, inverse) -> float:
     """rho0 from `forward()` and `inverse()`, each returning the grid images
     under f and under g (forward maps, then inverses); the forward pair is
@@ -542,8 +529,7 @@ def rho1(f: SmoothMap, g: SmoothMap, grid: MetricGrid) -> float:
     points whose difference's Frobenius norm, a bound on its spectral norm,
     reaches (1 - 1e-9) s0, s0 the spectral norm where that bound is largest.
     """
-    if f.jac is None or g.jac is None:
-        raise ValueError("rho1 needs Jacobians on both maps")
+    _require_jacobian(f, g)
     r0 = rho0(f, g, grid)
     X = grid.points
     return r0 + _max_spectral_norm(f.jacobian(X) - g.jacobian(X))

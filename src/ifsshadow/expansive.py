@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .core import IFS, SymbolSequence, orbit_steps
-from .space import MetricGrid, _as_points, _check_count, _check_real, _norms
+from .space import MetricGrid, _as_points, _check_count, _check_real, _finite_points, _norms
 
 # defaults of the expansiveness estimates, which the CLI's defaults read too
 PAIR_TOLERANCE, N_CAP, N_PAIRS = 1e-3, 30, 512
@@ -44,17 +44,13 @@ def _separations(F: IFS, sigma: SymbolSequence, X, Y, n_cap: int,
     again; with eta = inf no pair leaves.  A batch of two or more pairs
     never shrinks to one: one settled pair is stepped beside a last open
     one, since numpy's matmul takes another BLAS path on a single row, whose
-    last bits can differ.  Raises ValueError for a non-finite coordinate in
-    X or Y.
+    last bits can differ.  Raises ValueError for a non-finite point in X or
+    Y.
     """
     n_cap = _check_count("n_cap", n_cap, 0)  # a negative horizon would read as saturated
     space = F.space
-    XY = np.stack([_as_points(space, X), _as_points(space, Y)])
-    if not np.isfinite(XY).all():
-        finite = np.isfinite(XY).all(axis=-1)
-        side, row = np.unravel_index(np.argmin(finite), finite.shape)
-        raise ValueError(f"{'XY'[side]} holds a non-finite point "
-                         f"{XY[side, row].tolist()}")
+    XY = np.stack([_finite_points("X", _as_points(space, X)),
+                   _finite_points("Y", _as_points(space, Y))])
     times = np.full(XY.shape[1], np.inf)
     maxima = np.empty(XY.shape[1])
     rows = np.arange(XY.shape[1])        # the pair of each batch row
@@ -178,8 +174,9 @@ def estimate_expansive_const(
     _check_real("pair_tolerance", pair_tolerance, 0)
     n_pairs = _check_count("n_pairs", n_pairs, 1)
     deltas = sorted({_check_real("Delta", float(d)) for d in delta_grid}, reverse=True)
+    _check_count("the number of Deltas in delta_grid", len(deltas), 1)
     X, Y = _sample_pairs(F, grid, pair_tolerance, n_pairs, seed)
-    if X.shape[0] == 0 or not deltas:
+    if X.shape[0] == 0:
         return ExpansivenessReport(sigma, None, n_cap, pair_tolerance,
                                    tuple(DeltaVerdict(d, False, 0) for d in deltas),
                                    (), "inconclusive")

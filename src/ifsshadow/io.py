@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import ChainRecord, IFS, SymbolSequence, make_ifs
 from .maps import SmoothMap, affine_map
-from .space import Space
+from .space import Space, _finite_points
 from . import systems
 
 
@@ -62,9 +62,7 @@ def csv_text(header, rows) -> str:
 
 def chain_to_csv_text(chain: ChainRecord) -> str:
     """The chain file; ValueError naming the first point that is not finite."""
-    finite = np.isfinite(chain.points).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"chain point k = {int(np.argmin(finite))} is not finite")
+    _finite_points("chain", chain.points)
     record = json.dumps({"delta": chain.delta, "sigma": chain.sigma.to_dict()}, sort_keys=True)
     return f"# {record}\n" + csv_text(["k"] + [f"x{i}" for i in range(chain.points.shape[1])],
                                       ([k, *x] for k, x in enumerate(chain.points.tolist())))
@@ -167,7 +165,7 @@ def ifs_from_dict(spec: dict) -> IFS:
     is named f"{kind}_{i}".
     """
     sp = spec["space"]
-    space = Space(int(sp["dim"]), bool(sp.get("periodic", True)))
+    space = Space(sp["dim"], bool(sp.get("periodic", True)))
     maps = []
     for i, mspec in enumerate(spec["maps"]):
         kind = mspec["kind"]

@@ -88,14 +88,27 @@ class SmoothMap:
             residual=float(np.max(space.dist(self(q[active]), flat[active]))))
 
     def jacobian(self, x) -> np.ndarray:
-        if self.jac is None:
-            raise ValueError(f"map {self.label!r} carries no Jacobian")
+        _require_jacobian(self)
         x = _as_points(self.space, x)
         return np.asarray(self.jac(x), dtype=float)
 
     @property
     def invertible(self) -> bool:
         return self.inv is not None or self.jac is not None
+
+
+def _require_invertible(*ms: SmoothMap) -> None:
+    """ValueError naming the first map with neither an inverse nor a Jacobian."""
+    for m in ms:
+        if not m.invertible:
+            raise ValueError(f"map {m.label!r} is not invertible")
+
+
+def _require_jacobian(*ms: SmoothMap) -> None:
+    """ValueError naming the first map without a Jacobian."""
+    for m in ms:
+        if m.jac is None:
+            raise ValueError(f"map {m.label!r} carries no Jacobian")
 
 
 def fd_jacobian(m: SmoothMap, x) -> np.ndarray:

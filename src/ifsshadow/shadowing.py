@@ -44,7 +44,7 @@ from scipy.linalg.lapack import dpbsv
 from .core import (EXACT_CHAIN_TOL, ChainRecord, IFS, SymbolSequence,
                    _link_errors, _max_spectral_norm, _same_bits, iterate_chain,
                    validate_chain)
-from .maps import SmoothMap
+from .maps import SmoothMap, _require_jacobian
 from .space import _check_count, _check_real, _norms, ball_sample
 
 # Gauss-Newton's stopping rule: a largest link residual at most NEWTON_TOL,
@@ -291,9 +291,7 @@ def _gauss_newton(F: IFS, symbols: np.ndarray, Y: np.ndarray):
     measured in sweep 0 on Y reduced by ``space.normalize``.
     """
     tol, max_iter = NEWTON_TOL, NEWTON_MAX_ITER
-    for m_ in F.maps:
-        if m_.jac is None:
-            raise ValueError(f"shadow_newton needs Jacobians (map {m_.label!r})")
+    _require_jacobian(*F.maps)
     y = F.space.normalize(Y)
     B, n, d = y.shape
     m = n - 1

@@ -61,6 +61,19 @@ def _check_count(name: str, value, least: int) -> int:
     return _check_real(name, _check_integer(name, value), least)
 
 
+def _finite_points(name: str, x) -> np.ndarray:
+    """x as a float array of points (..., d) if every coordinate is finite;
+    otherwise raise ValueError naming the argument, the index of its first
+    non-finite point and that point's coordinates."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        finite = np.isfinite(x).all(axis=-1)
+        i = tuple(int(j) for j in np.unravel_index(np.argmin(finite), finite.shape))
+        at = "" if not i else f" point {i[0] if len(i) == 1 else i} ="
+        raise ValueError(f"{name} must be finite, got{at} {x[i].tolist()}")
+    return x
+
+
 def _as_points(space: "Space", x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (space.dim,):
@@ -104,8 +117,7 @@ class Space:
     periodic: bool = True
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise DimensionError(f"dim must be >= 1, got {self.dim}")
+        object.__setattr__(self, "dim", _check_count("dim", self.dim, 1))
 
     def normalize(self, x) -> np.ndarray:
         """Map coordinates into the fundamental domain ([0, 1) on the torus)."""
@@ -191,8 +203,7 @@ def lattice_samples(n: int, dim: int) -> np.ndarray:
     generator 43 covers the torus to radius ~0.044 (near the hexagonal
     optimum); otherwise g is a golden-ratio-like integer coprime to n.
     """
-    if n < 1:
-        raise ValueError(f"lattice_samples needs n >= 1 samples, got {n}")
+    n, dim = _check_count("n", n, 1), _check_count("dim", dim, 1)
     generator = 43 if (dim, n) == (2, 200) else max(1, int(round(n * 0.6180339887)))
     while np.gcd(generator, n) != 1:
         generator += 1

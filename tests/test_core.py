@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ifsshadow import (ChainRecord, MetricGrid, SmoothMap, Space,
                        SymbolSequence, dist_D0, dist_D1, gen_pseudo_orbit,
-                       identity_map, iterate_chain, make_ifs,
+                       identity_map, iterate_chain, lattice_samples, make_ifs,
                        move_points_diffeo, orbit_map, orbit_steps, rho0, rho1,
                        shadow_contraction, validate_chain)
 from ifsshadow.core import _max_spectral_norm
@@ -367,8 +367,11 @@ def test_gen_zero_delta_is_exact():
 
 
 NOJAC = SmoothMap("nojac", Space(2), lambda x: x, inv=lambda p: p)
+NOINV = SmoothMap("noinv", Space(2), lambda x: x)
 
 
+# the two cases given an explicit id keep the name they had when their
+# message (since reworded by its owner in space.py or maps.py) was the id
 @pytest.mark.parametrize("call, message", [
     (lambda: make_ifs([]), "an IFS needs at least one map"),
     (lambda: make_ifs([identity_map(Space(2)), identity_map(Space(2, periodic=False))]),
@@ -385,14 +388,35 @@ NOJAC = SmoothMap("nojac", Space(2), lambda x: x, inv=lambda p: p)
      "delta must be >= 0, got nan"),
     (lambda: gen_pseudo_orbit(CAT, SIG0, [0.1, 0.2], np.inf, 5),
      "delta must be finite, got inf"),
-    (lambda: gen_pseudo_orbit(CAT, SIG0, [0.1, 0.2], 0.1, -1),
-     "steps must be nonnegative"),
+    pytest.param(lambda: gen_pseudo_orbit(CAT, SIG0, [0.1, 0.2], 0.1, -1),
+                 "steps must be >= 0, got -1", id="<lambda>-steps must be nonnegative"),
     (lambda: gen_pseudo_orbit(CAT, SIG0, [0.1, 0.2], 0.1, 5, noise="round:-1"),
      "round noise model needs decimals >= 0"),
     (lambda: dist_D0(CAT, build_rotation_ifs([[0.1, 0.2]]), MetricGrid(CAT.space, 8),
                      mode="nearest"), "unknown mode 'nearest'"),
-    (lambda: rho1(NOJAC, CAT.maps[0], MetricGrid(CAT.space, 8)),
-     "rho1 needs Jacobians on both maps"),
+    pytest.param(lambda: rho1(NOJAC, CAT.maps[0], MetricGrid(CAT.space, 8)),
+                 "map 'nojac' carries no Jacobian",
+                 id="<lambda>-rho1 needs Jacobians on both maps"),
+    # steps 2.5 and True used to end in a TypeError, and -1 and 1.5 in
+    # iterate_chain in an IndexError
+    (lambda: gen_pseudo_orbit(CAT, SIG0, [0.1, 0.2], 0.1, 2.5),
+     "steps must be an integer, got 2.5"),
+    (lambda: gen_pseudo_orbit(CAT, SIG0, [0.1, 0.2], 0.1, True),
+     "steps must be an integer, got True"),
+    (lambda: iterate_chain(CAT, SIG0, [0.1, 0.2], -1), "steps must be >= 0, got -1"),
+    (lambda: iterate_chain(CAT, SIG0, [0.1, 0.2], 1.5), "steps must be an integer, got 1.5"),
+    # Space(2.5) and Space(True) used to be accepted, and lattice_samples to
+    # end in a UFuncTypeError (n = 2.5) or return shape (5, 1) (dim 0 or -1)
+    (lambda: Space(2.5), "dim must be an integer, got 2.5"),
+    (lambda: Space(True), "dim must be an integer, got True"),
+    (lambda: Space(-2), "dim must be >= 1, got -2"),
+    (lambda: lattice_samples(0, 2), "n must be >= 1, got 0"),
+    (lambda: lattice_samples(2.5, 2), "n must be an integer, got 2.5"),
+    (lambda: lattice_samples(5, 0), "dim must be >= 1, got 0"),
+    (lambda: lattice_samples(5, -1), "dim must be >= 1, got -1"),
+    (lambda: next(orbit_steps(make_ifs([NOINV]), SIG0, np.zeros(2), -1)),
+     "map 'noinv' is not invertible"),
+    (lambda: NOJAC.jacobian(np.zeros(2)), "map 'nojac' carries no Jacobian"),
 ])
 def test_malformed_families_schedules_and_chains_are_rejected(call, message):
     with pytest.raises(ValueError, match=message):
@@ -750,10 +774,11 @@ def test_a_chain_from_a_non_finite_point_is_a_config_error(F, value):
     x0 = np.full(F.space.dim, 0.3)
     x0[0] = value
     sigma = SymbolSequence.constant(0)
+    message = re.escape(f"x0 must be finite, got {x0.tolist()}")
     for noise in ("uniform-ball", "round:3"):
-        with pytest.raises(ValueError, match="x0 must be finite"):
+        with pytest.raises(ValueError, match=message):
             gen_pseudo_orbit(F, sigma, x0, 1e-3, 5, noise)
-    with pytest.raises(ValueError, match="x0 must be finite"):
+    with pytest.raises(ValueError, match=message):
         iterate_chain(F, sigma, x0, 5)
     if F.space.periodic:
         return

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from functools import reduce
 
 import numpy as np
@@ -198,16 +199,9 @@ def test_n_of_mu_monotone_in_mu_and_eta():
     assert ne[0] <= ne[1] <= ne[2]
 
 
-def test_empty_delta_grid_is_inconclusive():
-    rep = estimate_expansive_const(CAT, SIG0, MetricGrid(CAT.space, 16), delta_grid=())
-    assert rep.verdict == "inconclusive"
-    assert rep.candidate_delta is None and rep.verdicts == ()
-
-
 def n_cap_calls(n_cap):
-    """Every public function that takes n_cap; mu = 1 and an empty delta
-    grid take the early returns of estimate_N_of_mu and
-    estimate_expansive_const."""
+    """Every public function that takes n_cap; mu = 1 takes the early return
+    of estimate_N_of_mu, and n_cap is checked before an empty delta grid."""
     grid = MetricGrid(CAT.space, 16)
     x, y = unstable_pair(0)
     return [
@@ -259,6 +253,8 @@ def test_zero_n_cap_compares_the_pair_itself():
     (dict(n_pairs=100.5), "n_pairs must be an integer, got 100.5"),
     (dict(n_pairs=True), "n_pairs must be an integer, got True"),
     (dict(n_pairs=8.0), "n_pairs must be an integer, got 8.0"),
+    # an empty grid used to read as "inconclusive", with no verdicts
+    (dict(delta_grid=()), "the number of Deltas in delta_grid must be >= 1, got 0"),
 ])
 def test_expansive_config_errors_are_rejected(kwargs, message):
     # these used to read as "expansive-at-Delta" (Delta <= 0) or "violated"
@@ -464,7 +460,8 @@ def test_non_finite_points_are_rejected(bad):
             lambda: max_orbit_separation(CAT, SIG0, X, Y, 5),
         ]
         for call in calls:
-            with pytest.raises(ValueError, match=f"{side} holds a non-finite point"):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{side} must be finite, got point 0 = [{bad}, 0.2]")):
                 call()
 
 

@@ -70,7 +70,8 @@ def test_chain_csv_roundtrip_is_lossless(sigma, k_min, delta, points, tmp_path_f
     path = tmp_path_factory.getbasetemp() / "roundtrip.csv"
     if not np.isfinite(points).all():      # no chain file holds an infinite coordinate
         k = int(np.argmin(np.isfinite(points).all(axis=1)))
-        with pytest.raises(ValueError, match=f"chain point k = {k} is not finite"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"chain must be finite, got point {k} = {points[k].tolist()}")):
             ifsio.write_chain(path, chain)
         return
     ifsio.write_chain(path, chain)
@@ -90,7 +91,8 @@ def test_write_chain_refuses_a_non_finite_chain(bad, tmp_path):
     points = np.full((4, 2), 0.25)
     points[2, 1] = bad
     path = tmp_path / "chain.csv"
-    with pytest.raises(ValueError, match="chain point k = 2 is not finite"):
+    with pytest.raises(ValueError, match=re.escape(
+            f"chain must be finite, got point 2 = [0.25, {bad}]")):
         ifsio.write_chain(path, ChainRecord(points, SIG0, 1e-3))
     assert not list(tmp_path.iterdir())
 
@@ -575,7 +577,7 @@ def test_cli_chain_leaving_the_floats_is_contract_violation(tmp_path, capsys):
     assert run_cli("generate", "--system", f"@{spec}", "--sigma", "constant:0",
                    "--delta", "0.001", "--len", "400", "--out", str(out_dir / "g")) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("contract violation: chain point k = ")
+    assert out == "" and err.startswith("contract violation: chain must be finite, got point ")
     assert not out_dir.exists()
 
 
@@ -592,9 +594,11 @@ def test_cli_hyperbolic_solver_on_two_maps_is_contract_violation(tmp_path, capsy
     assert "symbol 0" in err
 
 
+# the case given an explicit id keeps the name it had when its message
+# (since reworded by space._check_count) was the id
 @pytest.mark.parametrize("flag, value, name", [
-    ("--samples", "0", "n >= 1"), ("--eps", "0", "eps must be positive"),
-    ("--K", "-1", "K must be >= 0")])
+    pytest.param("--samples", "0", "n must be >= 1, got 0", id="--samples-0-n >= 1"),
+    ("--eps", "0", "eps must be positive"), ("--K", "-1", "K must be >= 0")])
 def test_cli_semiconj_bad_inputs_are_config_errors(flag, value, name, capsys):
     argv = {"--f": "cat", "--g": "cat_bumped:1e-3", "--sigma": "constant:0",
             "--eps": "0.05", "--K": "2", "--samples": "20"}
@@ -662,20 +666,31 @@ def test_cli_expansiveness_misconfigurations_are_config_errors(argv, message, ca
      "the probe radius eps + delta must be finite, got inf"),
     (("generate", "--system", "cat", "--sigma", "constant:0", "--delta", "inf",
       "--len", "10"), "delta must be finite, got inf"),
-    # non-finite points used to exit 0, writing NaN or "separation_time": null
-    (("shadow", "--system", "cat", "--sigma", "constant:0", "--delta", "0.001",
-      "--len", "10", "--x0", "nan,0.3"), "point 'nan,0.3' has a non-finite coordinate"),
-    (("perturb", "--system", "cat", "--sigma", "constant:0", "--delta", "1e-4",
-      "--len", "20", "--m", "5", "--Delta", "0.05", "--x0", "0.3,inf"),
-     "point '0.3,inf' has a non-finite coordinate"),
-    (("septime", "--system", "cat", "--sigma", "constant:0", "--x", "nan,0.7",
-      "--y", "0.2009,0.7005", "--eta", "0.1"), "point 'nan,0.7' has a non-finite"),
-    (("septime", "--system", "cat", "--sigma", "constant:0", "--x", "0.2,0.7",
-      "--y", "0.2009,-inf", "--eta", "0.1"), "point '0.2009,-inf' has a non-finite"),
-    (("movepoints", "--pairs", "nan,0.3:0.31,0.3", "--delta", "0.02", "--grid", "16"),
-     "point 'nan,0.3' has a non-finite coordinate"),
-    (("movepoints", "--pairs", "0.3,0.3:0.31,0.3;0.7,0.7:0.7,inf", "--delta", "0.02",
-      "--grid", "16"), "point '0.7,inf' has a non-finite coordinate"),
+    # non-finite points used to exit 0, writing NaN or "separation_time": null;
+    # the library functions the points feed name the argument and the point
+    # (the ids keep the names these cases had when the CLI's own message,
+    # now gone, was the id)
+    pytest.param(("shadow", "--system", "cat", "--sigma", "constant:0", "--delta", "0.001",
+                  "--len", "10", "--x0", "nan,0.3"), "x0 must be finite, got [nan, 0.3]",
+                 id="argv7-point 'nan,0.3' has a non-finite coordinate"),
+    pytest.param(("perturb", "--system", "cat", "--sigma", "constant:0", "--delta", "1e-4",
+                  "--len", "20", "--m", "5", "--Delta", "0.05", "--x0", "0.3,inf"),
+                 "x0 must be finite, got [0.3, inf]",
+                 id="argv8-point '0.3,inf' has a non-finite coordinate"),
+    pytest.param(("septime", "--system", "cat", "--sigma", "constant:0", "--x", "nan,0.7",
+                  "--y", "0.2009,0.7005", "--eta", "0.1"),
+                 "X must be finite, got point 0 = [nan, 0.7]",
+                 id="argv9-point 'nan,0.7' has a non-finite"),
+    pytest.param(("septime", "--system", "cat", "--sigma", "constant:0", "--x", "0.2,0.7",
+                  "--y", "0.2009,-inf", "--eta", "0.1"),
+                 "Y must be finite, got point 0 = [0.2009, -inf]",
+                 id="argv10-point '0.2009,-inf' has a non-finite"),
+    pytest.param(("movepoints", "--pairs", "nan,0.3:0.31,0.3", "--delta", "0.02",
+                  "--grid", "16"), "sources must be finite, got point 0 = [nan, 0.3]",
+                 id="argv11-point 'nan,0.3' has a non-finite coordinate"),
+    pytest.param(("movepoints", "--pairs", "0.3,0.3:0.31,0.3;0.7,0.7:0.7,inf", "--delta",
+                  "0.02", "--grid", "16"), "targets must be finite, got point 1 = [0.7, inf]",
+                 id="argv12-point '0.7,inf' has a non-finite coordinate"),
     # infinite radii and tolerances used to exit 0, writing Infinity or null
     (("expansive", "--system", "cat", "--sigma", "constant:0", "--grid", "8",
       "--ncap", "5", "--deltas", "inf,0.1"), "Delta must be finite, got inf"),

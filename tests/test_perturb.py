@@ -120,10 +120,10 @@ def test_preconditions_rejected():
 @pytest.mark.parametrize("pairs, message", [
     # a NaN centre moved no point, and an infinite target gave a NaN
     # displacement; both passed every distance check
-    ([([np.nan, 0.5], [0.3, 0.5])], "pair 0 ([nan, 0.5] -> [0.3, 0.5]) is not finite"),
-    ([([0.2, 0.5], [np.inf, 0.5])], "pair 0 ([0.2, 0.5] -> [inf, 0.5]) is not finite"),
+    ([([np.nan, 0.5], [0.3, 0.5])], "sources must be finite, got point 0 = [nan, 0.5]"),
+    ([([0.2, 0.5], [np.inf, 0.5])], "targets must be finite, got point 0 = [inf, 0.5]"),
     ([([0.2, 0.5], [0.21, 0.5]), ([0.6, 0.5], [0.6, -np.inf])],
-     "pair 1 ([0.6, 0.5] -> [0.6, -inf]) is not finite"),
+     "targets must be finite, got point 1 = [0.6, -inf]"),
 ], ids=["nan-source", "inf-target", "minus-inf-target"])
 @pytest.mark.parametrize("periodic", [True, False])
 def test_non_finite_pairs_rejected(pairs, message, periodic):
@@ -577,6 +577,22 @@ def test_adjusted_points_bad_args():
         adjusted_points(CAT, chain, 3, eta=np.nan)
 
 
+@pytest.mark.parametrize("m, message", [
+    # 2.5 used to end in a TypeError, and True in numpy's "all the input
+    # arrays must have same number of dimensions"
+    (2.5, "m must be an integer, got 2.5"),
+    (True, "m must be an integer, got True"),
+    (-1, "m must be >= 0, got -1"),
+    (6, "m = 6 outside the chain window of 6 points"),
+])
+def test_a_window_index_that_is_not_a_count_is_rejected(m, message):
+    chain = iterate_chain(CAT, SIG0, [0.1, 0.9], 5)
+    for call in (lambda: adjusted_points(CAT, chain, m, eta=0.01),
+                 lambda: perturbed_ifs(CAT, chain, m=m, Delta=0.05)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+
 # --- perturbed family -------------------------------------------------------
 
 def test_perturbed_ifs_exact_chain_gives_zero_distance():
@@ -985,6 +1001,17 @@ def test_semiconj_config_error_is_not_a_flagged_sample():
         build_semiconj(F, F, SIG0, eps=0.05, samples=lattice_samples(8, 2), K=2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_semiconj_rejects_non_finite_samples(bad):
+    # a NaN sample used to end in the bump inverse's InversionError, and an
+    # infinite one in a RuntimeWarning
+    samples = lattice_samples(8, 2)
+    samples[3, 1] = bad
+    with pytest.raises(ValueError, match=re.escape(
+            f"samples must be finite, got point 3 = {samples[3].tolist()}")):
+        build_semiconj(CAT, build_bumped_cat_ifs(1e-3), SIG0, eps=0.05, samples=samples, K=2)
+
+
 def test_semiconj_one_sided_contraction_family():
     F = build_contraction_ifs(0.5, (0.0, 0.25))
     # same maps with slightly rotated fixed points (shifted offsets)
@@ -1179,12 +1206,17 @@ def test_cover_without_probes_is_rejected(kwargs, message):
         check_ball_cover(**{**args, **kwargs})
 
 
+# the cases given an explicit id keep the name they had when the cover's
+# own message, now space._finite_points's, was the id
 @pytest.mark.parametrize("kwargs, message", [
     (dict(eps=np.inf), "eps must be finite, got inf"),
     (dict(delta=np.inf), "the probe radius eps + delta must be finite, got inf"),
-    (dict(centers=[[0.1, 0.2, 0.3, np.nan]]), "ball-cover centres must be finite"),
-    (dict(centers=[[0.1, 0.2, 0.3, 0.4], [np.inf, 0.2, 0.3, 0.4]]),
-     "ball-cover centres must be finite"),
+    pytest.param(dict(centers=[[0.1, 0.2, 0.3, np.nan]]),
+                 "centers must be finite, got point 0 = [0.1, 0.2, 0.3, nan]",
+                 id="kwargs2-ball-cover centres must be finite"),
+    pytest.param(dict(centers=[[0.1, 0.2, 0.3, 0.4], [np.inf, 0.2, 0.3, 0.4]]),
+                 "centers must be finite, got point 1 = [inf, 0.2, 0.3, 0.4]",
+                 id="kwargs3-ball-cover centres must be finite"),
 ])
 def test_cover_rejects_non_finite_radii_and_centres(kwargs, message):
     # an infinite radius passed every centre, and a NaN centre was never flagged
@@ -1196,7 +1228,7 @@ def test_cover_rejects_non_finite_radii_and_centres(kwargs, message):
 
 def test_cover_rejects_a_non_invertible_map():
     noinv = SmoothMap("noinv", SP2, lambda x: x)
-    with pytest.raises(ValueError, match="map 'noinv' must be invertible"):
+    with pytest.raises(ValueError, match="map 'noinv' is not invertible"):
         check_ball_cover(noinv, eps=0.05, delta=0.05, n_centers=20, n_probes=100,
                          seed=1)
 
@@ -1449,6 +1481,36 @@ def test_cover_without_a_jacobian_goes_straight_to_probes():
     assert rep.n_witnessed_centers == 0
     assert (rep.n_violations, len(rep.violations)) == (2474, 100)
     assert _cover_digest(rep) == _cover_digest(_probe_report(F1, 0.05, 130, 20, 5))
+
+
+def _dense_cover_flags(Fi, X, eps, radius, n_probes, seed):
+    """Per centre X, whether one of n_probes uniform probes Z of the ball of
+    the given radius around F(X) has dist(F^{-1}(Z), X) >= eps; one centre
+    at a time, drawn by ball_sample, with none of check_ball_cover's code."""
+    rng = np.random.default_rng(seed)
+    space = Fi.space
+    flags = np.zeros(len(X), dtype=bool)
+    for i, x in enumerate(X):
+        Z = space.normalize(Fi(x) + ball_sample(rng, n_probes, space.dim, radius))
+        flags[i] = np.any(space.dist(Fi.invert(Z), x) >= eps)
+    return flags
+
+
+def test_probed_centres_match_a_dense_oracle():
+    # at delta -0.035 witnesses decide 7 of these 40 centres, so 1,000 probes
+    # each decide the other 33: the flags must be those of 100,000
+    # independent probes per centre.  Without a Jacobian all 40 centres are
+    # probed, and every centre the probes flag is a centre the oracle flags.
+    F1 = build_torus_f1().maps[0]
+    X = F1.space.uniform(np.random.default_rng(7), 40)
+    dense = _dense_cover_flags(F1, X, 0.05, 0.015, 100_000, 1)
+    rep = check_ball_cover(F1, 0.05, -0.035, 40, 1000, seed=7)
+    assert (rep.n_witnessed_centers, np.count_nonzero(dense)) == (7, 7)
+    assert np.array_equal(rep.center_flags, dense)
+    plain = check_ball_cover(dataclasses.replace(F1, jac=None), 0.05, -0.035, 40, 1000,
+                             centers=X, seed=7)
+    assert plain.n_witnessed_centers == 0 and plain.center_flags.any()
+    assert not np.any(plain.center_flags & ~dense)
 
 
 @pytest.mark.parametrize("system, delta, rows", [
